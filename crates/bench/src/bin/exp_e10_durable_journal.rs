@@ -7,9 +7,12 @@
 //! with a durable journal at several fsync-batch settings.
 //!
 //! The pipeline runs on a small fleet of sender threads sharing one
-//! journal, the shape of a real daemon (listener connection threads plus
-//! the scheduler all appending to the same log). Write-ahead records for
-//! a burst of `fsync_batch` cycles are journaled through one
+//! journal and one [`ReactorTransport`], the shape of a real daemon
+//! (listener connection threads plus the scheduler all appending to the
+//! same log and shipping through the same reactor). Each ship is the
+//! blocking `send` the firewall uses for agent transfers: it rides the
+//! reactor's pipelined window and waits for its own ack. Write-ahead
+//! records for a burst of `fsync_batch` cycles are journaled through one
 //! [`tacoma_journal::Journal::with_group`] group commit, and — because
 //! syncs are leader/follower — concurrent bursts from different threads
 //! share fsyncs instead of queueing behind each other. At batch 1 every
@@ -41,7 +44,9 @@ use tacoma_firewall::{Message, PendingQueue};
 use tacoma_journal::{Journal, JournalConfig, OpenHop};
 use tacoma_security::Principal;
 use tacoma_simnet::SimTime;
-use tacoma_transport::{ListenerConfig, TcpConfig, TcpTransport, Transport, TransportListener};
+use tacoma_transport::{
+    ListenerConfig, ReactorConfig, ReactorTransport, Transport, TransportListener,
+};
 
 /// Sender threads sharing the journal — the daemon's listener/scheduler
 /// concurrency, and what lets group commit amortize fsyncs across hops.
@@ -54,6 +59,10 @@ const BATCHES: [usize; 3] = [1, 8, 32];
 /// The CI gate: the best journaled throughput at fsync-batch >= 8 must be
 /// at least this fraction of the in-memory baseline.
 const THROUGHPUT_GATE: f64 = 0.5;
+
+/// The sink's address comes from the reactor's peer table; the port in
+/// each `send` is only the fallback for unmapped hosts.
+const SINK_PORT: u16 = 0;
 
 /// A unique scratch journal directory.
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -161,16 +170,10 @@ fn sender_thread(
     burst: usize,
     park_wire: &Bytes,
     wire: &Bytes,
-    port: u16,
+    transport: &ReactorTransport,
     journal: Option<&Journal>,
     start: &Barrier,
 ) {
-    let transport = TcpTransport::new(TcpConfig::default());
-    transport.add_peer("sink", format!("127.0.0.1:{port}"));
-    // Open the connection pool outside the timed region.
-    transport
-        .send("bench", "sink", port, wire)
-        .expect("loopback warmup");
     let mut queue = PendingQueue::new();
     let now = SimTime::from_nanos(0);
     let drain_at = SimTime::from_nanos(u64::MAX);
@@ -231,7 +234,7 @@ fn sender_thread(
         // record is journaled with the next burst's group.
         for i in 0..chunk {
             transport
-                .send("bench", "sink", port, wire)
+                .send("bench", "sink", SINK_PORT, wire)
                 .expect("loopback send");
             if journal.is_some() {
                 shipped.push(format!("{label}-t{thread}-{:08x}", cycle + i));
@@ -258,8 +261,8 @@ fn sender_thread(
 const REPS: usize = 3;
 
 /// Runs `cycles` total cycles across [`THREADS`] sender threads, each
-/// with its own pending queue and loopback connection pool, sharing the
-/// journal (when present) exactly as a daemon's threads share its log.
+/// with its own pending queue, sharing the reactor and the journal (when
+/// present) exactly as a daemon's threads share its transport and log.
 /// Repeats [`REPS`] times and keeps the median run by wall clock.
 fn run_pipeline(
     label: &str,
@@ -267,11 +270,11 @@ fn run_pipeline(
     burst: usize,
     park_wire: &Bytes,
     wire: &Bytes,
-    port: u16,
+    transport: &ReactorTransport,
     journal: Option<&Journal>,
 ) -> PipelineRun {
     let mut reps: Vec<PipelineRun> = (0..REPS)
-        .map(|_| run_pipeline_once(label, cycles, burst, park_wire, wire, port, journal))
+        .map(|_| run_pipeline_once(label, cycles, burst, park_wire, wire, transport, journal))
         .collect();
     reps.sort_by(|a, b| a.wall.cmp(&b.wall));
     reps.into_iter().nth(REPS / 2).expect("at least one rep")
@@ -285,7 +288,7 @@ fn run_pipeline_once(
     burst: usize,
     park_wire: &Bytes,
     wire: &Bytes,
-    port: u16,
+    transport: &ReactorTransport,
     journal: Option<&Journal>,
 ) -> PipelineRun {
     let fsyncs_before = journal.map_or(0, |j| j.stats().fsyncs);
@@ -297,7 +300,7 @@ fn run_pipeline_once(
             let start = &start;
             scope.spawn(move || {
                 sender_thread(
-                    label, thread, per_thread, burst, park_wire, wire, port, journal, start,
+                    label, thread, per_thread, burst, park_wire, wire, transport, journal, start,
                 );
             });
         }
@@ -355,7 +358,12 @@ fn main() -> ExitCode {
     let wire = build_transfer_wire(smoke);
     let park_wire = build_park_wire();
     let sink = Sink::start();
-    let port = sink.port();
+    let transport = ReactorTransport::new(ReactorConfig::default());
+    transport.add_peer("sink", format!("127.0.0.1:{}", sink.port()));
+    // Open the connection outside the timed region.
+    transport
+        .send("bench", "sink", SINK_PORT, &wire)
+        .expect("loopback warmup");
 
     // The in-memory baseline runs the same fleet with the same burst
     // chunking as the gated batch-8 journal run — only the journal
@@ -366,7 +374,7 @@ fn main() -> ExitCode {
         8,
         &park_wire,
         &wire,
-        port,
+        &transport,
         None,
     )];
     let mut journal_dirs = Vec::new();
@@ -383,7 +391,7 @@ fn main() -> ExitCode {
             batch,
             &park_wire,
             &wire,
-            port,
+            &transport,
             Some(&journal),
         ));
         journal_dirs.push(dir);

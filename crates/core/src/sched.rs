@@ -203,6 +203,14 @@ impl SystemLog {
             .collect()
     }
 
+    /// Takes the whole log, in [`SystemLog::snapshot`] order, leaving it
+    /// empty.
+    pub fn drain(&self) -> Vec<(String, HostEvent)> {
+        let mut inner = self.inner.lock();
+        SystemLog::ensure_sorted(&mut inner);
+        inner.entries.drain(..).map(|e| (e.host, e.event)).collect()
+    }
+
     /// Every `display` line, in log order, without cloning other events.
     pub fn displays(&self) -> Vec<String> {
         let mut inner = self.inner.lock();
@@ -344,12 +352,10 @@ impl RunOutcome {
 /// The default outbound transport: the simnet bus, with sends deferred to
 /// the tick barrier while a [`TaskScope`] is active.
 ///
-/// Outside a scope it behaves exactly like
-/// [`SimTransport`](tacoma_transport::SimTransport): charge the transfer
-/// to the global clock and deliver immediately. Inside a scope the
-/// transfer is charged to the batch's clock and loss RNG, and the
-/// resulting envelope is buffered so the barrier can hand envelopes to
-/// the bus in deterministic host order.
+/// Outside a scope it charges the transfer to the global clock and
+/// delivers immediately. Inside a scope the transfer is charged to the
+/// batch's clock and loss RNG, and the resulting envelope is buffered so
+/// the barrier can hand envelopes to the bus in deterministic host order.
 pub(crate) struct DeferredSimTransport {
     bus: MessageBus,
     net: Arc<Network>,
@@ -432,25 +438,9 @@ impl Transport for DeferredSimTransport {
                 self.counters.add_sent(payload.len() as u64);
                 Ok(())
             }
-            // Churn (crashed host, severed link) is a distinct outcome from
-            // random loss: the destination is *unreachable*, not unlucky.
-            Err(
-                e @ (NetError::NoEndpoint { .. }
-                | NetError::EndpointClosed { .. }
-                | NetError::HostDown { .. }
-                | NetError::Partitioned { .. }),
-            ) => {
-                self.counters.add_retry_timeout();
-                Err(TransportError::Unreachable {
-                    host: to_host.to_owned(),
-                    detail: e.to_string(),
-                })
-            }
             Err(e) => {
                 self.counters.add_retry_timeout();
-                Err(TransportError::Io {
-                    detail: e.to_string(),
-                })
+                Err(e.into())
             }
         }
     }
@@ -460,7 +450,6 @@ impl Transport for DeferredSimTransport {
     }
 
     fn kind(&self) -> &'static str {
-        // Same wire as SimTransport; tooling treats them identically.
         "simnet"
     }
 }
@@ -523,6 +512,36 @@ mod tests {
         log.clear_host(1);
         assert_eq!(log.snapshot().len(), 2);
         assert_eq!(log.displays(), vec!["t10", "t20"]);
+        // Draining hands back exactly the snapshot and leaves nothing.
+        let snapshot = log.snapshot();
+        assert_eq!(log.drain(), snapshot);
+        assert!(log.snapshot().is_empty());
+    }
+
+    fn sim_transport() -> (DeferredSimTransport, MessageBus) {
+        let mut topology = tacoma_simnet::Topology::new(tacoma_simnet::LinkSpec::lan_100mbit());
+        topology.add_hosts([HostId::new("a").unwrap(), HostId::new("b").unwrap()]);
+        let net = Arc::new(Network::new(topology, 3));
+        let bus = MessageBus::new(Arc::clone(&net));
+        (DeferredSimTransport::new(bus.clone(), net), bus)
+    }
+
+    #[test]
+    fn sim_transport_delivers_and_counts() {
+        let (transport, bus) = sim_transport();
+        let rx = bus.register(HostId::new("b").unwrap());
+        transport.send("a", "b", 4711, &[1, 2, 3]).unwrap();
+        assert_eq!(rx.try_recv().unwrap().payload, vec![1, 2, 3]);
+        let stats = transport.stats();
+        assert_eq!((stats.frames_sent, stats.bytes_sent), (1, 3));
+    }
+
+    #[test]
+    fn sim_transport_reports_a_missing_endpoint_as_unreachable() {
+        let (transport, _bus) = sim_transport();
+        let err = transport.send("a", "b", 4711, &[0; 8]).unwrap_err();
+        assert!(matches!(err, TransportError::Unreachable { .. }));
+        assert_eq!(transport.stats().retry_timeouts, 1);
     }
 
     #[test]

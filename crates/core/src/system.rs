@@ -122,10 +122,10 @@ impl SystemBuilder {
     }
 
     /// Overrides the outbound transport. Defaults to the in-process
-    /// simnet bus; `taxd` installs a [`TcpTransport`] here so the same
+    /// simnet bus; `taxd` installs a [`ReactorTransport`] here so the same
     /// kernel ships messages over real sockets.
     ///
-    /// [`TcpTransport`]: tacoma_transport::TcpTransport
+    /// [`ReactorTransport`]: tacoma_transport::ReactorTransport
     pub fn transport(mut self, transport: Arc<dyn tacoma_transport::Transport>) -> Self {
         self.transport = Some(transport);
         self
@@ -572,21 +572,6 @@ impl TaxSystem {
         ))
     }
 
-    /// How many scheduler worker threads this system uses (`0` = the
-    /// classic sequential scheduler).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Switches scheduler mode after build (e.g. `taxd --threads N`).
-    /// See [`SystemBuilder::threads`].
-    pub fn set_threads(&mut self, n: usize) {
-        if n != self.threads {
-            self.threads = n;
-            self.pool = None; // Rebuilt at the right size on next use.
-        }
-    }
-
     /// Performs one unit of scheduler work. Returns whether anything
     /// happened.
     ///
@@ -818,6 +803,17 @@ impl TaxSystem {
     /// re-clone and re-sort every host's history.
     pub fn events(&self) -> Vec<(String, HostEvent)> {
         self.log.snapshot()
+    }
+
+    /// Takes every event recorded so far, in [`TaxSystem::events`] order,
+    /// and forgets them: the merged log and every host's own log are left
+    /// empty. A long-running daemon prints what it drains instead of
+    /// keeping (and re-cloning) an ever-growing history.
+    pub fn drain_events(&mut self) -> Vec<(String, HostEvent)> {
+        for host in self.kernel.directory.read().values() {
+            host.core.events.lock().clear();
+        }
+        self.log.drain()
     }
 
     /// Every `display` line across all hosts, in virtual-time order.

@@ -600,3 +600,87 @@ fn extra_script_vms_are_addressable() {
     system.run_until_quiet();
     assert_eq!(system.agent_outputs(), vec!["landed on vm_perl"]);
 }
+
+/// Cache and pool warmth is telemetry, never trace: the process-global
+/// analysis cache, program cache and VM pool are cold for the first
+/// launch of a program and warm for the second, and the recorded events
+/// must not be able to tell. (A warmth string in `ExecutionTrace` made
+/// the worker-count determinism suites depend on test order.)
+#[test]
+fn cold_and_warm_launches_record_identical_events() {
+    fn events_of(spec: AgentSpec) -> Vec<(String, tacoma_core::HostEvent)> {
+        let mut system = three_hosts();
+        system.launch("alpha", spec).unwrap();
+        system.run_until_quiet();
+        system.events()
+    }
+
+    // Program text no other test in this binary uses, so the first launch
+    // of each really is the cold one.
+    const SOURCE: &str = r#"
+        fn main() {
+            display("cold-or-warm on " + host_name());
+            let next = bc_remove("HOSTS", 0);
+            if (next == nil) { exit(0); }
+            go(next);
+        }
+    "#;
+    let script = || AgentSpec::script("twice", SOURCE).itinerary(["tacoma://beta/vm_script"]);
+    let cold = events_of(script());
+    assert_eq!(events_of(script()), cold, "vm_script source path");
+    assert!(cold
+        .iter()
+        .any(|(_, e)| matches!(e.kind, EventKind::ExecutionTrace(_))));
+
+    let program = tacoma_taxscript::compile_source(
+        r#"fn main() { display("cold-or-warm binary"); exit(0); }"#,
+    )
+    .unwrap();
+    let binary = || AgentSpec::bytecode("twice-bin", program.clone());
+    let cold = events_of(binary());
+    assert_eq!(events_of(binary()), cold, "vm_bin bytecode path");
+    assert!(cold
+        .iter()
+        .any(|(_, e)| matches!(e.kind, EventKind::Completed(Outcome::Exit(0)))));
+}
+
+/// `drain_events` hands back exactly what `events` showed, forgets it on
+/// the merged log and on every host, and keeps later events in order — the
+/// contract `taxd`'s print-what-you-drain loop relies on.
+#[test]
+fn drain_events_is_an_ordered_snapshot_that_clears_every_log() {
+    let mut system = three_hosts();
+    let hop = |name: &str| {
+        AgentSpec::script(
+            name,
+            r#"fn main() {
+                display("at " + host_name());
+                let next = bc_remove("HOSTS", 0);
+                if (next == nil) { exit(0); }
+                go(next);
+            }"#,
+        )
+        .itinerary(["tacoma://beta/vm_script"])
+    };
+    system.launch("alpha", hop("first")).unwrap();
+    system.run_until_quiet();
+
+    let seen = system.events();
+    assert!(seen.iter().any(|(host, _)| host == "beta"));
+    assert_eq!(system.drain_events(), seen);
+    assert!(system.events().is_empty());
+    assert!(system.agent_outputs().is_empty());
+    for name in system.host_names() {
+        assert!(system.host(&name).unwrap().events().is_empty());
+    }
+    assert!(system.drain_events().is_empty());
+
+    system.launch("alpha", hop("second")).unwrap();
+    system.run_until_quiet();
+    let later = system.drain_events();
+    assert_eq!(later.len(), seen.len(), "only the second run's events");
+    assert!(later.iter().all(|(_, e)| e
+        .agent
+        .as_ref()
+        .is_none_or(|a| a.to_string().contains("second"))));
+}

@@ -141,24 +141,6 @@ fn step_budget_exhaustion_is_distinguished_and_logged() {
     assert!(warned, "exhaustion must leave a scheduler event");
 }
 
-/// Switching thread count after build (what `taxd --threads` does) keeps
-/// the system functional in either direction.
-#[test]
-fn set_threads_switches_modes() {
-    let mut system = fleet(0, 3, 0.0);
-    assert_eq!(system.threads(), 0);
-    system.set_threads(2);
-    assert_eq!(system.threads(), 2);
-    launch_walkers(&mut system);
-    assert!(system.run_until_quiet().quiesced());
-    let done = system
-        .agent_outputs()
-        .iter()
-        .filter(|l| l.starts_with("done"))
-        .count();
-    assert_eq!(done, PAIRS);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
+use tacoma_taxscript::analysis::CacheStats;
 
 /// Counters for firewall mediation, used by tests and the architecture
 /// benchmarks (every briefcase that crosses a VM boundary shows up here —
@@ -136,7 +137,7 @@ impl FirewallStats {
 
     /// Overwrites the warm-launch gauge fields from the shared
     /// compiled-program cache and VM pool snapshots.
-    pub fn absorb_vm(&mut self, cache: &tacoma_vm::PoolStats, pool: &tacoma_vm::PoolStats) {
+    pub fn absorb_vm(&mut self, cache: &CacheStats, pool: &CacheStats) {
         self.program_cache_hits = cache.hits;
         self.program_cache_misses = cache.misses;
         self.program_cache_evictions = cache.evictions;

@@ -22,8 +22,8 @@
 //! firewall admission path and the VM decode path in-process, so an
 //! agent admitted by the firewall is a warm hit when the VM loads it.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -79,12 +79,13 @@ impl fmt::Display for AnalysisFailure {
 /// The outcome stored per key: a verified script or the reason it failed.
 pub type CacheResult = Result<Arc<VerifiedScript>, AnalysisFailure>;
 
-/// Cumulative cache counters, exported into `FirewallStats`.
+/// Cumulative counters of a [`ContentLru`] (or any bounded warm pool),
+/// exported into `FirewallStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that ran the cold pipeline.
+    /// Lookups that ran the cold path.
     pub misses: u64,
     /// Entries dropped to stay within capacity.
     pub evictions: u64,
@@ -92,8 +93,8 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-struct Inner {
-    map: HashMap<Digest, CacheResult>,
+struct Inner<V> {
+    map: HashMap<Digest, V>,
     /// Recency order, least recent first. Touch is O(n); capacities are
     /// small (hundreds) and entries are 32-byte keys, so a scan beats
     /// the bookkeeping of an intrusive list.
@@ -103,16 +104,95 @@ struct Inner {
     evictions: u64,
 }
 
-/// A bounded LRU of analysis results keyed by content hash.
-pub struct AnalysisCache {
+/// A bounded LRU keyed by content hash: the one memoization core behind
+/// the [`AnalysisCache`] and `tacoma-vm`'s compiled-program cache.
+pub struct ContentLru<V> {
     capacity: usize,
-    inner: Mutex<Inner>,
+    inner: Mutex<Inner<V>>,
 }
 
-impl fmt::Debug for AnalysisCache {
+impl<V: Clone> ContentLru<V> {
+    /// Creates a cache retaining at most `capacity` entries (min 1).
+    pub fn new(capacity: usize) -> Self {
+        ContentLru {
+            capacity: capacity.max(1),
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            }),
+        }
+    }
+
+    /// Looks up `key`, running `cold` and inserting its value on a miss.
+    /// Returns the value and whether it was served from the cache.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `cold` fails with; an `Err` is returned as is and **not**
+    /// cached. (A cache that wants negative entries makes the failure part
+    /// of `V`, as [`AnalysisCache`] does.)
+    pub fn memoize<E>(
+        &self,
+        key: Digest,
+        cold: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        {
+            let mut inner = self.inner.lock().expect("content cache poisoned");
+            if let Some(found) = inner.map.get(&key).cloned() {
+                inner.hits += 1;
+                if let Some(pos) = inner.order.iter().position(|k| *k == key) {
+                    inner.order.remove(pos);
+                    inner.order.push_back(key);
+                }
+                return Ok((found, true));
+            }
+            inner.misses += 1;
+        }
+        // Run the cold path outside the lock: a slow miss must not
+        // serialize unrelated lookups. Two racing threads may both compute
+        // the same key; determinism makes either result correct.
+        let value = cold()?;
+        let mut inner = self.inner.lock().expect("content cache poisoned");
+        if !inner.map.contains_key(&key) {
+            while inner.map.len() >= self.capacity {
+                let Some(old) = inner.order.pop_front() else {
+                    break;
+                };
+                inner.map.remove(&old);
+                inner.evictions += 1;
+            }
+            inner.map.insert(key, value.clone());
+            inner.order.push_back(key);
+        }
+        Ok((value, false))
+    }
+
+    /// Cumulative counters plus current occupancy.
+    pub fn stats(&self) -> CacheStats {
+        let inner = self.inner.lock().expect("content cache poisoned");
+        CacheStats {
+            hits: inner.hits,
+            misses: inner.misses,
+            evictions: inner.evictions,
+            entries: inner.map.len(),
+        }
+    }
+
+    /// Drops every entry (counters are preserved).
+    pub fn clear(&self) {
+        let mut inner = self.inner.lock().expect("content cache poisoned");
+        inner.map.clear();
+        inner.order.clear();
+    }
+}
+
+impl<V: Clone> fmt::Debug for ContentLru<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.stats();
-        f.debug_struct("AnalysisCache")
+        f.debug_struct("ContentLru")
             .field("capacity", &self.capacity)
             .field("entries", &s.entries)
             .field("hits", &s.hits)
@@ -122,18 +202,17 @@ impl fmt::Debug for AnalysisCache {
     }
 }
 
+/// A bounded LRU of analysis results keyed by content hash.
+#[derive(Debug)]
+pub struct AnalysisCache {
+    lru: ContentLru<CacheResult>,
+}
+
 impl AnalysisCache {
     /// Creates a cache retaining at most `capacity` entries (min 1).
     pub fn new(capacity: usize) -> Self {
         AnalysisCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            lru: ContentLru::new(capacity),
         }
     }
 
@@ -173,54 +252,23 @@ impl AnalysisCache {
         })
     }
 
-    /// Looks up `key`, running `cold` and inserting on a miss.
+    /// Failures are part of the cached value (negative caching), so the
+    /// core's own error channel is never used.
     fn memoize(&self, key: Digest, cold: impl FnOnce() -> CacheResult) -> (CacheResult, bool) {
-        {
-            let mut inner = self.inner.lock().expect("analysis cache poisoned");
-            if let Some(found) = inner.map.get(&key).cloned() {
-                inner.hits += 1;
-                touch(&mut inner.order, &key);
-                return (found, true);
-            }
-            inner.misses += 1;
+        match self.lru.memoize(key, || Ok::<_, Infallible>(cold())) {
+            Ok(found) => found,
+            Err(never) => match never {},
         }
-        // Analyze outside the lock: a slow cold path must not serialize
-        // unrelated lookups. Two racing threads may both analyze the same
-        // bytes; determinism makes either result correct.
-        let result = cold();
-        let mut inner = self.inner.lock().expect("analysis cache poisoned");
-        if !inner.map.contains_key(&key) {
-            while inner.map.len() >= self.capacity {
-                let Some(old) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&old);
-                inner.evictions += 1;
-            }
-            inner.map.insert(key, result.clone());
-            inner.order.push_back(key);
-        }
-        (result, false)
     }
 
     /// Cumulative counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("analysis cache poisoned");
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
+        self.lru.stats()
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("analysis cache poisoned")
-            .map
-            .len()
+        self.stats().entries
     }
 
     /// Whether the cache is empty.
@@ -230,9 +278,7 @@ impl AnalysisCache {
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("analysis cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
+        self.lru.clear();
     }
 }
 
@@ -245,19 +291,13 @@ fn pipeline(program: Program) -> CacheResult {
     }
 }
 
-fn tagged_hash(tag: &[u8], data: &[u8]) -> Digest {
+/// The content hash of `data` under a domain-separation `tag`, so two
+/// caches (or two key kinds in one cache) can never alias an entry.
+pub fn tagged_hash(tag: &[u8], data: &[u8]) -> Digest {
     let mut buf = Vec::with_capacity(tag.len() + data.len());
     buf.extend_from_slice(tag);
     buf.extend_from_slice(data);
     hash_bytes(&buf)
-}
-
-/// Moves `key` to the most-recent end of `order`.
-fn touch(order: &mut VecDeque<Digest>, key: &Digest) {
-    if let Some(pos) = order.iter().position(|k| k == key) {
-        order.remove(pos);
-        order.push_back(*key);
-    }
 }
 
 #[cfg(test)]

@@ -36,7 +36,8 @@ mod lint;
 mod verifier;
 
 pub use cache::{
-    AnalysisCache, AnalysisFailure, CacheResult, CacheStats, VerifiedScript, DEFAULT_CAPACITY,
+    tagged_hash, AnalysisCache, AnalysisFailure, CacheResult, CacheStats, ContentLru,
+    VerifiedScript, DEFAULT_CAPACITY,
 };
 pub use capabilities::{capabilities, Capabilities};
 pub use flow::{flow, flow_lints, FlowSite, FlowSummary, GrowthLoop, ItineraryGraph, ShipSite};

@@ -5,7 +5,7 @@ use std::time::Duration;
 use rand::rngs::StdRng;
 use rand::{Random, SeedableRng};
 
-/// Retry/backoff policy for one logical send.
+/// Reconnect pacing for one peer.
 ///
 /// Delay before attempt *n* (n ≥ 1) is
 /// `min(initial * multiplier^(n-1), max)` scaled by a jitter factor drawn
@@ -22,8 +22,6 @@ pub struct BackoffPolicy {
     pub multiplier: f64,
     /// Jitter fraction in `[0, 1)`; 0.2 means ±20 %.
     pub jitter: f64,
-    /// Total attempts (first try + retries).
-    pub max_attempts: u32,
 }
 
 impl Default for BackoffPolicy {
@@ -33,20 +31,18 @@ impl Default for BackoffPolicy {
             max: Duration::from_secs(2),
             multiplier: 2.0,
             jitter: 0.2,
-            max_attempts: 8,
         }
     }
 }
 
 impl BackoffPolicy {
-    /// A fast policy for tests: small delays, few attempts.
+    /// A fast policy for tests: small delays.
     pub fn fast() -> Self {
         BackoffPolicy {
             initial: Duration::from_millis(5),
             max: Duration::from_millis(40),
             multiplier: 2.0,
             jitter: 0.1,
-            max_attempts: 4,
         }
     }
 

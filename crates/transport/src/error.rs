@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use tacoma_simnet::NetError;
+
 /// Errors from the wire transport.
 ///
 /// Io errors are carried as rendered strings so the type stays `Clone` +
@@ -95,5 +97,60 @@ impl From<std::io::Error> for TransportError {
         TransportError::Io {
             detail: e.to_string(),
         }
+    }
+}
+
+impl From<NetError> for TransportError {
+    /// Churn (crashed host, severed link, missing mailbox) is a distinct
+    /// outcome from random loss: the named host is *unreachable*, not
+    /// unlucky. Everything else the simulated network refuses is an I/O
+    /// error.
+    fn from(e: NetError) -> Self {
+        let detail = e.to_string();
+        match e {
+            NetError::NoEndpoint { host }
+            | NetError::EndpointClosed { host }
+            | NetError::HostDown { host }
+            | NetError::Partitioned { b: host, .. } => TransportError::Unreachable {
+                host: host.to_string(),
+                detail,
+            },
+            _ => TransportError::Io { detail },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use tacoma_simnet::HostId;
+
+    use super::*;
+
+    #[test]
+    fn churn_is_unreachable_and_loss_is_io() {
+        let (a, b) = (HostId::new("a").unwrap(), HostId::new("b").unwrap());
+        for churn in [
+            NetError::NoEndpoint { host: b.clone() },
+            NetError::EndpointClosed { host: b.clone() },
+            NetError::HostDown { host: b.clone() },
+            NetError::Partitioned {
+                a: a.clone(),
+                b: b.clone(),
+            },
+        ] {
+            let detail = churn.to_string();
+            assert_eq!(
+                TransportError::from(churn),
+                TransportError::Unreachable {
+                    host: "b".to_owned(),
+                    detail,
+                }
+            );
+        }
+        let lost = NetError::MessageLost { from: a, to: b };
+        assert!(matches!(
+            TransportError::from(lost),
+            TransportError::Io { .. }
+        ));
     }
 }

@@ -1,14 +1,14 @@
 //! Real wire transport for TACOMA firewalls.
 //!
-//! TAX 2.0's firewalls mediate every agent transfer between hosts; until
-//! now this repository only exchanged briefcases over the in-process
-//! simulated network. This crate adds the real thing: a length-prefixed
-//! frame codec over TCP, an authenticated HELLO handshake tied into the
-//! security layer's principals and trust store, a per-peer connection
-//! pool with reconnect, and retry with exponential backoff — behind a
-//! [`Transport`] trait that the simnet bus also implements, so the
-//! firewall routes identically whether its peers share a process or a
-//! network.
+//! TAX 2.0's firewalls mediate every agent transfer between hosts. This
+//! crate is the wire they mediate it over: a length-prefixed frame codec
+//! over TCP, an authenticated HELLO handshake tied into the security
+//! layer's principals and trust store, and one socket client — the sharded
+//! nonblocking [`ReactorTransport`] — behind the [`Transport`] trait. The
+//! in-process simnet bus implements the same trait (in `tacoma-core`), so
+//! the firewall routes identically whether its peers share a process or a
+//! network; [`TransportError`]'s `From<NetError>` is the one place a
+//! simulated-network refusal is translated.
 //!
 //! Layers, bottom up:
 //!
@@ -17,14 +17,15 @@
 //!   pipelined frames carry an 8-byte seq and are acked cumulatively.
 //! - [`handshake`]: the HELLO/WELCOME/REJECT exchange, optionally MAC-
 //!   signed and verified against a [`tacoma_security::TrustStore`].
-//! - [`conn`]: one handshaken connection — Briefcase frames are acked,
-//!   Stats frames answered.
+//! - [`conn`]: one handshaken blocking connection — the handshake
+//!   primitive the reactor's connectors run, and the stop-and-wait tool
+//!   client (`taxsh send`/`stats`): Briefcase frames are acked, Stats
+//!   frames answered.
 //! - [`window`]: the pipelined ack-window protocol state machines.
-//! - [`reactor`]: the sharded nonblocking client backend — pipelined
-//!   windows, zero-copy vectored writes, bounded backpressure.
-//! - [`tcp`] / [`listener`]: the legacy blocking client pool and the
-//!   (sharded, nonblocking) server side.
-//! - [`sim`]: the same [`Transport`] trait over the simulated network.
+//! - [`reactor`]: the client backend — sharded, nonblocking, pipelined
+//!   windows (`ack_window = 1` is stop-and-wait), zero-copy vectored
+//!   writes, bounded backpressure.
+//! - [`listener`]: the (sharded, nonblocking) server side.
 //! - [`backoff`] / [`stats`]: retry pacing and shared counters.
 
 pub mod backoff;
@@ -34,9 +35,7 @@ pub mod frame;
 pub mod handshake;
 pub mod listener;
 pub mod reactor;
-pub mod sim;
 pub mod stats;
-pub mod tcp;
 pub mod traits;
 pub mod window;
 
@@ -50,8 +49,6 @@ pub use frame::{
 pub use handshake::{build_hello, build_welcome, parse_welcome, verify_hello, HelloInfo};
 pub use listener::{Inbound, ListenerConfig, PreAckHook, TransportListener};
 pub use reactor::{ReactorConfig, ReactorTransport};
-pub use sim::SimTransport;
 pub use stats::{TransportCounters, TransportStats};
-pub use tcp::{TcpConfig, TcpTransport};
 pub use traits::{Completion, Transport};
 pub use window::{RecvWindow, SendWindow};

@@ -11,8 +11,9 @@
 //!
 //! Both wire dialects are served on the same port:
 //!
-//! - legacy stop-and-wait (`Briefcase` → bare `Ack`), spoken by the
-//!   pooled [`TcpTransport`](crate::TcpTransport) and `taxsh`;
+//! - stop-and-wait (`Briefcase` → bare `Ack`), spoken by
+//!   [`Connection::send_payload`](crate::Connection::send_payload)
+//!   (`taxsh send` and other tools);
 //! - the pipelined window (`BriefcaseSeq` → cumulative `AckSeq`),
 //!   spoken by [`ReactorTransport`](crate::ReactorTransport). Per
 //!   connection, a [`RecvWindow`] suppresses retransmitted seqs (the

@@ -1,12 +1,10 @@
 //! [`ReactorTransport`]: the sharded nonblocking TCP backend.
 //!
-//! The legacy [`TcpTransport`](crate::TcpTransport) is blocking and
-//! stop-and-wait: one briefcase per round trip, one pooled connection
-//! checked out per send. That caps per-peer throughput at `1/RTT` and
-//! makes every concurrent peer cost a blocked thread. This module
-//! replaces it with a small, fixed set of **shard threads** (peers
-//! assigned by host hash), each owning many *nonblocking* sockets and
-//! looping:
+//! A blocking stop-and-wait client ships one briefcase per round trip,
+//! which caps per-peer throughput at `1/RTT` and makes every concurrent
+//! peer cost a blocked thread. This backend instead runs a small, fixed
+//! set of **shard threads** (peers assigned by host hash), each owning
+//! many *nonblocking* sockets and looping:
 //!
 //! 1. drain the shard's command channel (new sends, shutdown),
 //! 2. apply finished connector handshakes,
@@ -299,7 +297,7 @@ impl WriteQueue {
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Connection-level settings (local host name, keyring, limits,
-    /// connect/handshake timeouts) — shared with the blocking path.
+    /// connect/handshake timeouts) — shared with [`Connection`].
     pub connect: ConnectConfig,
     /// Shard thread count. Defaults to `available_parallelism`
     /// (clamped to 8): shards are about socket fan-out, not CPU.
@@ -614,8 +612,7 @@ impl Shard {
             peer.connecting = true;
             if peer.attempt > 0 || peer.had_connection {
                 // Every attempt after the first — whether the peer was
-                // never up or a live connection died — is a reconnect,
-                // matching the legacy pool's accounting.
+                // never up or a live connection died — is a reconnect.
                 self.counters.add_reconnect();
             }
             self.connectors_out += 1;
@@ -778,8 +775,7 @@ pub struct ReactorTransport {
     shard_threads: Mutex<Vec<JoinHandle<()>>>,
     completions_rx: Receiver<Completion>,
     counters: TransportCounters,
-    /// Host name → socket address overrides, as in
-    /// [`TcpTransport::add_peer`](crate::TcpTransport::add_peer).
+    /// Host name → socket address overrides ([`ReactorTransport::add_peer`]).
     peers: Mutex<HashMap<String, String>>,
     /// Per-peer queue depth gauges, shared with the owning shard so
     /// [`Transport::send_nowait`] can refuse synchronously at capacity.
@@ -831,11 +827,6 @@ impl ReactorTransport {
     /// (`"127.0.0.1:7001"`); unmapped hosts resolve as `host:port`.
     pub fn add_peer(&self, host: impl Into<String>, addr: impl Into<String>) {
         self.peers.lock().insert(host.into(), addr.into());
-    }
-
-    /// The shared counters (also used by tests).
-    pub fn counters(&self) -> TransportCounters {
-        self.counters.clone()
     }
 
     fn resolve(&self, to_host: &str, to_port: u16) -> String {
@@ -921,20 +912,28 @@ impl Transport for ReactorTransport {
         payload: &[u8],
     ) -> Result<(), TransportError> {
         let (tx, rx) = unbounded();
-        let deadline = Instant::now() + self.config.retry_budget + self.config.ack_timeout;
         let payload = Bytes::copy_from_slice(payload);
         // A full queue is backpressure, not failure: wait for room
         // within the budget.
+        let room_deadline = Instant::now() + self.config.retry_budget;
         loop {
             match self.enqueue(to_host, to_port, payload.clone(), 0, Some(tx.clone())) {
                 Ok(()) => break,
-                Err(TransportError::QueueFull { .. }) if Instant::now() < deadline => {
+                Err(TransportError::QueueFull { .. }) if Instant::now() < room_deadline => {
                     thread::sleep(Duration::from_millis(2));
                 }
                 Err(e) => return Err(e),
             }
         }
-        match rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+        // The shard settles every frame it admitted: acked, or failed once
+        // the frame's own budget (counted from the enqueue above) runs out
+        // — at the latest one retransmit-and-teardown cycle later when the
+        // frame was in flight at that moment. Giving up any earlier would
+        // report failure for a frame the shard may still deliver, and the
+        // caller's retry would then deliver it twice.
+        let patience =
+            self.config.retry_budget + 2 * self.config.ack_timeout + Duration::from_secs(1);
+        match rx.recv_timeout(patience) {
             Ok(result) => result,
             Err(_) => Err(TransportError::RetriesExhausted {
                 host: to_host.to_owned(),

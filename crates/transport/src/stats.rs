@@ -1,4 +1,4 @@
-//! Transport counters, shared between connection pools, listeners, and
+//! Transport counters, shared between the reactor, listeners, and
 //! the firewall's stats surface.
 
 use std::fmt;
@@ -34,28 +34,6 @@ pub struct TransportStats {
     pub queue_high_water: u64,
     /// Enqueue attempts refused because a peer queue was at capacity.
     pub queue_drops: u64,
-}
-
-impl TransportStats {
-    /// Field-wise sum, for folding the outbound pool and inbound listener
-    /// counters into one report.
-    pub fn merged(&self, other: &TransportStats) -> TransportStats {
-        TransportStats {
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            bytes_received: self.bytes_received + other.bytes_received,
-            frames_sent: self.frames_sent + other.frames_sent,
-            frames_received: self.frames_received + other.frames_received,
-            connects: self.connects + other.connects,
-            reconnects: self.reconnects + other.reconnects,
-            handshake_failures: self.handshake_failures + other.handshake_failures,
-            retry_timeouts: self.retry_timeouts + other.retry_timeouts,
-            acks_received: self.acks_received + other.acks_received,
-            retransmits: self.retransmits + other.retransmits,
-            queue_depth: self.queue_depth + other.queue_depth,
-            queue_high_water: self.queue_high_water.max(other.queue_high_water),
-            queue_drops: self.queue_drops + other.queue_drops,
-        }
-    }
 }
 
 impl fmt::Display for TransportStats {

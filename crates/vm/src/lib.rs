@@ -40,7 +40,7 @@ mod vmtrait;
 
 pub use artifact::{Architecture, ArtifactBundle, BinaryArtifact, ARTIFACT_MAGIC};
 pub use error::VmError;
-pub use pool::{PoolStats, ProgramCache, VmPool, PROGRAM_CACHE_CAPACITY, VM_POOL_CAPACITY};
+pub use pool::{ProgramCache, VmPool, PROGRAM_CACHE_CAPACITY, VM_POOL_CAPACITY};
 pub use registry::{NativeProgram, NativeRegistry};
 pub use vm_bin::VmBin;
 pub use vm_c::VmC;

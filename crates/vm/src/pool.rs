@@ -22,11 +22,11 @@
 //! Both expose cumulative counters that the firewall folds into
 //! `FirewallStats`, so `taxsh stats` shows hit rates in production.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use tacoma_security::{hash_bytes, Digest};
+use tacoma_security::Digest;
+use tacoma_taxscript::analysis::{tagged_hash, CacheStats, ContentLru};
 use tacoma_taxscript::{ExecScratch, Program};
 
 use crate::VmError;
@@ -42,59 +42,18 @@ pub const PROGRAM_CACHE_CAPACITY: usize = 256;
 /// Default number of warm scratches the pool retains.
 pub const VM_POOL_CAPACITY: usize = 32;
 
-/// Cumulative counters for [`ProgramCache`] and [`VmPool`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Requests answered from the cache/pool.
-    pub hits: u64,
-    /// Requests that paid the cold path.
-    pub misses: u64,
-    /// Entries dropped to stay within capacity.
-    pub evictions: u64,
-    /// Entries currently resident.
-    pub entries: usize,
-}
-
-struct CacheInner {
-    map: HashMap<Digest, Arc<Program>>,
-    /// Recency order, least recent first (same trade-off as the
-    /// analysis cache: O(n) touch over small capacities).
-    order: VecDeque<Digest>,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// A bounded LRU of decoded programs keyed by content hash.
+/// A bounded LRU of decoded programs keyed by content hash (the analysis
+/// cache's [`ContentLru`] core under this module's own domain tag).
+#[derive(Debug)]
 pub struct ProgramCache {
-    capacity: usize,
-    inner: Mutex<CacheInner>,
-}
-
-impl fmt::Debug for ProgramCache {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.stats();
-        f.debug_struct("ProgramCache")
-            .field("capacity", &self.capacity)
-            .field("entries", &s.entries)
-            .field("hits", &s.hits)
-            .field("misses", &s.misses)
-            .finish()
-    }
+    lru: ContentLru<Arc<Program>>,
 }
 
 impl ProgramCache {
     /// Creates a cache retaining at most `capacity` programs (min 1).
     pub fn new(capacity: usize) -> Self {
         ProgramCache {
-            capacity: capacity.max(1),
-            inner: Mutex::new(CacheInner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
+            lru: ContentLru::new(capacity),
         }
     }
 
@@ -106,10 +65,7 @@ impl ProgramCache {
 
     /// The content-hash key for program wire bytes.
     pub fn key_for(wire: &[u8]) -> Digest {
-        let mut buf = Vec::with_capacity(TAG_PROGRAM.len() + wire.len());
-        buf.extend_from_slice(TAG_PROGRAM);
-        buf.extend_from_slice(wire);
-        hash_bytes(&buf)
+        tagged_hash(TAG_PROGRAM, wire)
     }
 
     /// Decodes `wire`, memoized by content hash. On a hit the returned
@@ -125,60 +81,21 @@ impl ProgramCache {
     /// [`VmError::BadArtifact`]-compatible decode errors, exactly as
     /// the uncached `Program::decode`.
     pub fn decode(&self, wire: &[u8]) -> Result<(Arc<Program>, bool), VmError> {
-        let key = Self::key_for(wire);
-        {
-            let mut inner = self.inner.lock().expect("program cache poisoned");
-            if let Some(found) = inner.map.get(&key).cloned() {
-                inner.hits += 1;
-                touch(&mut inner.order, &key);
-                return Ok((found, true));
-            }
-            inner.misses += 1;
-        }
-        // Decode and lower outside the lock; determinism makes a racing
-        // duplicate harmless.
-        let program = Program::decode(wire)?;
-        program.prepare();
-        let program = Arc::new(program);
-        let mut inner = self.inner.lock().expect("program cache poisoned");
-        if !inner.map.contains_key(&key) {
-            while inner.map.len() >= self.capacity {
-                let Some(old) = inner.order.pop_front() else {
-                    break;
-                };
-                inner.map.remove(&old);
-                inner.evictions += 1;
-            }
-            inner.map.insert(key, program.clone());
-            inner.order.push_back(key);
-        }
-        Ok((program, false))
+        self.lru.memoize(Self::key_for(wire), || {
+            let program = Program::decode(wire)?;
+            program.prepare();
+            Ok(Arc::new(program))
+        })
     }
 
     /// Cumulative counters plus current occupancy.
-    pub fn stats(&self) -> PoolStats {
-        let inner = self.inner.lock().expect("program cache poisoned");
-        PoolStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len(),
-        }
+    pub fn stats(&self) -> CacheStats {
+        self.lru.stats()
     }
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("program cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
-    }
-}
-
-/// Moves `key` to the most-recent end of `order`.
-fn touch(order: &mut VecDeque<Digest>, key: &Digest) {
-    if let Some(pos) = order.iter().position(|k| k == key) {
-        order.remove(pos);
-        order.push_back(*key);
+        self.lru.clear();
     }
 }
 
@@ -260,9 +177,9 @@ impl VmPool {
     }
 
     /// Cumulative counters plus the current number of warm scratches.
-    pub fn stats(&self) -> PoolStats {
+    pub fn stats(&self) -> CacheStats {
         let inner = self.inner.lock().expect("vm pool poisoned");
-        PoolStats {
+        CacheStats {
             hits: inner.hits,
             misses: inner.misses,
             evictions: inner.evictions,

@@ -6,19 +6,16 @@
 //! taxd --host alpha --listen 127.0.0.1:7001 --peer beta=127.0.0.1:7002 \
 //!      [--launch file.tax]... [--itinerary beta,alpha] \
 //!      [--journal-dir DIR] [--crash-after-record KIND[:N]] \
-//!      [--idle-exit-ms 2000] [--require-signed] [--threads N] \
-//!      [--transport-shards N] [--ack-window W]
+//!      [--idle-exit-ms 2000] [--require-signed]
 //! ```
 //!
 //! The daemon binds a [`TransportListener`], routes every arriving frame
 //! through its firewall exactly as a simulated envelope would be, and
 //! ships outbound decisions over a sharded nonblocking
 //! [`ReactorTransport`]: frames enter a bounded per-peer queue, ride a
-//! pipelined ack window (up to `--ack-window` frames in flight, acked
-//! cumulatively), and complete asynchronously — the main loop pumps
-//! completions back into the firewall, which parks any frame whose retry
-//! budget ran out for the periodic redelivery sweep. `--transport-shards`
-//! sets the number of reactor threads (peers are assigned by host hash);
+//! pipelined ack window (acked cumulatively), and complete asynchronously
+//! — the main loop pumps completions back into the firewall, which parks
+//! any frame whose retry budget ran out for the periodic redelivery sweep.
 //! `--launch` may repeat to start several agents on the same itinerary.
 //! With `--idle-exit-ms` the process exits once nothing has happened for
 //! that long — the mode the loopback integration test uses.
@@ -61,9 +58,6 @@ struct Options {
     itinerary: Vec<String>,
     idle_exit: Option<Duration>,
     require_signed: bool,
-    threads: usize,
-    transport_shards: usize,
-    ack_window: usize,
     journal_dir: Option<String>,
     crash_after: Option<tacoma::journal::CrashPoint>,
 }
@@ -71,7 +65,6 @@ struct Options {
 fn usage() -> String {
     "usage: taxd --host NAME --listen ADDR [--peer HOST=ADDR]... \
      [--launch FILE.tax]... [--itinerary H1,H2,...] [--idle-exit-ms N] [--require-signed] \
-     [--threads N] [--transport-shards N] [--ack-window W] \
      [--journal-dir DIR] [--crash-after-record KIND[:N]]"
         .to_owned()
 }
@@ -84,9 +77,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
     let mut itinerary = Vec::new();
     let mut idle_exit = None;
     let mut require_signed = false;
-    let mut threads = 0;
-    let mut transport_shards = 0;
-    let mut ack_window = 0;
     let mut journal_dir = None;
     let mut crash_after = None;
 
@@ -121,21 +111,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                 idle_exit = Some(Duration::from_millis(ms));
             }
             "--require-signed" => require_signed = true,
-            "--threads" => {
-                threads = value("--threads")?
-                    .parse()
-                    .map_err(|_| "--threads wants a number".to_owned())?;
-            }
-            "--transport-shards" => {
-                transport_shards = value("--transport-shards")?
-                    .parse()
-                    .map_err(|_| "--transport-shards wants a number".to_owned())?;
-            }
-            "--ack-window" => {
-                ack_window = value("--ack-window")?
-                    .parse()
-                    .map_err(|_| "--ack-window wants a number >= 1".to_owned())?;
-            }
             "--journal-dir" => journal_dir = Some(value("--journal-dir")?),
             "--crash-after-record" => {
                 let spec = value("--crash-after-record")?;
@@ -154,9 +129,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
         itinerary,
         idle_exit,
         require_signed,
-        threads,
-        transport_shards,
-        ack_window,
         journal_dir,
         crash_after,
     })
@@ -180,12 +152,6 @@ fn run(opts: &Options) -> Result<(), String> {
     // pipelined ack window; the loop below pumps completions.
     let mut config = ReactorConfig::default();
     config.connect.local_host.clone_from(&opts.host);
-    if opts.transport_shards > 0 {
-        config.shards = opts.transport_shards;
-    }
-    if opts.ack_window > 0 {
-        config.ack_window = opts.ack_window;
-    }
     let transport = Arc::new(ReactorTransport::new(config));
     for (name, addr) in &opts.peers {
         transport.add_peer(name.clone(), addr.clone());
@@ -196,7 +162,6 @@ fn run(opts: &Options) -> Result<(), String> {
         .host(&opts.host)
         .map_err(|e| e.to_string())?
         .transport(Arc::clone(&transport) as Arc<dyn tacoma::transport::Transport>)
-        .threads(opts.threads)
         .build();
     let host = system
         .host(&opts.host)
@@ -299,7 +264,6 @@ fn run(opts: &Options) -> Result<(), String> {
         system.launch(&opts.host, spec).map_err(|e| e.to_string())?;
     }
 
-    let mut printed = 0;
     let mut last_activity = Instant::now();
     let mut last_sweep = Instant::now();
     loop {
@@ -315,7 +279,7 @@ fn run(opts: &Options) -> Result<(), String> {
         {
             last_activity = Instant::now();
         }
-        printed = print_new_events(&system, printed);
+        print_new_events(&mut system);
 
         match listener.incoming().recv_timeout(POLL_EVERY) {
             Ok(inbound) => {
@@ -369,7 +333,7 @@ fn run(opts: &Options) -> Result<(), String> {
     }
     listener.shutdown();
 
-    print_new_events(&system, printed);
+    print_new_events(&mut system);
     if let Some(journal) = &journal_handle {
         // Fold the tail into a checkpoint so the next boot replays only
         // genuinely unfinished work.
@@ -385,13 +349,11 @@ fn run(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Prints events recorded since the last call; returns the new high-water
-/// mark.
-fn print_new_events(system: &TaxSystem, already: usize) -> usize {
-    let events = system.events();
-    for (host, event) in events.iter().skip(already) {
+/// Prints the events recorded since the last call and drops them: a
+/// long-running daemon keeps no event history.
+fn print_new_events(system: &mut TaxSystem) {
+    for (host, event) in &system.drain_events() {
         println!("{host:>12}  {event}");
     }
     let _ = std::io::stdout().flush();
-    events.len()
 }
