@@ -19,10 +19,10 @@ fn bench_webbot(c: &mut Criterion) {
     let mut group = c.benchmark_group("webbot_case_study");
     group.sample_size(10);
     group.bench_function("stationary_120_pages", |b| {
-        b.iter(|| black_box(run_stationary(&reduced()).report.pages_scanned))
+        b.iter(|| black_box(run_stationary(&reduced()).report.pages_scanned));
     });
     group.bench_function("mobile_120_pages", |b| {
-        b.iter(|| black_box(run_mobile(&reduced()).report.pages_scanned))
+        b.iter(|| black_box(run_mobile(&reduced()).report.pages_scanned));
     });
     group.finish();
 }
@@ -38,10 +38,10 @@ fn bench_mining(c: &mut Criterion) {
         ..MiningParams::default()
     };
     group.bench_function("client_pull", |b| {
-        b.iter(|| black_box(run_client_pull(&params).matches))
+        b.iter(|| black_box(run_client_pull(&params).matches));
     });
     group.bench_function("mobile_agent", |b| {
-        b.iter(|| black_box(run_mobile_agent(&params).matches))
+        b.iter(|| black_box(run_mobile_agent(&params).matches));
     });
     group.finish();
 }

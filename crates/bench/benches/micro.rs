@@ -29,10 +29,10 @@ fn bench_briefcase_codec(c: &mut Criterion) {
         let bc = briefcase_of(size, 16);
         let wire = bc.encode();
         group.bench_with_input(BenchmarkId::new("encode", size), &bc, |b, bc| {
-            b.iter(|| black_box(bc.encode()))
+            b.iter(|| black_box(bc.encode()));
         });
         group.bench_with_input(BenchmarkId::new("decode", size), &wire, |b, wire| {
-            b.iter(|| black_box(Briefcase::decode(wire).unwrap()))
+            b.iter(|| black_box(Briefcase::decode(wire).unwrap()));
         });
     }
     group.finish();
@@ -42,7 +42,7 @@ fn bench_briefcase_codec(c: &mut Criterion) {
 fn bench_uri(c: &mut Criterion) {
     let text = "tacoma://cl2.cs.uit.no:27017/tacoma@cl2.cs.uit.no/vm_c:933821661";
     c.bench_function("uri_parse", |b| {
-        b.iter(|| black_box(text.parse::<AgentUri>().unwrap()))
+        b.iter(|| black_box(text.parse::<AgentUri>().unwrap()));
     });
     let uri: AgentUri = text.parse().unwrap();
     c.bench_function("uri_display", |b| b.iter(|| black_box(uri.to_string())));
@@ -58,7 +58,7 @@ fn bench_security(c: &mut Criterion) {
     let sig = keys.sign(&core);
     let public = keys.public();
     c.bench_function("verify_250k", |b| {
-        b.iter(|| black_box(public.verify(&core, &sig)))
+        b.iter(|| black_box(public.verify(&core, &sig)));
     });
 }
 
@@ -70,19 +70,19 @@ const FIB_SRC: &str = r#"
 /// The TaxScript toolchain: the costs inside the Figure-3 pipeline.
 fn bench_taxscript(c: &mut Criterion) {
     c.bench_function("taxscript_compile", |b| {
-        b.iter(|| black_box(compile_source(FIB_SRC).unwrap()))
+        b.iter(|| black_box(compile_source(FIB_SRC).unwrap()));
     });
     let program = compile_source(FIB_SRC).unwrap();
     let wire = program.encode();
     c.bench_function("taxscript_decode_binary", |b| {
-        b.iter(|| black_box(Program::decode(&wire).unwrap()))
+        b.iter(|| black_box(Program::decode(&wire).unwrap()));
     });
     c.bench_function("taxscript_run_fib15", |b| {
         b.iter(|| {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run(&mut bc).unwrap())
-        })
+        });
     });
 }
 
@@ -108,7 +108,7 @@ fn bench_verify(c: &mut Criterion) {
         let wire_len = program.encode().len() as u64;
         group.throughput(Throughput::Bytes(wire_len));
         group.bench_with_input(BenchmarkId::from_parameter(wire_len), &program, |b, p| {
-            b.iter(|| black_box(tacoma_taxscript::analysis::verify(p).unwrap()))
+            b.iter(|| black_box(tacoma_taxscript::analysis::verify(p).unwrap()));
         });
     }
     group.finish();
@@ -142,7 +142,7 @@ fn bench_migration(c: &mut Criterion) {
                     .folder("BULK", [vec![0u8; payload]]);
                     system.launch("a", spec).unwrap();
                     black_box(system.run_until_quiet())
-                })
+                });
             },
         );
     }
@@ -183,7 +183,7 @@ fn bench_rpc(c: &mut Criterion) {
                     .launch("a", AgentSpec::script("caller", source.clone()))
                     .unwrap();
                 black_box(system.run_until_quiet())
-            })
+            });
         });
     }
     group.finish();
@@ -215,7 +215,7 @@ fn bench_wrapper_depth(c: &mut Criterion) {
                 }
                 system.launch("a", spec).unwrap();
                 black_box(system.run_until_quiet())
-            })
+            });
         });
     }
     group.finish();
@@ -235,7 +235,7 @@ fn bench_group_ordering(c: &mut Criterion) {
             }
             assert_eq!(delivered as u64, N);
             black_box(delivered)
-        })
+        });
     });
     c.bench_function("ordering_total_reversed_100", |b| {
         b.iter(|| {
@@ -246,7 +246,7 @@ fn bench_group_ordering(c: &mut Criterion) {
             }
             assert_eq!(delivered as u64, N);
             black_box(delivered)
-        })
+        });
     });
     c.bench_function("ordering_causal_chain_100", |b| {
         let mut stamps = Vec::new();
@@ -263,7 +263,7 @@ fn bench_group_ordering(c: &mut Criterion) {
             }
             assert_eq!(delivered as u64, N);
             black_box(delivered)
-        })
+        });
     });
 }
 

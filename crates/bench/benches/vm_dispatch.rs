@@ -55,14 +55,14 @@ fn bench_dispatch(c: &mut Criterion) {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run_legacy(&mut bc).unwrap())
-        })
+        });
     });
     group.bench_function("fused_counter_loop", |b| {
         b.iter(|| {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run(&mut bc).unwrap())
-        })
+        });
     });
     group.finish();
 }
@@ -75,7 +75,7 @@ fn bench_calls(c: &mut Criterion) {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run(&mut bc).unwrap())
-        })
+        });
     });
 }
 
@@ -87,7 +87,7 @@ fn bench_scratch(c: &mut Criterion) {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run(&mut bc).unwrap())
-        })
+        });
     });
     c.bench_function("vm_launch/warm_scratch", |b| {
         let mut scratch = ExecScratch::new();
@@ -95,7 +95,7 @@ fn bench_scratch(c: &mut Criterion) {
             let mut bc = Briefcase::new();
             let mut vm = Vm::new(&program, NullHooks::default());
             black_box(vm.run_with_scratch(&mut bc, &mut scratch).unwrap())
-        })
+        });
     });
 }
 

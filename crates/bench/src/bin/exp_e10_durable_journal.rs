@@ -276,7 +276,7 @@ fn run_pipeline(
     let mut reps: Vec<PipelineRun> = (0..REPS)
         .map(|_| run_pipeline_once(label, cycles, burst, park_wire, wire, transport, journal))
         .collect();
-    reps.sort_by(|a, b| a.wall.cmp(&b.wall));
+    reps.sort_by_key(|a| a.wall);
     reps.into_iter().nth(REPS / 2).expect("at least one rep")
 }
 

@@ -14,11 +14,12 @@
 //!    dispatch is a smaller slice of each instruction).
 //!
 //! 2. **Launch throughput, cold vs warm.** The same bytecode briefcase
-//!    is launched through `vm_script` with every shared cache cleared
-//!    before each iteration (cold: decode + verify + lower + allocate
-//!    per hop) and with the caches primed (warm: content-hash hit on
-//!    the verified-script cache, pooled scratch from the `VmPool`).
-//!    This is the per-hop cost a mobile agent actually pays.
+//!    is launched through a fresh `vm_script` with empty launch caches
+//!    at each iteration (cold: decode + verify + lower + allocate per
+//!    hop) and through one `vm_script` whose caches are primed (warm:
+//!    content-hash hit on the verified-script cache, pooled scratch from
+//!    the `VmPool`). This is the per-hop cost a mobile agent actually
+//!    pays.
 //!
 //! With `--json` the results are emitted as the `BENCH_10.json` format;
 //! `--smoke` shrinks the workload for CI; `--check` exits non-zero if
@@ -27,16 +28,15 @@
 
 use std::env;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tacoma_bench::{header, row};
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::TrustStore;
-use tacoma_taxscript::analysis::AnalysisCache;
+use tacoma_taxscript::analysis::CacheStats;
 use tacoma_taxscript::{compile_source, NullHooks, Program, Vm, DEFAULT_FUEL};
-use tacoma_vm::{
-    code_types, ExecContext, NativeRegistry, ProgramCache, VirtualMachine, VmPool, VmScript,
-};
+use tacoma_vm::{code_types, ExecContext, LaunchCaches, NativeRegistry, VirtualMachine, VmScript};
 
 /// Timed repetitions; the best rep damps scheduler noise.
 const REPS: usize = 3;
@@ -111,38 +111,40 @@ fn dispatch_ops_per_sec(program: &Program, legacy: bool) -> (f64, u64) {
     (best, executed)
 }
 
-/// Launches/sec for the bytecode briefcase through `vm_script`.
-/// `cold` clears every shared cache before each launch, charging the
-/// full decode + verify + lower + allocate pipeline per hop.
+/// Launches/sec for the bytecode briefcase through `vm_script`, and the
+/// VM pool counters of the warm run. `cold` launches each time on a fresh
+/// VM with empty caches, charging the full decode + verify + lower +
+/// allocate pipeline per hop.
 #[allow(clippy::cast_precision_loss)]
-fn launches_per_sec(wire: &[u8], launches: usize, cold: bool) -> (f64, Duration) {
+fn launches_per_sec(wire: &[u8], launches: usize, cold: bool) -> (f64, Duration, CacheStats) {
     let trust = TrustStore::new();
     let natives = NativeRegistry::new();
     let ctx = ExecContext::new(&trust, &natives);
-    let vm = VmScript::new();
-    // Prime the caches for the warm variant so iteration one is warm too.
-    if !cold {
-        let mut bc = briefcase_with(wire);
-        let mut hooks = NullHooks::default();
-        vm.execute(&mut bc, &mut hooks, &ctx)
-            .expect("warm-up launch succeeds");
-    }
-    let started = Instant::now();
-    for _ in 0..launches {
-        if cold {
-            AnalysisCache::shared().clear();
-            ProgramCache::shared().clear();
-            VmPool::shared().clear();
-        }
+    let caches = Arc::new(LaunchCaches::new());
+    let warm_vm = VmScript::sharing("vm_script", Arc::clone(&caches));
+    let launch = |vm: &VmScript| {
         let mut bc = briefcase_with(wire);
         let mut hooks = NullHooks::default();
         vm.execute(&mut bc, &mut hooks, &ctx)
             .expect("bench launch succeeds");
+    };
+    // Prime the caches for the warm variant so iteration one is warm too.
+    if !cold {
+        launch(&warm_vm);
+    }
+    let started = Instant::now();
+    for _ in 0..launches {
+        if cold {
+            launch(&VmScript::new());
+        } else {
+            launch(&warm_vm);
+        }
     }
     let wall = started.elapsed();
     (
         launches as f64 / wall.as_secs_f64().max(f64::MIN_POSITIVE),
         wall,
+        caches.pool().stats(),
     )
 }
 
@@ -208,10 +210,9 @@ fn main() -> ExitCode {
     let agent = compile_source(&source).expect("agent source compiles");
     let wire = agent.encode();
     let cold_launches = launches / 10;
-    let (cold_rate, cold_wall) = launches_per_sec(&wire, cold_launches, true);
-    let (warm_rate, warm_wall) = launches_per_sec(&wire, launches, false);
+    let (cold_rate, cold_wall, _) = launches_per_sec(&wire, cold_launches, true);
+    let (warm_rate, warm_wall, pool) = launches_per_sec(&wire, launches, false);
     let launch_speedup = warm_rate / cold_rate.max(f64::MIN_POSITIVE);
-    let pool = VmPool::shared().stats();
 
     if json {
         println!("{{");

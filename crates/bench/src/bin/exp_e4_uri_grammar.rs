@@ -43,8 +43,7 @@ fn main() {
                 uri.host().unwrap_or("-"),
                 uri.name().unwrap_or("-"),
                 uri.instance()
-                    .map(|i| i.to_string())
-                    .unwrap_or_else(|| "-".into())
+                    .map_or_else(|| "-".into(), std::string::ToString::to_string)
             ),
             Err(e) => format!("({e})"),
         };

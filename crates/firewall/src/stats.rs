@@ -29,11 +29,11 @@ pub struct FirewallStats {
     /// capabilities exceeding the principal's rights). Each such event
     /// also counts as `denied`.
     pub code_rejected: u64,
-    /// Admissions answered from the shared verified-script cache.
+    /// Admissions answered from the host's verified-script cache.
     pub analysis_cache_hits: u64,
     /// Admissions that ran the cold analysis pipeline.
     pub analysis_cache_misses: u64,
-    /// Entries the shared cache evicted to stay within capacity (gauge,
+    /// Entries the host's cache evicted to stay within capacity (gauge,
     /// absorbed from the cache when stats are read).
     pub analysis_cache_evictions: u64,
     /// Wire frames shipped to remote firewalls (transport acknowledged).
@@ -82,17 +82,17 @@ pub struct FirewallStats {
     /// Duplicate hop arrivals suppressed by the journal's dedup set
     /// (sender retries and replayed re-ships of already-executed hops).
     pub hops_deduped: u64,
-    /// `vm_bin` launches answered from the shared compiled-program cache
+    /// `vm_bin` launches answered from the host's compiled-program cache
     /// (gauge, absorbed from the cache when stats are read).
     pub program_cache_hits: u64,
     /// `vm_bin` launches that paid the cold decode + lowering (gauge,
     /// absorbed).
     pub program_cache_misses: u64,
-    /// Programs the shared cache evicted to stay within capacity (gauge,
+    /// Programs the host's cache evicted to stay within capacity (gauge,
     /// absorbed).
     pub program_cache_evictions: u64,
     /// VM launches served a warm pooled scratch (gauge, absorbed from
-    /// the shared pool when stats are read).
+    /// the host's pool when stats are read).
     pub vm_pool_hits: u64,
     /// VM launches that allocated a cold scratch (gauge, absorbed).
     pub vm_pool_misses: u64,
@@ -135,7 +135,7 @@ impl FirewallStats {
         self.journal_fsyncs = j.fsyncs;
     }
 
-    /// Overwrites the warm-launch gauge fields from the shared
+    /// Overwrites the warm-launch gauge fields from the host's
     /// compiled-program cache and VM pool snapshots.
     pub fn absorb_vm(&mut self, cache: &CacheStats, pool: &CacheStats) {
         self.program_cache_hits = cache.hits;

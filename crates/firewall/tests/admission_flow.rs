@@ -3,7 +3,7 @@
 //! capability manifest against the sending principal's ACL grant.
 
 use tacoma_briefcase::{folders, Briefcase};
-use tacoma_firewall::{AdmissionPolicy, Decision, Firewall, FirewallError, Message};
+use tacoma_firewall::{Decision, Firewall, FirewallError, Message};
 use tacoma_security::{Keyring, Policy, Principal, Rights, TrustStore};
 use tacoma_simnet::SimTime;
 use tacoma_taxscript::compile_source;
@@ -128,15 +128,4 @@ fn unverifiable_bytecode_is_rejected_even_with_full_rights() {
     let err = fw.route_inbound(m, SimTime::ZERO).unwrap_err();
     assert!(matches!(err, FirewallError::CodeRejected(_)), "{err:?}");
     assert_eq!(fw.stats().code_rejected, 1);
-}
-
-#[test]
-fn disabled_admission_restores_old_behaviour() {
-    let (mut fw, keys) = firewall_granting(Rights::EXECUTE);
-    fw.set_admission(AdmissionPolicy::disabled());
-    let d = fw
-        .route_inbound(signed_transfer(&keys, MOBILE_AGENT), SimTime::ZERO)
-        .unwrap();
-    assert!(matches!(d, Decision::InstallAgent { .. }));
-    assert_eq!(fw.stats().code_verified, 0);
 }

@@ -18,14 +18,15 @@
 //! growing without bound. Failures are cached too (negative caching) —
 //! a malformed agent retried at every hop stays cheap to reject.
 //!
-//! One [`shared`](AnalysisCache::shared) instance serves both the
-//! firewall admission path and the VM decode path in-process, so an
-//! agent admitted by the firewall is a warm hit when the VM loads it.
+//! There is no process-wide instance: each host owns one cache (in
+//! `tacoma-vm`'s `LaunchCaches`), shared by its firewall admission and
+//! its VMs, so an agent admitted at the door is a warm hit when the VM
+//! loads it and the counters belong to that host alone.
 
 use std::collections::{HashMap, VecDeque};
 use std::convert::Infallible;
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use tacoma_security::{hash_bytes, Digest};
 
@@ -216,12 +217,6 @@ impl AnalysisCache {
         }
     }
 
-    /// The process-wide cache shared by firewall admission and VM decode.
-    pub fn shared() -> &'static AnalysisCache {
-        static SHARED: OnceLock<AnalysisCache> = OnceLock::new();
-        SHARED.get_or_init(|| AnalysisCache::new(DEFAULT_CAPACITY))
-    }
-
     /// The content-hash key for program wire bytes.
     pub fn key_for_bytes(wire: &[u8]) -> Digest {
         tagged_hash(TAG_BYTECODE, wire)
@@ -331,7 +326,7 @@ mod tests {
         let cache = AnalysisCache::new(8);
         let program = compile_source(AGENT).unwrap();
         let wire = program.encode();
-        cache.analyze_bytes(&wire);
+        assert!(cache.analyze_bytes(&wire).0.is_ok());
         let (warm, hit) = cache.analyze_bytes(&wire);
         assert!(hit);
         let cold = analyze(&program).unwrap();
@@ -371,11 +366,11 @@ mod tests {
                     .encode()
             })
             .collect();
-        cache.analyze_bytes(&wires[0]);
-        cache.analyze_bytes(&wires[1]);
+        assert!(cache.analyze_bytes(&wires[0]).0.is_ok());
+        assert!(cache.analyze_bytes(&wires[1]).0.is_ok());
         // Touch 0 so 1 becomes the eviction victim.
         assert!(cache.analyze_bytes(&wires[0]).1);
-        cache.analyze_bytes(&wires[2]);
+        assert!(cache.analyze_bytes(&wires[2]).0.is_ok());
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.analyze_bytes(&wires[0]).1, "0 survived");
         assert!(!cache.analyze_bytes(&wires[1]).1, "1 was evicted");
@@ -385,7 +380,7 @@ mod tests {
     fn clear_keeps_counters() {
         let cache = AnalysisCache::new(4);
         let wire = compile_source(AGENT).unwrap().encode();
-        cache.analyze_bytes(&wire);
+        assert!(cache.analyze_bytes(&wire).0.is_ok());
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.stats().misses, 1);

@@ -23,9 +23,9 @@
 //!    no progress toward `go`/`exit`.
 //!
 //! The whole pipeline is deterministic in the program bytes, so
-//! [`AnalysisCache`] memoizes it by content hash — the firewall and the
-//! VM share one cache and an agent is analyzed once per process, not
-//! once per hop.
+//! [`AnalysisCache`] memoizes it by content hash — a host's firewall and
+//! VMs share one cache and an agent is analyzed once per host, not once
+//! per hop.
 //!
 //! See `docs/analysis.md` for the full catalogue and the admission flow.
 

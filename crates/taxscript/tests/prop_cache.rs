@@ -84,19 +84,21 @@ proptest! {
         }
     }
 
-    /// The shared cache behaves identically to a fresh one (no state
-    /// leakage between distinct programs: keying is by content hash).
+    /// One cache shared by many programs behaves like a fresh one per
+    /// program (no state leakage between distinct programs: keying is by
+    /// content hash), through hits and evictions alike.
     #[test]
-    fn shared_cache_agrees_with_eager(src in arb_agent()) {
-        let program = compile_source(&src).expect("generated agents compile");
-        let wire = program.encode();
-        let (result, _) = AnalysisCache::shared().analyze_bytes(&wire);
-        let eager = analyze(&program);
-        match (result, eager) {
-            (Ok(verified), Ok(eager)) => prop_assert_eq!(&verified.report, &eager),
-            (Err(AnalysisFailure::Verify(a)), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => {
-                panic!("shared cache and eager disagree: {a:?} vs {b:?}");
+    fn reused_cache_agrees_with_eager(srcs in proptest::collection::vec(arb_agent(), 1..12)) {
+        let cache = AnalysisCache::new(4);
+        for src in srcs.iter().chain(srcs.iter().rev()) {
+            let program = compile_source(src).expect("generated agents compile");
+            let (result, _) = cache.analyze_bytes(&program.encode());
+            match (result, analyze(&program)) {
+                (Ok(verified), Ok(eager)) => prop_assert_eq!(&verified.report, &eager),
+                (Err(AnalysisFailure::Verify(a)), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => {
+                    panic!("reused cache and eager disagree: {a:?} vs {b:?}");
+                }
             }
         }
     }

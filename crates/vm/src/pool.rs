@@ -1,5 +1,6 @@
-//! Warm-launch infrastructure: the compiled-program cache and the VM
-//! execution pool.
+//! Warm-launch infrastructure: the compiled-program cache, the VM
+//! execution pool, and the per-host set that bundles them with the
+//! analysis cache.
 //!
 //! A mobile agent pays its launch cost at *every* hop: decode (or
 //! compile) the program, lower it to the execution tier, allocate the
@@ -19,14 +20,18 @@
 //!   and checks it back in; steady-state agent traffic reuses the same
 //!   grown-to-size buffers instead of reallocating them per hop.
 //!
-//! Both expose cumulative counters that the firewall folds into
-//! `FirewallStats`, so `taxsh stats` shows hit rates in production.
+//! [`LaunchCaches`] is one host's set of all three, at the fixed
+//! capacities below. A host builds one set; its firewall admission and
+//! every VM on it share that set, so an agent admitted at the door is a
+//! warm hit in the VM. There is no process-wide set: a standalone VM or
+//! admission check owns a fresh one, and the counters the firewall folds
+//! into `FirewallStats` (`taxsh stats`) belong to that host alone.
 
 use std::fmt;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use tacoma_security::Digest;
-use tacoma_taxscript::analysis::{tagged_hash, CacheStats, ContentLru};
+use tacoma_taxscript::analysis::{self, tagged_hash, AnalysisCache, CacheStats, ContentLru};
 use tacoma_taxscript::{ExecScratch, Program};
 
 use crate::VmError;
@@ -57,12 +62,6 @@ impl ProgramCache {
         }
     }
 
-    /// The process-wide cache shared by every `vm_bin` launch.
-    pub fn shared() -> &'static ProgramCache {
-        static SHARED: OnceLock<ProgramCache> = OnceLock::new();
-        SHARED.get_or_init(|| ProgramCache::new(PROGRAM_CACHE_CAPACITY))
-    }
-
     /// The content-hash key for program wire bytes.
     pub fn key_for(wire: &[u8]) -> Digest {
         tagged_hash(TAG_PROGRAM, wire)
@@ -91,11 +90,6 @@ impl ProgramCache {
     /// Cumulative counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats()
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        self.lru.clear();
     }
 }
 
@@ -145,12 +139,6 @@ impl VmPool {
         }
     }
 
-    /// The process-wide pool shared by every VM launch.
-    pub fn shared() -> &'static VmPool {
-        static SHARED: OnceLock<VmPool> = OnceLock::new();
-        SHARED.get_or_init(|| VmPool::new(VM_POOL_CAPACITY))
-    }
-
     /// Takes a warm scratch, or allocates a cold one on a miss.
     pub fn checkout(&self) -> ExecScratch {
         let mut inner = self.inner.lock().expect("vm pool poisoned");
@@ -186,10 +174,47 @@ impl VmPool {
             entries: inner.free.len(),
         }
     }
+}
 
-    /// Drops every warm scratch (counters are preserved).
-    pub fn clear(&self) {
-        self.inner.lock().expect("vm pool poisoned").free.clear();
+/// One host's launch caches: verified scripts, decoded programs and warm
+/// VM scratches, each at its fixed default capacity. Shared through an
+/// `Arc` by the host's firewall admission and all of its VMs.
+#[derive(Debug)]
+pub struct LaunchCaches {
+    analysis: AnalysisCache,
+    programs: ProgramCache,
+    pool: VmPool,
+}
+
+impl LaunchCaches {
+    /// A fresh, empty set.
+    pub fn new() -> Self {
+        LaunchCaches {
+            analysis: AnalysisCache::new(analysis::DEFAULT_CAPACITY),
+            programs: ProgramCache::new(PROGRAM_CACHE_CAPACITY),
+            pool: VmPool::new(VM_POOL_CAPACITY),
+        }
+    }
+
+    /// The verified-script cache (firewall admission, `vm_script`).
+    pub fn analysis(&self) -> &AnalysisCache {
+        &self.analysis
+    }
+
+    /// The compiled-program cache (`vm_bin`).
+    pub fn programs(&self) -> &ProgramCache {
+        &self.programs
+    }
+
+    /// The warm-scratch pool (every launch).
+    pub fn pool(&self) -> &VmPool {
+        &self.pool
+    }
+}
+
+impl Default for LaunchCaches {
+    fn default() -> Self {
+        LaunchCaches::new()
     }
 }
 

@@ -1,6 +1,8 @@
 //! `vm_bin`: "executes binaries directly on top of the operating system,
 //! provided the binary is signed by a trusted principal" (§3.3).
 
+use std::sync::Arc;
+
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::{Digest, Principal, SecurityError, Signature};
 use tacoma_taxscript::{Program, Vm};
@@ -8,37 +10,46 @@ use tacoma_taxscript::{Program, Vm};
 use crate::vm_script::HooksProxy;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
 use crate::{
-    ArtifactBundle, ExecContext, Execution, HostHooks, ProgramCache, VirtualMachine, VmError,
+    ArtifactBundle, ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmError,
     VmPool,
 };
 
-/// Runs a decoded program with a pooled scratch, returning the pool's
+/// Runs a decoded program with a scratch from `pool`, returning the
 /// scratch afterwards even on a fault.
-fn launch(
+pub(crate) fn launch(
+    pool: &VmPool,
     program: &Program,
     briefcase: &mut Briefcase,
     hooks: &mut dyn HostHooks,
     fuel: u64,
 ) -> Result<tacoma_taxscript::Outcome, VmError> {
-    let mut scratch = VmPool::shared().checkout();
+    let mut scratch = pool.checkout();
     let mut vm = Vm::new(program, HooksProxy(hooks)).with_fuel(fuel);
     let outcome = vm.run_with_scratch(briefcase, &mut scratch);
-    VmPool::shared().checkin(scratch);
+    pool.checkin(scratch);
     Ok(outcome?)
 }
 
 /// The binary VM. Safety mechanism: code signing — efficient execution
 /// "once sufficient trust has been established".
 #[derive(Debug, Default)]
-pub struct VmBin;
+pub struct VmBin {
+    caches: Arc<LaunchCaches>,
+}
 
 /// The conventional name of the binary VM.
 pub const VM_BIN_NAME: &str = "vm_bin";
 
 impl VmBin {
-    /// A new binary VM.
+    /// A new binary VM with its own fresh launch caches.
     pub fn new() -> Self {
-        VmBin
+        VmBin::default()
+    }
+
+    /// A binary VM that launches through `caches` — its host's set,
+    /// shared with the firewall and the host's other VMs.
+    pub fn sharing(caches: Arc<LaunchCaches>) -> Self {
+        VmBin { caches }
     }
 
     /// Verifies the briefcase's signature over its `CODE` element.
@@ -111,12 +122,12 @@ impl VirtualMachine for VmBin {
                 // A raw compiled program (the vm_c pipeline's output).
                 // The decode + lowering are memoized by content hash, so
                 // a repeat visitor launches from the warm program.
-                let (program, _) = ProgramCache::shared().decode(&code)?;
+                let (program, _) = self.caches.programs().decode(&code)?;
                 trace.push(format!(
                     "vm_bin: executing {} bytecode instructions",
                     program.instruction_count(),
                 ));
-                let outcome = launch(&program, briefcase, hooks, ctx.fuel)?;
+                let outcome = launch(self.caches.pool(), &program, briefcase, hooks, ctx.fuel)?;
                 trace.push(format!("vm_bin: agent ended with {outcome:?}"));
                 Ok(Execution { outcome, trace })
             }
@@ -139,12 +150,12 @@ impl VirtualMachine for VmBin {
                     trace.push(format!("vm_bin: agent ended with {outcome:?}"));
                     Ok(Execution { outcome, trace })
                 } else {
-                    let (program, _) = ProgramCache::shared().decode(&artifact.payload)?;
+                    let (program, _) = self.caches.programs().decode(&artifact.payload)?;
                     trace.push(format!(
                         "vm_bin: executing {} bytecode instructions",
                         program.instruction_count(),
                     ));
-                    let outcome = launch(&program, briefcase, hooks, ctx.fuel)?;
+                    let outcome = launch(self.caches.pool(), &program, briefcase, hooks, ctx.fuel)?;
                     trace.push(format!("vm_bin: agent ended with {outcome:?}"));
                     Ok(Execution { outcome, trace })
                 }

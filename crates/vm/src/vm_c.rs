@@ -13,11 +13,13 @@
 //! — and where the code and the binary live at each one — are reproduced
 //! exactly, and recorded in the execution trace.
 
+use std::sync::Arc;
+
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_taxscript::compile_source;
 
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
-use crate::{ExecContext, Execution, HostHooks, VirtualMachine, VmBin, VmError};
+use crate::{ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmBin, VmError};
 
 /// The compiling VM.
 #[derive(Debug, Default)]
@@ -29,9 +31,17 @@ pub struct VmC {
 pub const VM_C_NAME: &str = "vm_c";
 
 impl VmC {
-    /// A new compiling VM.
+    /// A new compiling VM with its own fresh launch caches.
     pub fn new() -> Self {
         VmC::default()
+    }
+
+    /// A compiling VM whose step-7 `vm_bin` launches through `caches` —
+    /// its host's set.
+    pub fn sharing(caches: Arc<LaunchCaches>) -> Self {
+        VmC {
+            bin: VmBin::sharing(caches),
+        }
     }
 }
 

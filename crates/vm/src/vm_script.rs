@@ -2,12 +2,15 @@
 //! stand-in for the scripting-language VMs (`vm_perl`, `vm_tcl`) of the
 //! original system.
 
-use tacoma_briefcase::Briefcase;
-use tacoma_taxscript::analysis::{AnalysisCache, AnalysisFailure};
-use tacoma_taxscript::{compile_source, HostHooks, Program, Vm};
+use std::sync::Arc;
 
+use tacoma_briefcase::Briefcase;
+use tacoma_taxscript::analysis::AnalysisFailure;
+use tacoma_taxscript::{compile_source, HostHooks, Program};
+
+use crate::vm_bin::launch;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
-use crate::{ExecContext, Execution, VirtualMachine, VmError, VmPool};
+use crate::{ExecContext, Execution, LaunchCaches, VirtualMachine, VmError};
 
 /// The scripting VM. Safety mechanism: the TaxScript sandbox (fuel,
 /// bounded stacks, contained faults) — the "sand-boxing" option of §3.3.
@@ -20,19 +23,29 @@ use crate::{ExecContext, Execution, VirtualMachine, VmError, VmPool};
 #[derive(Debug)]
 pub struct VmScript {
     name: String,
+    caches: Arc<LaunchCaches>,
 }
 
 impl VmScript {
-    /// A new scripting VM under the conventional name.
+    /// A new scripting VM under the conventional name, with its own fresh
+    /// launch caches.
     pub fn new() -> Self {
-        VmScript {
-            name: VM_SCRIPT_NAME.to_owned(),
-        }
+        VmScript::named(VM_SCRIPT_NAME)
     }
 
-    /// A scripting VM exposed under a different landing-pad name.
+    /// A scripting VM exposed under a different landing-pad name, with
+    /// its own fresh launch caches.
     pub fn named(name: impl Into<String>) -> Self {
-        VmScript { name: name.into() }
+        VmScript::sharing(name, Arc::default())
+    }
+
+    /// A scripting VM named `name` that launches through `caches` — its
+    /// host's set, shared with the firewall and the host's other VMs.
+    pub fn sharing(name: impl Into<String>, caches: Arc<LaunchCaches>) -> Self {
+        VmScript {
+            name: name.into(),
+            caches,
+        }
     }
 }
 
@@ -73,7 +86,7 @@ impl VirtualMachine for VmScript {
                 // Source rides the same content-hash cache as bytecode:
                 // an itinerant agent carrying source pays compilation
                 // (and superinstruction lowering) once, not per hop.
-                let (result, _) = AnalysisCache::shared().analyze_source(&source);
+                let (result, _) = self.caches.analysis().analyze_source(&source);
                 cached = match result {
                     Ok(verified) => verified,
                     Err(AnalysisFailure::Compile(_)) => {
@@ -104,10 +117,10 @@ impl VirtualMachine for VmScript {
                 // Arriving bytecode is untrusted: prove it cannot fault
                 // the VM before running it (verify-before-execute). The
                 // decode + analysis pipeline is memoized by content hash
-                // in the cache shared with firewall admission, so a
-                // known-good script skips both on every hop after the
+                // in the host's cache, shared with firewall admission, so
+                // a known-good script skips both on every hop after the
                 // first.
-                let (result, _) = AnalysisCache::shared().analyze_bytes(&code);
+                let (result, _) = self.caches.analysis().analyze_bytes(&code);
                 cached = match result {
                     Ok(verified) => verified,
                     Err(AnalysisFailure::Verify(e)) => return Err(VmError::Unverifiable(e)),
@@ -136,18 +149,14 @@ impl VirtualMachine for VmScript {
             }
         };
 
-        let mut scratch = VmPool::shared().checkout();
-        let mut vm = Vm::new(program, HooksProxy(hooks)).with_fuel(ctx.fuel);
-        let outcome = vm.run_with_scratch(briefcase, &mut scratch);
-        VmPool::shared().checkin(scratch);
-        let outcome = outcome?;
+        let outcome = launch(self.caches.pool(), program, briefcase, hooks, ctx.fuel)?;
         trace.push(format!("vm_script: agent ended with {outcome:?}"));
         Ok(Execution { outcome, trace })
     }
 }
 
 /// Adapts `&mut dyn HostHooks` to the by-value hooks parameter of
-/// [`Vm::new`].
+/// [`Vm::new`](tacoma_taxscript::Vm::new).
 pub(crate) struct HooksProxy<'a>(pub &'a mut dyn HostHooks);
 
 impl HostHooks for HooksProxy<'_> {
@@ -228,19 +237,27 @@ mod tests {
     #[test]
     fn bytecode_cache_hit_on_second_run() {
         let program = compile_source("fn main() { exit(3); }").unwrap();
+        let caches = Arc::new(LaunchCaches::new());
+        let vm = VmScript::sharing(VM_SCRIPT_NAME, Arc::clone(&caches));
+        let trust = TrustStore::new();
+        let natives = NativeRegistry::new();
+        let ctx = ExecContext::new(&trust, &natives);
         let load = || {
             let mut bc = Briefcase::new();
             bc.append(folders::CODE, program.encode());
             bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
-            run(&mut bc)
+            vm.execute(&mut bc, &mut NullHooks::default(), &ctx)
         };
+        let counts = |s: tacoma_taxscript::analysis::CacheStats| (s.hits, s.misses);
         let cold = load().unwrap();
         assert_eq!(cold.outcome, Outcome::Exit(3));
-        // The shared cache is process-global, so other tests may add hits
-        // of their own; this load must add at least one.
-        let hits_before = AnalysisCache::shared().stats().hits;
+        assert_eq!(counts(caches.analysis().stats()), (0, 1));
+        assert_eq!(counts(caches.pool().stats()), (0, 1));
+        // The caches are this VM's own, so the second load is exactly one
+        // more hit on each.
         let warm = load().unwrap();
-        assert!(AnalysisCache::shared().stats().hits > hits_before);
+        assert_eq!(counts(caches.analysis().stats()), (1, 1));
+        assert_eq!(counts(caches.pool().stats()), (1, 1));
         assert_eq!(
             warm, cold,
             "a warm launch is indistinguishable in the trace"

@@ -7,10 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-# Scoped to the facade package and every library it links, as before the
-# root gained `default-members`; `cargo test` below covers the workspace.
+# The default members (the facade and every crate under `crates/`), every
+# target; `--no-deps` keeps the vendored stand-ins out.
 echo "==> cargo clippy (deny warnings)"
-cargo clippy -p tacoma --all-targets --all-features -- -D warnings
+cargo clippy --no-deps --all-targets --all-features -- -D warnings
 
 if command -v cargo-deny >/dev/null 2>&1; then
     echo "==> cargo deny (advisories, bans)"
