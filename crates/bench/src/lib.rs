@@ -1,6 +1,7 @@
-//! Shared machinery for the experiment regenerators: table printing and
-//! the §4 data-mining scenario (a record store service plus an itinerant
-//! mining agent).
+//! The gated benchmark binaries' shared machinery (table printing), plus
+//! two workload models: the §4 data-mining scenario (a record store
+//! service and an itinerant mining agent) and the briefcase-migration
+//! hop. The E1–E8 paper claims are tests in `tests/paper_reproduction.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,16 +36,5 @@ pub fn fmt_duration(d: std::time::Duration) -> String {
         format!("{:.1}ms", d.as_secs_f64() * 1e3)
     } else {
         format!("{}µs", d.as_micros())
-    }
-}
-
-/// Formats bytes in adaptive units.
-pub fn fmt_bytes(b: u64) -> String {
-    if b >= 10_000_000 {
-        format!("{:.1}MB", b as f64 / 1e6)
-    } else if b >= 10_000 {
-        format!("{:.1}KB", b as f64 / 1e3)
-    } else {
-        format!("{b}B")
     }
 }

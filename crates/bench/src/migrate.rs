@@ -1,8 +1,8 @@
 //! Shared workload for the briefcase-migration benchmarks: a synthetic
 //! agent state plus a faithful simulation of the pre-CoW representation.
 //!
-//! The `briefcase_migrate` criterion bench and the `exp_e9` regenerator
-//! both compare one *hop* of a clone-heavy itinerary two ways:
+//! The `exp_e9` bench's `briefcase_migrate` section compares one *hop* of
+//! a clone-heavy itinerary two ways:
 //!
 //! * **legacy** — how migration cost looked before the copy-on-write
 //!   rebuild: every fan-out destination paid a deep clone (folder map,

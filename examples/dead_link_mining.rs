@@ -9,9 +9,8 @@
 use tacoma::webbot::experiment::{run_mobile, run_stationary, speedup, CaseStudyParams};
 
 fn main() {
-    // A mid-size site so the example runs in a couple of seconds; the
-    // full paper-scale run is `cargo run --release -p tacoma-bench --bin
-    // exp_e1_webbot_local_vs_remote`.
+    // A mid-size site with the §5 second step on; the paper-scale run is
+    // `cargo test --test paper_reproduction e1_ -- --nocapture`.
     let params = CaseStudyParams {
         pages: 300,
         total_bytes: 1_500_000,
