@@ -258,29 +258,14 @@ fn sender_thread(
 /// small shared VM a single run is hostage to scheduler noise in both
 /// directions — the median damps outlier-slow and outlier-fast reps
 /// alike, which matters because the gate is a ratio of two such walls.
-const REPS: usize = 3;
+/// The repetitions of all configurations are interleaved, so a noisy
+/// stretch of the machine lands on every row, not on one.
+const REPS: usize = 5;
 
-/// Runs `cycles` total cycles across [`THREADS`] sender threads, each
-/// with its own pending queue, sharing the reactor and the journal (when
-/// present) exactly as a daemon's threads share its transport and log.
-/// Repeats [`REPS`] times and keeps the median run by wall clock.
-fn run_pipeline(
-    label: &str,
-    cycles: usize,
-    burst: usize,
-    park_wire: &Bytes,
-    wire: &Bytes,
-    transport: &ReactorTransport,
-    journal: Option<&Journal>,
-) -> PipelineRun {
-    let mut reps: Vec<PipelineRun> = (0..REPS)
-        .map(|_| run_pipeline_once(label, cycles, burst, park_wire, wire, transport, journal))
-        .collect();
-    reps.sort_by_key(|a| a.wall);
-    reps.into_iter().nth(REPS / 2).expect("at least one rep")
-}
-
-/// One timed run of the fleet pipeline.
+/// One timed run of the fleet pipeline: `cycles` total cycles across
+/// [`THREADS`] sender threads, each with its own pending queue, sharing
+/// the reactor and the journal (when present) exactly as a daemon's
+/// threads share its transport and log.
 #[allow(clippy::cast_precision_loss, clippy::too_many_arguments)]
 fn run_pipeline_once(
     label: &str,
@@ -354,7 +339,7 @@ fn main() -> ExitCode {
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
 
-    let (cycles, latency_records) = if smoke { (384, 96) } else { (1920, 512) };
+    let (cycles, latency_records) = if smoke { (384, 96) } else { (19200, 512) };
     let wire = build_transfer_wire(smoke);
     let park_wire = build_park_wire();
     let sink = Sink::start();
@@ -365,37 +350,47 @@ fn main() -> ExitCode {
         .send("bench", "sink", SINK_PORT, &wire)
         .expect("loopback warmup");
 
+    let mut journal_dirs = Vec::new();
+    let journals: Vec<(usize, Journal)> = BATCHES
+        .iter()
+        .map(|&batch| {
+            let dir = scratch_dir(&format!("pipeline_{batch}"));
+            let config = JournalConfig {
+                fsync_batch: batch,
+                ..JournalConfig::default()
+            };
+            let (journal, _) = Journal::open(&dir, config).expect("open bench journal");
+            journal_dirs.push(dir);
+            (batch, journal)
+        })
+        .collect();
     // The in-memory baseline runs the same fleet with the same burst
     // chunking as the gated batch-8 journal run — only the journal
     // appends and fsyncs differ between the two rows the gate compares.
-    let mut runs = vec![run_pipeline(
-        "in-memory",
-        cycles,
-        8,
-        &park_wire,
-        &wire,
-        &transport,
-        None,
-    )];
-    let mut journal_dirs = Vec::new();
-    for batch in BATCHES {
-        let dir = scratch_dir(&format!("pipeline_{batch}"));
-        let config = JournalConfig {
-            fsync_batch: batch,
-            ..JournalConfig::default()
-        };
-        let (journal, _) = Journal::open(&dir, config).expect("open bench journal");
-        runs.push(run_pipeline(
-            &format!("journal, batch {batch}"),
-            cycles,
-            batch,
-            &park_wire,
-            &wire,
-            &transport,
-            Some(&journal),
-        ));
-        journal_dirs.push(dir);
+    let configs: Vec<(String, usize, Option<&Journal>)> =
+        std::iter::once(("in-memory".to_owned(), 8, None))
+            .chain(
+                journals
+                    .iter()
+                    .map(|(batch, j)| (format!("journal, batch {batch}"), *batch, Some(j))),
+            )
+            .collect();
+    let mut reps: Vec<Vec<PipelineRun>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..REPS {
+        for ((label, burst, journal), reps) in configs.iter().zip(&mut reps) {
+            reps.push(run_pipeline_once(
+                label, cycles, *burst, &park_wire, &wire, &transport, *journal,
+            ));
+        }
     }
+    let runs: Vec<PipelineRun> = reps
+        .into_iter()
+        .map(|mut reps| {
+            reps.sort_by_key(|r| r.wall);
+            reps.swap_remove(REPS / 2)
+        })
+        .collect();
+    drop(journals);
     for dir in journal_dirs {
         let _ = fs::remove_dir_all(&dir);
     }

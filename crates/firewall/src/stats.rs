@@ -65,6 +65,10 @@ pub struct FirewallStats {
     /// Sends refused because a peer's outbound queue was full (gauge,
     /// absorbed).
     pub queue_drops: u64,
+    /// Wake-ups of the outbound transport's shard threads (gauge,
+    /// absorbed): with readiness waits, about one per socket event plus
+    /// an idle shard's 20 housekeeping ticks a second.
+    pub wakes: u64,
     /// Records appended to the durable journal (gauge, absorbed from the
     /// journal when stats are read).
     pub journal_records: u64,
@@ -125,6 +129,7 @@ impl FirewallStats {
         self.queue_depth = t.queue_depth;
         self.queue_high_water = t.queue_high_water;
         self.queue_drops = t.queue_drops;
+        self.wakes = t.wakes;
     }
 
     /// Overwrites the journal gauge fields from a journal snapshot, for
@@ -154,7 +159,7 @@ impl fmt::Display for FirewallStats {
             "local={} remote={} queued={} expired={} denied={} installed={} admin={} verified={} code-rejected={} \
              cache-hits={} cache-misses={} cache-evictions={} \
              tx-frames={} tx-bytes={} rx-frames={} rx-bytes={} reconnects={} handshake-fail={} retry-timeouts={} \
-             acks={} retransmits={} q-depth={} q-high={} q-drops={} \
+             acks={} retransmits={} q-depth={} q-high={} q-drops={} wakes={} \
              jr-records={} jr-bytes={} jr-fsyncs={} jr-replayed={} jr-reparked={} jr-resumed={} hop-dedup={} \
              prog-hits={} prog-misses={} prog-evictions={} pool-hits={} pool-misses={} pool-evictions={}",
             self.delivered_local,
@@ -181,6 +186,7 @@ impl fmt::Display for FirewallStats {
             self.queue_depth,
             self.queue_high_water,
             self.queue_drops,
+            self.wakes,
             self.journal_records,
             self.journal_bytes,
             self.journal_fsyncs,

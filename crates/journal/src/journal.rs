@@ -153,19 +153,79 @@ impl Replay {
     }
 }
 
+/// The terminal hop keys a journal keeps forever for dedup, stored
+/// compactly. Every key `hop_key` mints is 16 lowercase hex digits — a
+/// `u64` spelled out — and is kept as that `u64`: 8 bytes in a B-tree
+/// node instead of a 24-byte `String` in the node plus a heap block for
+/// its digits. A daemon visit adds two keys, so this is the set's growth
+/// per hop. Any other key (a harness's root tour ids, uppercase or
+/// odd-length hex) is kept verbatim. Lossless: a packed key formats back
+/// to exactly the digits it came from. If hop keys widen (a longer
+/// digest), the packed type must widen with them, or every key falls
+/// back to text.
+#[derive(Default)]
+struct KeySet {
+    packed: BTreeSet<u64>,
+    text: BTreeSet<String>,
+}
+
+impl KeySet {
+    fn pack(key: &str) -> Option<u64> {
+        let hex = key.len() == 16
+            && key
+                .bytes()
+                .all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+        hex.then(|| u64::from_str_radix(key, 16).expect("16 hex digits fit a u64"))
+    }
+
+    fn insert(&mut self, key: &str) {
+        match KeySet::pack(key) {
+            Some(packed) => {
+                self.packed.insert(packed);
+            }
+            None => {
+                self.text.insert(key.to_owned());
+            }
+        }
+    }
+
+    fn contains(&self, key: &str) -> bool {
+        match KeySet::pack(key) {
+            Some(packed) => self.packed.contains(&packed),
+            None => self.text.contains(key),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.packed.len() + self.text.len()
+    }
+
+    /// Every key as text, in the byte order a `BTreeSet<String>` keeps.
+    fn to_sorted_vec(&self) -> Vec<String> {
+        let mut keys: Vec<String> = self
+            .packed
+            .iter()
+            .map(|k| format!("{k:016x}"))
+            .chain(self.text.iter().cloned())
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+}
+
 /// The fold of all journal records: what must survive into a checkpoint.
 #[derive(Default)]
 struct LiveState {
     next_mail_key: u64,
     parked: BTreeMap<u64, (u64, Bytes)>,
     open_hops: BTreeMap<String, OpenHop>,
-    committed: BTreeSet<String>,
+    committed: KeySet,
 }
 
 impl LiveState {
     fn finish_hop(&mut self, key: &str) {
         self.open_hops.remove(key);
-        self.committed.insert(key.to_owned());
+        self.committed.insert(key);
     }
 
     /// Applies one record. The one subtlety is parent subsumption: a
@@ -230,7 +290,10 @@ impl LiveState {
                     .iter()
                     .map(|h| (h.key.clone(), h.clone()))
                     .collect();
-                self.committed = state.committed.iter().cloned().collect();
+                self.committed = KeySet::default();
+                for key in &state.committed {
+                    self.committed.insert(key);
+                }
             }
         }
     }
@@ -248,7 +311,7 @@ impl LiveState {
                 })
                 .collect(),
             open_hops: self.open_hops.values().cloned().collect(),
-            committed: self.committed.iter().cloned().collect(),
+            committed: self.committed.to_sorted_vec(),
         }
     }
 }
@@ -472,7 +535,7 @@ impl Journal {
             })
             .collect();
         replay.open_hops = state.open_hops.values().cloned().collect();
-        replay.committed = state.committed.iter().cloned().collect();
+        replay.committed = state.committed.to_sorted_vec();
 
         let segment_count = if replay.segments_scanned == 0 {
             1
@@ -1147,6 +1210,20 @@ mod tests {
         assert!(replay.open_hops.is_empty());
         assert_eq!(replay.committed, vec!["k".to_owned()]);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dedup_set_packs_only_minted_hop_keys() {
+        let mut keys = KeySet::default();
+        for key in ["0123456789abcdef", "ffffffffffffffff", "0000000000000000"] {
+            keys.insert(key);
+        }
+        for key in ["0123456789ABCDEF", "0123456789abcde", "bench-7", ""] {
+            keys.insert(key);
+        }
+        assert_eq!((keys.packed.len(), keys.text.len()), (3, 4));
+        assert!(keys.contains("0000000000000000") && !keys.contains("0000000000000001"));
+        assert!(keys.contains("0123456789ABCDEF") && !keys.contains("0123456789aBcdef"));
     }
 
     #[test]

@@ -25,6 +25,8 @@
 //! protocol, including the parent-subsumption rule that keeps replay
 //! duplicate-free at every crash point.
 
+#![forbid(unsafe_code)]
+
 mod crc;
 mod error;
 mod journal;

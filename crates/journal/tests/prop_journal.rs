@@ -1,7 +1,9 @@
 //! Property-based tests for the journal: record codec round-trips,
-//! torn-tail recovery at *every* byte-level truncation offset, and
-//! checkpoint-then-replay equivalence.
+//! torn-tail recovery at *every* byte-level truncation offset,
+//! checkpoint-then-replay equivalence, and the compact dedup set's
+//! lossless round trip.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,8 +12,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use proptest::prelude::*;
 use tacoma_journal::{
-    frame_into, segment_path, CheckpointState, Journal, JournalConfig, OpenHop, ParkedMail, Record,
-    Replay, SEGMENT_MAGIC,
+    frame_into, list_segments, scan_segment, segment_path, CheckpointState, Journal, JournalConfig,
+    OpenHop, ParkedMail, Record, Replay, SEGMENT_MAGIC,
 };
 
 /// A unique, self-cleaning journal directory.
@@ -325,5 +327,61 @@ proptest! {
         prop_assert!(!raw.torn_tail);
         prop_assert!(!compacted.torn_tail);
         prop_assert_eq!(normalise(&raw), normalise(&compacted));
+    }
+}
+
+/// Dedup keys of every shape: what `hop_key` mints (16 lowercase hex
+/// digits, stored packed) and everything that must stay text.
+fn arb_dedup_key() -> impl Strategy<Value = String> {
+    prop_oneof![
+        "[0-9a-f]{16}",
+        "[0-9A-F]{16}",
+        "[0-9a-fA-F]{16}",
+        "[0-9a-f]{15}",
+        "[0-9a-f]{17}",
+        "[0-9a-z:_-]{0,20}",
+        Just(String::new()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+    /// The dedup set packs hop-key-shaped keys, but whatever the key it
+    /// answers membership exactly as a plain string set would, and comes
+    /// back byte-identical through commit → checkpoint → replay, in that
+    /// set's sorted order — on disk and in `Replay::committed`.
+    #[test]
+    fn dedup_keys_round_trip_through_checkpoint_and_replay(
+        keys in prop::collection::vec(arb_dedup_key(), 0..32),
+        probes in prop::collection::vec(arb_dedup_key(), 0..16),
+    ) {
+        let dir = TempDir::new("dedup_keys");
+        let oracle: BTreeSet<String> = keys.iter().cloned().collect();
+        let expected: Vec<String> = oracle.iter().cloned().collect();
+        {
+            let (journal, _) = Journal::open(dir.path(), JournalConfig::default()).unwrap();
+            for key in &keys {
+                journal.hop_committed(key).unwrap();
+            }
+            for key in keys.iter().chain(&probes) {
+                prop_assert_eq!(journal.hop_seen(key), oracle.contains(key));
+            }
+            prop_assert_eq!(journal.stats().committed_hops, oracle.len() as u64);
+            journal.checkpoint().unwrap();
+        }
+
+        let segments = list_segments(dir.path()).unwrap();
+        prop_assert_eq!(segments.len(), 1);
+        let scan = scan_segment(&segments[0].1).unwrap();
+        match scan.records.as_slice() {
+            [Record::Checkpoint(state)] => prop_assert_eq!(&state.committed, &expected),
+            other => prop_assert!(false, "expected one checkpoint, got {other:?}"),
+        }
+
+        let (journal, replay) = Journal::open(dir.path(), JournalConfig::default()).unwrap();
+        prop_assert_eq!(&replay.committed, &expected);
+        for key in keys.iter().chain(&probes) {
+            prop_assert_eq!(journal.hop_seen(key), oracle.contains(key));
+        }
     }
 }

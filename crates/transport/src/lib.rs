@@ -26,7 +26,15 @@
 //!   windows (`ack_window = 1` is stop-and-wait), zero-copy vectored
 //!   writes, bounded backpressure.
 //! - [`listener`]: the (sharded, nonblocking) server side.
+//! - `poll`: the readiness wait both sides' shard threads block in — a
+//!   `poll(2)` binding plus a wake pipe; the workspace's only `unsafe`.
 //! - [`backoff`] / [`stats`]: retry pacing and shared counters.
+//!
+//! Unix only: the shards wait on file descriptors.
+
+// `deny`, not `forbid`: the `poll` module's foreign call is the one
+// allowed exception.
+#![deny(unsafe_code)]
 
 pub mod backoff;
 pub mod conn;
@@ -34,6 +42,7 @@ pub mod error;
 pub mod frame;
 pub mod handshake;
 pub mod listener;
+mod poll;
 pub mod reactor;
 pub mod stats;
 pub mod traits;

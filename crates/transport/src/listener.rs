@@ -6,8 +6,13 @@
 //! budget), a small set of shard threads each own many *nonblocking*
 //! sockets, reassembling frames with the incremental
 //! [`FrameReader`](crate::reactor) and answering through the vectored
-//! [`WriteQueue`](crate::reactor). A thousand mostly-idle peers cost a
-//! thousand sockets and a few parked threads.
+//! [`WriteQueue`](crate::reactor). Each shard blocks in one `poll(2)` on
+//! its sockets and a wake pipe (which the accept thread and shutdown
+//! write to), and progresses only the connections `poll` reported or
+//! whose owed ack or idle reaping came due — so a frame is read, handed
+//! inward and acked the moment it lands, and a thousand mostly-idle
+//! peers cost a thousand sockets and a few blocked threads. The accept
+//! thread blocks the same way on the listening socket.
 //!
 //! Both wire dialects are served on the same port:
 //!
@@ -33,25 +38,16 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use tacoma_security::TrustStore;
 
-use crate::reactor::{FrameReader, ReadStatus, WriteQueue};
+use crate::poll::{self, PollFd, WakeReader, Waker, POLLIN, POLLOUT};
+use crate::reactor::{FrameReader, ReadStatus, WriteQueue, HOUSEKEEPING_TICK};
 use crate::window::RecvWindow;
 use crate::{
     build_welcome, split_seq, verify_hello, Frame, FrameKind, FrameLimits, TransportCounters,
     TransportStats,
 };
-
-/// Park ceiling for a shard whose connections are all quiet.
-const MAX_IDLE_PARK: Duration = Duration::from_millis(50);
-
-/// Park time while any connection is mid-conversation.
-const BUSY_PARK: Duration = Duration::from_millis(1);
-
-/// A connection counts as mid-conversation for this long after its last
-/// frame, keeping the poll cadence tight for request/reply exchanges.
-const ACTIVITY_WINDOW: Duration = Duration::from_millis(100);
 
 /// Server-side configuration.
 #[derive(Clone)]
@@ -145,6 +141,9 @@ pub struct TransportListener {
     addr: SocketAddr,
     rx: Receiver<Inbound>,
     shutdown: Arc<AtomicBool>,
+    /// The accept thread's and every shard's waker, so shutdown is seen
+    /// at once.
+    wakers: Vec<Arc<Waker>>,
     counters: TransportCounters,
     accept_thread: Option<JoinHandle<()>>,
     shard_threads: Vec<JoinHandle<()>>,
@@ -168,32 +167,40 @@ impl TransportListener {
         let (tx, rx) = unbounded();
 
         let shard_count = config.shards.max(1);
-        let mut intakes: Vec<Sender<TcpStream>> = Vec::with_capacity(shard_count);
+        let mut intakes: Vec<(Sender<TcpStream>, Arc<Waker>)> = Vec::with_capacity(shard_count);
+        let mut wakers = Vec::with_capacity(shard_count + 1);
         let mut shard_threads = Vec::with_capacity(shard_count);
         for _ in 0..shard_count {
             let (intake_tx, intake_rx) = unbounded();
-            intakes.push(intake_tx);
+            let (waker, wake) = poll::wake_pipe()?;
+            intakes.push((intake_tx, Arc::clone(&waker)));
+            wakers.push(waker);
             let shard = ListenerShard {
                 intake: intake_rx,
+                wake,
                 config: config.clone(),
                 tx: tx.clone(),
                 counters: counters.clone(),
                 shutdown: Arc::clone(&shutdown),
                 conns: Vec::new(),
                 frames_scratch: Vec::new(),
+                fds: Vec::new(),
             };
             shard_threads.push(thread::spawn(move || shard.run()));
         }
 
+        let (accept_waker, accept_wake) = poll::wake_pipe()?;
+        wakers.push(accept_waker);
         let accept_shutdown = Arc::clone(&shutdown);
         let accept_thread = thread::spawn(move || {
-            accept_loop(&listener, &intakes, &accept_shutdown);
+            accept_loop(&listener, &intakes, &accept_wake, &accept_shutdown);
         });
 
         Ok(TransportListener {
             addr: local,
             rx,
             shutdown,
+            wakers,
             counters,
             accept_thread: Some(accept_thread),
             shard_threads,
@@ -219,6 +226,9 @@ impl TransportListener {
     /// accept and shard threads.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        for waker in &self.wakers {
+            waker.wake();
+        }
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
@@ -234,9 +244,15 @@ impl Drop for TransportListener {
     }
 }
 
-fn accept_loop(listener: &TcpListener, intakes: &[Sender<TcpStream>], shutdown: &Arc<AtomicBool>) {
+fn accept_loop(
+    listener: &TcpListener,
+    intakes: &[(Sender<TcpStream>, Arc<Waker>)],
+    wake: &WakeReader,
+    shutdown: &AtomicBool,
+) {
     let mut next = 0usize;
     loop {
+        wake.drain();
         if shutdown.load(Ordering::SeqCst) {
             return;
         }
@@ -244,12 +260,18 @@ fn accept_loop(listener: &TcpListener, intakes: &[Sender<TcpStream>], shutdown: 
             Ok((stream, _peer)) => {
                 // Round-robin deal to the shards; a dead shard (only
                 // during teardown) just drops the socket.
-                let _ = intakes[next % intakes.len()].send(stream);
+                let (intake, waker) = &intakes[next % intakes.len()];
+                if intake.send(stream).is_ok() {
+                    waker.wake();
+                }
                 next = next.wrapping_add(1);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
+                // Block until a connection is pending or shutdown wakes us.
+                poll::wait(&mut [PollFd::new(listener, POLLIN), wake.poll_fd()], None);
             }
+            // Out of descriptors and the like: the pending connection
+            // stays readable, so back off instead of spinning on it.
             Err(_) => thread::sleep(Duration::from_millis(20)),
         }
     }
@@ -283,6 +305,8 @@ struct ConnState {
     seq_ack: Option<(u64, Instant)>,
     /// Flush what is queued, then close.
     closing: bool,
+    /// Just adopted, or `poll` reported the socket since the last pass.
+    ready: bool,
 }
 
 impl ConnState {
@@ -296,94 +320,106 @@ impl ConnState {
             legacy_acks: VecDeque::new(),
             seq_ack: None,
             closing: false,
+            ready: true,
         }
     }
 
-    fn busy(&self, now: Instant) -> bool {
-        self.writeq.has_pending()
-            || !self.legacy_acks.is_empty()
-            || self.seq_ack.is_some()
-            || now.duration_since(self.last_activity) < ACTIVITY_WINDOW
+    /// When the connection next needs a pass that no socket event will
+    /// trigger: an owed ack coming due, or idle reaping.
+    fn next_timer(&self, read_timeout: Duration) -> Instant {
+        self.legacy_acks
+            .front()
+            .copied()
+            .into_iter()
+            .chain(self.seq_ack.map(|(_, due)| due))
+            .fold(self.last_activity + read_timeout, Instant::min)
+    }
+
+    /// What to poll the socket for: input until the peer is done sending
+    /// (a socket at EOF would report readable forever), output while
+    /// bytes are queued.
+    fn poll_events(&self) -> i16 {
+        let input = if self.closing { 0 } else { POLLIN };
+        if self.writeq.has_pending() {
+            input | POLLOUT
+        } else {
+            input
+        }
     }
 }
 
 struct ListenerShard {
     intake: Receiver<TcpStream>,
+    wake: WakeReader,
     config: ListenerConfig,
     tx: Sender<Inbound>,
     counters: TransportCounters,
     shutdown: Arc<AtomicBool>,
     conns: Vec<ConnState>,
     frames_scratch: Vec<Frame>,
+    /// `poll` entries: the wake pipe, then `conns` in order.
+    fds: Vec<PollFd>,
 }
 
 impl ListenerShard {
     fn run(mut self) {
-        let mut idle_park = BUSY_PARK;
         loop {
+            self.wake.drain();
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
-            // 1. Adopt newly accepted sockets.
-            while let Ok(stream) = self.intake.try_recv() {
-                if stream.set_nonblocking(true).is_ok() {
-                    let _ = stream.set_nodelay(true);
-                    self.conns.push(ConnState::new(stream, self.config.limits));
+            // 1. Adopt newly accepted sockets. A gone accept thread means
+            //    shutdown, or a `bind` that failed after starting us.
+            loop {
+                match self.intake.try_recv() {
+                    Ok(stream) => {
+                        if stream.set_nonblocking(true).is_ok() {
+                            let _ = stream.set_nodelay(true);
+                            self.conns.push(ConnState::new(stream, self.config.limits));
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
                 }
             }
-            // 2. Progress every connection; drop the dead.
+            // 2. Progress the connections something happened to; drop
+            //    the dead.
             let now = Instant::now();
             let mut i = 0;
             while i < self.conns.len() {
-                if self.progress(i, now) {
+                let conn = &mut self.conns[i];
+                let due = conn.ready || conn.next_timer(self.config.read_timeout) <= now;
+                conn.ready = false;
+                if !due || self.progress(i, now) {
                     i += 1;
                 } else {
                     self.conns.swap_remove(i);
                 }
             }
-            // 3. Park adaptively: tight while conversations are live,
-            //    long naps when every socket is quiet. New connections
-            //    wake the park instantly.
-            let busy = self.conns.iter().any(|c| c.busy(now));
-            idle_park = if busy {
-                BUSY_PARK
-            } else {
-                (idle_park * 2).min(MAX_IDLE_PARK)
-            };
-            // An owed ack must not oversleep its due time.
-            let park = self.nearest_ack_due(now).map_or(idle_park, |due| {
-                idle_park.min(
-                    due.saturating_duration_since(now)
-                        .max(Duration::from_micros(200)),
-                )
-            });
-            match self.intake.recv_timeout(park) {
-                Ok(stream) => {
-                    if stream.set_nonblocking(true).is_ok() {
-                        let _ = stream.set_nodelay(true);
-                        self.conns.push(ConnState::new(stream, self.config.limits));
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
-            }
+            // 3. Sleep until a socket, the accept thread, shutdown or the
+            //    nearest owed ack or reaping needs us.
+            self.wait();
         }
     }
 
-    fn nearest_ack_due(&self, _now: Instant) -> Option<Instant> {
-        let mut nearest: Option<Instant> = None;
+    /// Blocks in `poll` until a socket or the wake pipe is ready or the
+    /// nearest timer is due (at most [`HOUSEKEEPING_TICK`]), then marks the
+    /// connections whose sockets it reported.
+    fn wait(&mut self) {
+        let now = Instant::now();
+        let mut timeout = HOUSEKEEPING_TICK;
+        self.fds.clear();
+        self.fds.push(self.wake.poll_fd());
         for conn in &self.conns {
-            for due in conn
-                .legacy_acks
-                .front()
-                .copied()
-                .into_iter()
-                .chain(conn.seq_ack.map(|(_, due)| due))
-            {
-                nearest = Some(nearest.map_or(due, |n| n.min(due)));
-            }
+            let due = conn.next_timer(self.config.read_timeout);
+            timeout = timeout.min(due.saturating_duration_since(now));
+            self.fds.push(PollFd::new(&conn.stream, conn.poll_events()));
         }
-        nearest
+        poll::wait(&mut self.fds, Some(timeout));
+        self.counters.add_wake();
+        for (conn, fd) in self.conns.iter_mut().zip(&self.fds[1..]) {
+            conn.ready = fd.ready();
+        }
     }
 
     /// One pass over connection `i`. Returns `false` when the

@@ -8,13 +8,18 @@
 //!
 //! 1. drain the shard's command channel (new sends, shutdown),
 //! 2. apply finished connector handshakes,
-//! 3. per peer: refill the pipelined [`SendWindow`], flush pending
-//!    vectored writes, read acks, retransmit or reconnect on timeout.
+//! 3. for each peer that got a command, a socket event or a due timer:
+//!    refill the pipelined [`SendWindow`], flush pending vectored writes,
+//!    read acks, retransmit or reconnect on timeout,
+//! 4. block in one `poll(2)` ([`crate::poll`]) on every socket — `POLLIN`
+//!    always, `POLLOUT` only while its write queue holds bytes — plus
+//!    the shard's wake pipe, until something is ready or the nearest
+//!    timer (ack timeout, backoff, retry budget) is due, at most 50 ms.
 //!
-//! Between passes the shard parks on `recv_timeout` with an **adaptive
-//! duty cycle**: ~1 ms while any socket has work in flight, decaying
-//! exponentially toward a long nap when the fleet is idle, so a
-//! thousand mostly-idle peers do not spin a CPU.
+//! Every producer (a send, a connector outcome, shutdown) writes to the
+//! wake pipe after publishing its work, so an ack or a command is
+//! handled the moment it lands, and a thousand idle peers cost one
+//! blocked thread per shard.
 //!
 //! Writes are **zero-copy and vectored**: a frame is `[header(+seq)
 //! prefix, payload Bytes]` and multiple frames are coalesced into one
@@ -45,6 +50,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use parking_lot::Mutex;
 
 use crate::frame::{parse_header, ParsedHeader};
+use crate::poll::{self, PollFd, WakeReader, Waker, POLLIN, POLLOUT};
 use crate::traits::Completion;
 use crate::window::SendWindow;
 use crate::{
@@ -55,11 +61,9 @@ use crate::{
 /// How many frames one `write_vectored` call may coalesce.
 const MAX_COALESCED_FRAMES: usize = 32;
 
-/// Idle park ceiling for a shard with nothing in flight.
-const MAX_IDLE_PARK: Duration = Duration::from_millis(50);
-
-/// Park time while any socket has work in flight.
-const BUSY_PARK: Duration = Duration::from_millis(1);
+/// The longest a shard waits with no socket event, wake or due timer:
+/// the housekeeping tick (shared with the listener).
+pub(crate) const HOUSEKEEPING_TICK: Duration = Duration::from_millis(50);
 
 /// FNV-1a over a host name: the shard assignment and jitter seed hash.
 pub(crate) fn host_hash(host: &str) -> u64 {
@@ -361,9 +365,10 @@ enum Command {
     Shutdown,
 }
 
+/// A connector thread's verdict for the peer at index `peer`.
 enum ConnectOutcome {
-    Connected { host: String, stream: TcpStream },
-    Failed { host: String, error: TransportError },
+    Connected { peer: usize, stream: TcpStream },
+    Failed { peer: usize, error: TransportError },
 }
 
 struct Established {
@@ -373,7 +378,6 @@ struct Established {
 }
 
 struct PeerState {
-    host: String,
     addr: String,
     queue: VecDeque<Outbound>,
     window: SendWindow<Outbound>,
@@ -384,36 +388,80 @@ struct PeerState {
     backoff_until: Option<Instant>,
     last_progress: Instant,
     retransmitted: bool,
+    /// A command, connector outcome or socket event arrived since the
+    /// peer's last pass.
+    ready: bool,
 }
 
 impl PeerState {
-    fn busy(&self) -> bool {
-        self.connecting
-            || !self.queue.is_empty()
-            || !self.window.is_empty()
-            || self.conn.as_ref().is_some_and(|c| c.writeq.has_pending())
+    fn new(out: &Outbound, ack_window: usize) -> Self {
+        PeerState {
+            addr: out.addr.clone(),
+            queue: VecDeque::new(),
+            window: SendWindow::new(ack_window),
+            conn: None,
+            connecting: false,
+            had_connection: false,
+            attempt: 0,
+            backoff_until: None,
+            last_progress: Instant::now(),
+            retransmitted: false,
+            ready: false,
+        }
+    }
+
+    /// When the peer next needs a pass that no socket event or command
+    /// will trigger: its oldest queued frame running out of budget, a
+    /// silent window reaching `ack_timeout`, or a (re)connect coming due —
+    /// which only a free connector slot can start.
+    fn next_timer(
+        &self,
+        config: &ReactorConfig,
+        can_connect: bool,
+        now: Instant,
+    ) -> Option<Instant> {
+        let expiry = self
+            .queue
+            .front()
+            .map(|out| out.enqueued_at + config.retry_budget);
+        let timer = if self.conn.is_some() {
+            (!self.window.is_empty()).then(|| self.last_progress + config.ack_timeout)
+        } else if can_connect && !self.connecting && !self.queue.is_empty() {
+            Some(self.backoff_until.unwrap_or(now))
+        } else {
+            None
+        };
+        expiry.into_iter().chain(timer).min()
     }
 }
 
 struct Shard {
     commands: Receiver<Command>,
+    wake: WakeReader,
+    /// Handed to connector threads, so an outcome wakes the shard.
+    waker: Arc<Waker>,
     connect_results: Receiver<ConnectOutcome>,
     connect_tx: Sender<ConnectOutcome>,
     completions: Sender<Completion>,
     counters: TransportCounters,
     config: ReactorConfig,
     nonce: Arc<AtomicU64>,
-    peers: HashMap<String, PeerState>,
+    /// Peers are never removed, so an index names one for the shard's
+    /// lifetime (connector outcomes carry it).
+    peers: Vec<PeerState>,
+    by_host: HashMap<String, usize>,
     connectors_out: usize,
     frames_scratch: Vec<Frame>,
+    /// `poll` entries: the wake pipe, then the connected peers in order.
+    fds: Vec<PollFd>,
 }
 
 impl Shard {
     fn run(mut self) {
-        let mut idle_park = BUSY_PARK;
         loop {
+            self.wake.drain();
             let mut open = true;
-            // 1. Drain queued commands without blocking.
+            // 1. Drain queued commands.
             loop {
                 match self.commands.try_recv() {
                     Ok(Command::Send(out)) => self.admit(out),
@@ -433,55 +481,65 @@ impl Shard {
                 self.shutdown();
                 return;
             }
-            // 3. Progress every peer.
+            // 3. Progress the peers something happened to.
             let now = Instant::now();
-            let hosts: Vec<String> = self.peers.keys().cloned().collect();
-            for host in hosts {
-                self.progress_peer(&host, now);
-            }
-            // 4. Park. Busy shards nap ~1 ms so sockets keep moving;
-            //    idle shards decay toward a long park (adaptive duty
-            //    cycle) and any command wakes them instantly.
-            let busy = self.peers.values().any(PeerState::busy);
-            idle_park = if busy {
-                BUSY_PARK
-            } else {
-                (idle_park * 2).min(MAX_IDLE_PARK)
-            };
-            match self.commands.recv_timeout(idle_park) {
-                Ok(Command::Send(out)) => self.admit(out),
-                Ok(Command::Shutdown) => {
-                    self.shutdown();
-                    return;
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    self.shutdown();
-                    return;
+            let can_connect = self.connectors_out < self.config.max_connectors;
+            for i in 0..self.peers.len() {
+                let peer = &self.peers[i];
+                if peer.ready
+                    || peer
+                        .next_timer(&self.config, can_connect, now)
+                        .is_some_and(|due| due <= now)
+                {
+                    self.progress_peer(i, now);
                 }
             }
+            // 4. Sleep until a socket, a producer or a timer needs us.
+            self.wait();
+        }
+    }
+
+    /// Blocks in `poll` until a socket or the wake pipe is ready or the
+    /// nearest timer is due (at most [`HOUSEKEEPING_TICK`]), then marks the
+    /// peers whose sockets it reported.
+    fn wait(&mut self) {
+        let now = Instant::now();
+        let can_connect = self.connectors_out < self.config.max_connectors;
+        let mut timeout = HOUSEKEEPING_TICK;
+        self.fds.clear();
+        self.fds.push(self.wake.poll_fd());
+        for peer in &self.peers {
+            if let Some(due) = peer.next_timer(&self.config, can_connect, now) {
+                timeout = timeout.min(due.saturating_duration_since(now));
+            }
+            if let Some(conn) = &peer.conn {
+                let events = if conn.writeq.has_pending() {
+                    POLLIN | POLLOUT
+                } else {
+                    POLLIN
+                };
+                self.fds.push(PollFd::new(&conn.stream, events));
+            }
+        }
+        poll::wait(&mut self.fds, Some(timeout));
+        self.counters.add_wake();
+        let connected = self.peers.iter_mut().filter(|p| p.conn.is_some());
+        for (peer, fd) in connected.zip(&self.fds[1..]) {
+            peer.ready |= fd.ready();
         }
     }
 
     fn admit(&mut self, out: Outbound) {
-        let peer = self
-            .peers
-            .entry(out.host.clone())
-            .or_insert_with(|| PeerState {
-                host: out.host.clone(),
-                addr: out.addr.clone(),
-                queue: VecDeque::new(),
-                window: SendWindow::new(self.config.ack_window),
-                conn: None,
-                connecting: false,
-                had_connection: false,
-                attempt: 0,
-                backoff_until: None,
-                last_progress: Instant::now(),
-                retransmitted: false,
-            });
+        let next = self.peers.len();
+        let i = *self.by_host.entry(out.host.clone()).or_insert(next);
+        if i == next {
+            self.peers
+                .push(PeerState::new(&out, self.config.ack_window));
+        }
+        let peer = &mut self.peers[i];
         peer.addr.clone_from(&out.addr);
         peer.queue.push_back(out);
+        peer.ready = true;
     }
 
     // By value: completing a send ends the `Outbound`'s life — it must
@@ -508,39 +566,36 @@ impl Shard {
 
     fn apply_connect(&mut self, outcome: ConnectOutcome) {
         match outcome {
-            ConnectOutcome::Connected { host, stream } => {
-                let Some(peer) = self.peers.get_mut(&host) else {
-                    return;
-                };
-                peer.connecting = false;
+            ConnectOutcome::Connected { peer: i, stream } => {
+                self.peers[i].connecting = false;
                 if stream.set_nonblocking(true).is_err() {
-                    self.fail_connect_attempt(&host, None);
+                    self.fail_connect_attempt(i, None);
                     return;
                 }
                 let _ = stream.set_read_timeout(None);
                 let _ = stream.set_write_timeout(None);
                 self.counters.add_connect();
+                let peer = &mut self.peers[i];
                 peer.had_connection = true;
                 peer.attempt = 0;
                 peer.backoff_until = None;
                 peer.retransmitted = false;
                 peer.last_progress = Instant::now();
+                peer.ready = true;
                 peer.conn = Some(Established {
                     stream,
                     reader: FrameReader::new(self.config.connect.limits),
                     writeq: WriteQueue::new(),
                 });
             }
-            ConnectOutcome::Failed { host, error } => {
-                self.fail_connect_attempt(&host, Some(&error));
+            ConnectOutcome::Failed { peer, error } => {
+                self.fail_connect_attempt(peer, Some(&error));
             }
         }
     }
 
-    fn fail_connect_attempt(&mut self, host: &str, error: Option<&TransportError>) {
-        let Some(peer) = self.peers.get_mut(host) else {
-            return;
-        };
+    fn fail_connect_attempt(&mut self, i: usize, error: Option<&TransportError>) {
+        let peer = &mut self.peers[i];
         peer.connecting = false;
         peer.attempt += 1;
         let delay = self
@@ -552,11 +607,7 @@ impl Shard {
             // The peer will keep refusing these credentials; retrying
             // cannot help. Fail everything queued, fast.
             self.counters.add_handshake_failure();
-            let reason = reason.clone();
-            let drained: Vec<Outbound> = self
-                .peers
-                .get_mut(host)
-                .map_or_else(Vec::new, |p| p.queue.drain(..).collect());
+            let drained: Vec<Outbound> = peer.queue.drain(..).collect();
             for out in drained {
                 self.complete(
                     out,
@@ -568,35 +619,30 @@ impl Shard {
         }
     }
 
-    fn progress_peer(&mut self, host: &str, now: Instant) {
+    fn progress_peer(&mut self, i: usize, now: Instant) {
+        self.peers[i].ready = false;
         // Expire queued frames past their budget (oldest first — the
         // queue is FIFO by enqueue time).
-        let mut expired = Vec::new();
-        if let Some(peer) = self.peers.get_mut(host) {
-            while peer
-                .queue
-                .front()
-                .is_some_and(|o| now.duration_since(o.enqueued_at) > self.config.retry_budget)
-            {
-                expired.push(peer.queue.pop_front().expect("front checked"));
-            }
-        }
-        for out in expired {
-            let attempts = self.peers.get(host).map_or(1, |p| p.attempt.max(1));
-            let host_name = out.host.clone();
+        let budget = self.config.retry_budget;
+        while self.peers[i]
+            .queue
+            .front()
+            .is_some_and(|o| now.duration_since(o.enqueued_at) > budget)
+        {
+            let out = self.peers[i].queue.pop_front().expect("front checked");
+            let attempts = self.peers[i].attempt.max(1);
+            let host = out.host.clone();
             self.complete(
                 out,
                 Err(TransportError::RetriesExhausted {
-                    host: host_name,
+                    host,
                     attempts,
                     last: "retry budget exhausted".to_owned(),
                 }),
             );
         }
 
-        let Some(peer) = self.peers.get_mut(host) else {
-            return;
-        };
+        let peer = &mut self.peers[i];
         if peer.conn.is_none() {
             // Nothing to do unless there is work; otherwise start a
             // connector when the backoff window has passed.
@@ -617,55 +663,45 @@ impl Shard {
             }
             self.connectors_out += 1;
             let addr = peer.addr.clone();
-            let host_name = peer.host.clone();
             let connect = self.config.connect.clone();
             let nonce = self.nonce.fetch_add(1, Ordering::Relaxed);
             let tx = self.connect_tx.clone();
+            let waker = Arc::clone(&self.waker);
             thread::spawn(move || {
                 let outcome = match Connection::establish(&addr, nonce, &connect) {
                     Ok(conn) => ConnectOutcome::Connected {
-                        host: host_name,
+                        peer: i,
                         stream: conn.into_stream(),
                     },
-                    Err(error) => ConnectOutcome::Failed {
-                        host: host_name,
-                        error,
-                    },
+                    Err(error) => ConnectOutcome::Failed { peer: i, error },
                 };
-                let _ = tx.send(outcome);
+                if tx.send(outcome).is_ok() {
+                    waker.wake();
+                }
             });
             return;
         }
 
-        // Fill the window from the queue.
-        {
-            let Some(peer) = self.peers.get_mut(host) else {
-                return;
-            };
-            while peer.window.has_room() && !peer.queue.is_empty() {
-                let out = peer.queue.pop_front().expect("checked non-empty");
-                let payload = out.payload.clone();
-                let seq = peer.window.push(out);
-                if let Some(conn) = peer.conn.as_mut() {
-                    conn.writeq.push_seq_frame(seq, payload);
-                }
-            }
-        }
-
-        // Flush writes, then read acks.
+        // Fill the window from the queue, flush, read acks — and go round
+        // again while acks free window room for queued frames: nothing
+        // else would wake the shard to send them.
         let mut disconnect = false;
         let mut released: Vec<Outbound> = Vec::new();
         {
-            let Some(peer) = self.peers.get_mut(host) else {
-                return;
-            };
             let Some(conn) = peer.conn.as_mut() else {
                 return;
             };
-            if conn.writeq.flush(&mut conn.stream).is_err() {
-                disconnect = true;
-            }
-            if !disconnect {
+            loop {
+                while peer.window.has_room() && !peer.queue.is_empty() {
+                    let out = peer.queue.pop_front().expect("checked non-empty");
+                    let payload = out.payload.clone();
+                    conn.writeq.push_seq_frame(peer.window.push(out), payload);
+                }
+                if conn.writeq.flush(&mut conn.stream).is_err() {
+                    disconnect = true;
+                    break;
+                }
+                let acked = released.len();
                 self.frames_scratch.clear();
                 match conn.reader.pump(&mut conn.stream, &mut self.frames_scratch) {
                     Ok(ReadStatus::Open) => {}
@@ -689,6 +725,9 @@ impl Shard {
                         _ => disconnect = true,
                     }
                 }
+                if disconnect || released.len() == acked || peer.queue.is_empty() {
+                    break;
+                }
             }
             // Ack-timeout handling: retransmit once from the last acked
             // seq, then tear down and reconnect if still silent.
@@ -698,7 +737,7 @@ impl Shard {
             {
                 if peer.retransmitted {
                     disconnect = true;
-                } else if let Some(conn) = peer.conn.as_mut() {
+                } else {
                     let mut n = 0u64;
                     for (seq, out) in peer.window.unacked() {
                         conn.writeq.push_seq_frame(seq, out.payload.clone());
@@ -714,16 +753,14 @@ impl Shard {
             self.complete(out, Ok(()));
         }
         if disconnect {
-            self.disconnect_peer(host, now);
+            self.disconnect_peer(i, now);
         }
     }
 
     /// Drops the peer's connection, requeues its in-flight frames ahead
     /// of newer work, and arms the reconnect backoff.
-    fn disconnect_peer(&mut self, host: &str, now: Instant) {
-        let Some(peer) = self.peers.get_mut(host) else {
-            return;
-        };
+    fn disconnect_peer(&mut self, i: usize, now: Instant) {
+        let peer = &mut self.peers[i];
         peer.conn = None;
         peer.retransmitted = false;
         let inflight = peer.window.reset();
@@ -739,11 +776,7 @@ impl Shard {
     }
 
     fn shutdown(&mut self) {
-        let hosts: Vec<String> = self.peers.keys().cloned().collect();
-        for host in hosts {
-            let Some(mut peer) = self.peers.remove(&host) else {
-                continue;
-            };
+        for mut peer in std::mem::take(&mut self.peers) {
             let mut pending: Vec<Outbound> = peer.window.reset();
             pending.extend(peer.queue.drain(..));
             for out in pending {
@@ -755,6 +788,24 @@ impl Shard {
                 );
             }
         }
+    }
+}
+
+/// The transport's handle on one shard: its command channel and the
+/// waker that follows every command.
+#[derive(Debug)]
+struct ShardHandle {
+    commands: Sender<Command>,
+    waker: Arc<Waker>,
+}
+
+impl ShardHandle {
+    /// Queues `command` and wakes the shard; `false` when the shard is
+    /// gone.
+    fn send(&self, command: Command) -> bool {
+        let sent = self.commands.send(command).is_ok();
+        self.waker.wake();
+        sent
     }
 }
 
@@ -771,7 +822,7 @@ impl Shard {
 #[derive(Debug)]
 pub struct ReactorTransport {
     config: ReactorConfig,
-    shard_txs: Vec<Sender<Command>>,
+    shards: Vec<ShardHandle>,
     shard_threads: Mutex<Vec<JoinHandle<()>>>,
     completions_rx: Receiver<Completion>,
     counters: TransportCounters,
@@ -784,37 +835,50 @@ pub struct ReactorTransport {
 
 impl ReactorTransport {
     /// Starts the shard threads and returns the ready transport.
+    ///
+    /// # Panics
+    ///
+    /// When the process cannot create a shard's wake pipe (out of file
+    /// descriptors) — as `thread::spawn` panics when it cannot start one.
     pub fn new(config: ReactorConfig) -> Self {
-        let shards = config.shards.max(1);
+        let shard_count = config.shards.max(1);
         let (completions_tx, completions_rx) = unbounded();
         let counters = TransportCounters::new();
         let seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map_or(1, |d| d.as_nanos() as u64);
         let nonce = Arc::new(AtomicU64::new(seed | 1));
-        let mut shard_txs = Vec::with_capacity(shards);
-        let mut shard_threads = Vec::with_capacity(shards);
-        for _ in 0..shards {
+        let mut shards = Vec::with_capacity(shard_count);
+        let mut shard_threads = Vec::with_capacity(shard_count);
+        for _ in 0..shard_count {
             let (tx, rx) = unbounded();
             let (connect_tx, connect_results) = unbounded();
+            let (waker, wake) = poll::wake_pipe().expect("creating a shard's wake pipe");
             let shard = Shard {
                 commands: rx,
+                wake,
+                waker: Arc::clone(&waker),
                 connect_results,
                 connect_tx,
                 completions: completions_tx.clone(),
                 counters: counters.clone(),
                 config: config.clone(),
                 nonce: Arc::clone(&nonce),
-                peers: HashMap::new(),
+                peers: Vec::new(),
+                by_host: HashMap::new(),
                 connectors_out: 0,
                 frames_scratch: Vec::new(),
+                fds: Vec::new(),
             };
-            shard_txs.push(tx);
+            shards.push(ShardHandle {
+                commands: tx,
+                waker,
+            });
             shard_threads.push(thread::spawn(move || shard.run()));
         }
         ReactorTransport {
             config,
-            shard_txs,
+            shards,
             shard_threads: Mutex::new(shard_threads),
             completions_rx,
             counters,
@@ -882,7 +946,7 @@ impl ReactorTransport {
         let new_depth = self.reserve_slot(to_host, &depth)?;
         self.counters.queue_grew(new_depth as u64);
         let addr = self.resolve(to_host, to_port);
-        let shard = (host_hash(to_host) as usize) % self.shard_txs.len();
+        let shard = (host_hash(to_host) as usize) % self.shards.len();
         let out = Outbound {
             host: to_host.to_owned(),
             addr,
@@ -892,7 +956,7 @@ impl ReactorTransport {
             enqueued_at: Instant::now(),
             depth: Arc::clone(&depth),
         };
-        if self.shard_txs[shard].send(Command::Send(out)).is_err() {
+        if !self.shards[shard].send(Command::Send(out)) {
             depth.fetch_sub(1, Ordering::Relaxed);
             self.counters.queue_shrank(1);
             return Err(TransportError::Io {
@@ -977,8 +1041,8 @@ impl Transport for ReactorTransport {
 
 impl Drop for ReactorTransport {
     fn drop(&mut self) {
-        for tx in &self.shard_txs {
-            let _ = tx.send(Command::Shutdown);
+        for shard in &self.shards {
+            shard.send(Command::Shutdown);
         }
         for handle in self.shard_threads.lock().drain(..) {
             let _ = handle.join();

@@ -34,13 +34,17 @@ pub struct TransportStats {
     pub queue_high_water: u64,
     /// Enqueue attempts refused because a peer queue was at capacity.
     pub queue_drops: u64,
+    /// Returns from a shard's readiness wait: a socket was ready, a
+    /// producer woke it, or a timer (at most the 50 ms housekeeping tick)
+    /// came due. An idle shard wakes about 20 times a second.
+    pub wakes: u64,
 }
 
 impl fmt::Display for TransportStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "tx-frames={} tx-bytes={} rx-frames={} rx-bytes={} connects={} reconnects={} handshake-fail={} retry-timeouts={} acks={} retransmits={} queue-depth={} queue-high-water={} queue-drops={}",
+            "tx-frames={} tx-bytes={} rx-frames={} rx-bytes={} connects={} reconnects={} handshake-fail={} retry-timeouts={} acks={} retransmits={} queue-depth={} queue-high-water={} queue-drops={} wakes={}",
             self.frames_sent,
             self.bytes_sent,
             self.frames_received,
@@ -53,7 +57,8 @@ impl fmt::Display for TransportStats {
             self.retransmits,
             self.queue_depth,
             self.queue_high_water,
-            self.queue_drops
+            self.queue_drops,
+            self.wakes
         )
     }
 }
@@ -73,6 +78,7 @@ struct Inner {
     queue_depth: AtomicU64,
     queue_high_water: AtomicU64,
     queue_drops: AtomicU64,
+    wakes: AtomicU64,
 }
 
 /// Shared, thread-safe counters; cloning shares the underlying cells.
@@ -161,6 +167,10 @@ impl TransportCounters {
         self.inner.queue_drops.fetch_add(1, Ordering::Relaxed);
     }
 
+    pub(crate) fn add_wake(&self) {
+        self.inner.wakes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Reads a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> TransportStats {
         TransportStats {
@@ -177,6 +187,7 @@ impl TransportCounters {
             queue_depth: self.inner.queue_depth.load(Ordering::Relaxed),
             queue_high_water: self.inner.queue_high_water.load(Ordering::Relaxed),
             queue_drops: self.inner.queue_drops.load(Ordering::Relaxed),
+            wakes: self.inner.wakes.load(Ordering::Relaxed),
         }
     }
 }

@@ -4,6 +4,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The workspace denies `unsafe_code`; the transport's `poll(2)` binding is
+# the one module allowed to lift that.
+echo "==> unsafe confined to crates/transport/src/poll.rs"
+stray=$(grep -rl 'allow(unsafe_code)' crates src | grep -vx 'crates/transport/src/poll.rs' || true)
+if [ -n "$stray" ]; then
+    echo "allow(unsafe_code) outside crates/transport/src/poll.rs:"
+    echo "$stray"
+    exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
