@@ -20,11 +20,13 @@
 //! units early, and with identical totals at every block boundary and
 //! every termination point.
 
+use std::cmp::Ordering;
+
 use tacoma_briefcase::Briefcase;
 
-use crate::opt::{ExecOp, ExecProgram};
+use crate::opt::{BinOp, ExecOp, ExecProgram};
 use crate::vm::{
-    add_values, call_builtin, compare_values, index_value, int_binop, pop, pop2, BuiltinResult,
+    add_values, call_builtin, compare_values, index_value, pop, pop2, BuiltinResult,
     MAX_CALL_DEPTH, MAX_VALUE_STACK,
 };
 use crate::{HostHooks, Outcome, RuntimeError, Value};
@@ -46,8 +48,9 @@ struct ExecFrame {
 /// A fresh launch's dominant allocations are exactly these vectors;
 /// checking a warm `ExecScratch` out of a pool (see `tacoma-vm`'s
 /// `VmPool`) lets an agent hop reuse the previous launch's capacity.
-/// The scratch is cleared on every run, so reuse never leaks values
-/// between agents.
+/// The scratch is cleared on entry to every run, and a pool clears it
+/// again when it is returned, so reuse never leaks values between
+/// agents.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     stack: Vec<Value>,
@@ -68,7 +71,16 @@ impl ExecScratch {
         self.stack.capacity() + self.locals.capacity() + self.args.capacity()
     }
 
-    fn reset(&mut self) {
+    /// Whether the buffers hold no values. A finished, faulted or moved
+    /// run leaves its stack, locals and builtin arguments behind until
+    /// [`ExecScratch::clear`].
+    pub fn is_empty(&self) -> bool {
+        self.stack.is_empty() && self.locals.is_empty() && self.args.is_empty()
+    }
+
+    /// Drops every value and frame the last run left behind, keeping the
+    /// buffers' capacity.
+    pub fn clear(&mut self) {
         self.stack.clear();
         self.locals.clear();
         self.frames.clear();
@@ -95,6 +107,181 @@ fn slot_ref(
     Ok(&locals[base + slot as usize])
 }
 
+/// Local `slot` of the current frame as a place to store into, with the
+/// same fault.
+#[inline]
+fn slot_mut(
+    locals: &mut [Value],
+    base: usize,
+    n_locals: u16,
+    slot: u16,
+) -> Result<&mut Value, RuntimeError> {
+    if slot >= n_locals {
+        return Err(corrupt("bad local slot"));
+    }
+    Ok(&mut locals[base + slot as usize])
+}
+
+/// Constant `idx` of the lowered pool.
+#[inline]
+fn konst(consts: &[Value], idx: u32) -> Result<&Value, RuntimeError> {
+    consts
+        .get(idx as usize)
+        .ok_or(corrupt("bad constant index"))
+}
+
+/// The stack top, which an in-place operator form overwrites; an empty
+/// stack is the legacy `pop2`'s underflow.
+#[inline]
+fn top(stack: &mut [Value]) -> Result<&mut Value, RuntimeError> {
+    stack.last_mut().ok_or(corrupt("value stack underflow"))
+}
+
+/// The binary-operator kernel. Every `Bin*` form and the lowering's
+/// constant folder evaluate an operator through its two halves:
+/// [`int_binop`], the int × int fast path, which decides the operand
+/// types before the operator; and [`binop_slow`], the cold path for
+/// every other operand pair, which reuses the legacy interpreter's
+/// `add_values` and `compare_values`. This function is the two as one
+/// `Value`; the dispatcher's forms use `binop_into!` and
+/// [`binop_push`], which write an int result where it goes.
+pub(crate) fn binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
+    match int_binop(op, a, b) {
+        Some(r) => Ok(r.into_value()),
+        None => binop_slow(op, a, b),
+    }
+}
+
+/// An int × int result held as scalars. A `Value` built in each
+/// operator arm and merged afterwards is not split into registers: it
+/// takes two stack copies, the first a stalled load, on its way to its
+/// slot. Held as scalars, the result is written where it goes.
+#[derive(Clone, Copy)]
+struct IntResult {
+    n: i64,
+    is_bool: bool,
+}
+
+impl IntResult {
+    #[inline(always)]
+    fn truthy(self) -> bool {
+        self.n != 0
+    }
+
+    #[inline(always)]
+    fn into_value(self) -> Value {
+        if self.is_bool {
+            Value::Bool(self.n != 0)
+        } else {
+            Value::Int(self.n)
+        }
+    }
+
+    /// Writes the result over `dst`; an int over an int rewrites the
+    /// payload alone.
+    #[inline(always)]
+    fn write(self, dst: &mut Value) {
+        match dst {
+            Value::Int(old) if !self.is_bool => *old = self.n,
+            _ => *dst = self.into_value(),
+        }
+    }
+
+    #[inline(always)]
+    fn push(self, stack: &mut Vec<Value>) {
+        if self.is_bool {
+            stack.push(Value::Bool(self.n != 0));
+        } else {
+            stack.push(Value::Int(self.n));
+        }
+    }
+}
+
+/// The int × int half of [`binop`]: `None` unless both operands are
+/// ints and the operator has a value on them (a zero divisor has none).
+#[inline(always)]
+fn int_binop(op: BinOp, a: &Value, b: &Value) -> Option<IntResult> {
+    let (&Value::Int(x), &Value::Int(y)) = (a, b) else {
+        return None;
+    };
+    let int = |n| Some(IntResult { n, is_bool: false });
+    let bool = |t: bool| {
+        Some(IntResult {
+            n: i64::from(t),
+            is_bool: true,
+        })
+    };
+    match op {
+        BinOp::Add => int(x.wrapping_add(y)),
+        BinOp::Sub => int(x.wrapping_sub(y)),
+        BinOp::Mul => int(x.wrapping_mul(y)),
+        BinOp::Div | BinOp::Mod if y == 0 => None,
+        BinOp::Div => int(x.wrapping_div(y)),
+        BinOp::Mod => int(x.wrapping_rem(y)),
+        BinOp::Eq => bool(x == y),
+        BinOp::Ne => bool(x != y),
+        BinOp::Lt => bool(x < y),
+        BinOp::Le => bool(x <= y),
+        BinOp::Gt => bool(x > y),
+        BinOp::Ge => bool(x >= y),
+    }
+}
+
+/// Every operand pair but int × int, with the legacy interpreter's
+/// results and fault text.
+#[cold]
+#[inline(never)]
+fn binop_slow(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
+    let ordered = |name, accept: fn(Ordering) -> bool| {
+        compare_values(a, b, name).map(|ord| Value::Bool(accept(ord)))
+    };
+    let verb = match op {
+        BinOp::Add => return add_values(a, b),
+        BinOp::Eq => return Ok(Value::Bool(a == b)),
+        BinOp::Ne => return Ok(Value::Bool(a != b)),
+        BinOp::Lt => return ordered("<", Ordering::is_lt),
+        BinOp::Le => return ordered("<=", Ordering::is_le),
+        BinOp::Gt => return ordered(">", Ordering::is_gt),
+        BinOp::Ge => return ordered(">=", Ordering::is_ge),
+        BinOp::Div | BinOp::Mod if matches!((a, b), (Value::Int(_), Value::Int(0))) => {
+            return Err(RuntimeError::DivisionByZero)
+        }
+        BinOp::Sub => "subtract",
+        BinOp::Mul => "multiply",
+        BinOp::Div => "divide",
+        BinOp::Mod => "modulo",
+    };
+    Err(RuntimeError::TypeError {
+        op: verb,
+        got: format!("{} and {}", a.type_name(), b.type_name()),
+    })
+}
+
+/// [`binop`] with its result written to the place `$dst`. The place is
+/// evaluated (and so borrowed) only once the operands have been read,
+/// which lets it alias them: `i = i + 1` and the in-place stack forms.
+macro_rules! binop_into {
+    ($op:expr, $a:expr, $b:expr, $dst:expr) => {
+        match int_binop($op, $a, $b) {
+            Some(r) => r.write($dst),
+            None => {
+                let v = binop_slow($op, $a, $b)?;
+                *$dst = v;
+            }
+        }
+    };
+}
+
+/// [`binop`] with its result pushed.
+#[inline(always)]
+fn binop_push(op: BinOp, a: &Value, b: &Value, stack: &mut Vec<Value>) -> Result<(), RuntimeError> {
+    match int_binop(op, a, b) {
+        Some(r) => r.push(stack),
+        None => stack.push(binop_slow(op, a, b)?),
+    }
+    Ok(())
+}
+
 /// Runs a lowered program to completion. `fuel` is decremented in
 /// place so callers can observe consumption afterwards.
 pub(crate) fn run_fused<H: HostHooks>(
@@ -104,7 +291,7 @@ pub(crate) fn run_fused<H: HostHooks>(
     scratch: &mut ExecScratch,
     briefcase: &mut Briefcase,
 ) -> Result<Outcome, RuntimeError> {
-    scratch.reset();
+    scratch.clear();
     let ExecScratch {
         stack,
         locals,
@@ -144,11 +331,7 @@ pub(crate) fn run_fused<H: HostHooks>(
                 }
             }
             ExecOp::Const(i) => {
-                let v = exec
-                    .consts
-                    .get(i as usize)
-                    .ok_or(corrupt("bad constant index"))?;
-                stack.push(v.clone());
+                stack.push(konst(&exec.consts, i)?.clone());
             }
             ExecOp::BadConst => return Err(corrupt("bad constant index")),
             ExecOp::Nil => stack.push(Value::Nil),
@@ -160,10 +343,7 @@ pub(crate) fn run_fused<H: HostHooks>(
             }
             ExecOp::Store(slot) => {
                 let v = pop(stack)?;
-                if slot >= cur.n_locals {
-                    return Err(corrupt("bad local slot"));
-                }
-                locals[locals_base + slot as usize] = v;
+                *slot_mut(locals, locals_base, cur.n_locals, slot)? = v;
             }
             ExecOp::Pop => {
                 pop(stack)?;
@@ -172,26 +352,6 @@ pub(crate) fn run_fused<H: HostHooks>(
                 let v = stack.last().cloned().ok_or(corrupt("dup on empty stack"))?;
                 stack.push(v);
             }
-            ExecOp::Add => {
-                let (a, b) = pop2(stack)?;
-                stack.push(add_values(&a, &b)?);
-            }
-            ExecOp::Sub => int_binop(stack, "subtract", |a, b| Ok(a.wrapping_sub(b)))?,
-            ExecOp::Mul => int_binop(stack, "multiply", |a, b| Ok(a.wrapping_mul(b)))?,
-            ExecOp::Div => int_binop(stack, "divide", |a, b| {
-                if b == 0 {
-                    Err(RuntimeError::DivisionByZero)
-                } else {
-                    Ok(a.wrapping_div(b))
-                }
-            })?,
-            ExecOp::Mod => int_binop(stack, "modulo", |a, b| {
-                if b == 0 {
-                    Err(RuntimeError::DivisionByZero)
-                } else {
-                    Ok(a.wrapping_rem(b))
-                }
-            })?,
             ExecOp::Neg => {
                 let v = pop(stack)?;
                 match v {
@@ -208,29 +368,63 @@ pub(crate) fn run_fused<H: HostHooks>(
                 let v = pop(stack)?;
                 stack.push(Value::Bool(!v.truthy()));
             }
-            ExecOp::Eq => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(a == b));
+            ExecOp::Bin(op) => {
+                let b = pop(stack)?;
+                let a = top(stack)?;
+                binop_into!(op, a, &b, a);
             }
-            ExecOp::Ne => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(a != b));
+            ExecOp::BinSL { op, slot } => {
+                let b = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                let a = top(stack)?;
+                binop_into!(op, a, b, a);
             }
-            ExecOp::Lt => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(compare_values(&a, &b, "<")?.is_lt()));
+            ExecOp::BinSK { op, cidx } => {
+                let b = konst(&exec.consts, cidx)?;
+                let a = top(stack)?;
+                binop_into!(op, a, b, a);
             }
-            ExecOp::Le => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(compare_values(&a, &b, "<=")?.is_le()));
+            ExecOp::BinLL { op, a, b } => {
+                let n = cur.n_locals;
+                let a = slot_ref(locals, locals_base, n, a)?;
+                let b = slot_ref(locals, locals_base, n, b)?;
+                binop_push(op, a, b, stack)?;
             }
-            ExecOp::Gt => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(compare_values(&a, &b, ">")?.is_gt()));
+            ExecOp::BinLK { op, slot, cidx } => {
+                let a = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                binop_push(op, a, konst(&exec.consts, cidx)?, stack)?;
             }
-            ExecOp::Ge => {
-                let (a, b) = pop2(stack)?;
-                stack.push(Value::Bool(compare_values(&a, &b, ">=")?.is_ge()));
+            ExecOp::BinLLStore { op, a, b, dst } => {
+                let n = cur.n_locals;
+                let a = slot_ref(locals, locals_base, n, a)?;
+                let b = slot_ref(locals, locals_base, n, b)?;
+                binop_into!(op, a, b, slot_mut(locals, locals_base, n, dst)?);
+            }
+            ExecOp::BinLKStore {
+                op,
+                slot,
+                cidx,
+                dst,
+            } => {
+                let n = cur.n_locals;
+                let a = slot_ref(locals, locals_base, n, slot)?;
+                let b = konst(&exec.consts, cidx)?;
+                binop_into!(op, a, b, slot_mut(locals, locals_base, n, dst)?);
+            }
+            ExecOp::BinLKJf {
+                op,
+                slot,
+                cidx,
+                target,
+            } => {
+                let a = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                let b = konst(&exec.consts, cidx)?;
+                let truthy = match int_binop(op, a, b) {
+                    Some(r) => r.truthy(),
+                    None => binop_slow(op, a, b)?.truthy(),
+                };
+                if !truthy {
+                    pc = target as usize;
+                }
             }
             ExecOp::Jump(t) => pc = t as usize,
             ExecOp::JumpIfFalse(t) => {
@@ -310,50 +504,9 @@ pub(crate) fn run_fused<H: HostHooks>(
                 builtin,
                 argc,
             } => {
-                let v = exec
-                    .consts
-                    .get(cidx as usize)
-                    .ok_or(corrupt("bad constant index"))?;
-                stack.push(v.clone());
+                stack.push(konst(&exec.consts, cidx)?.clone());
                 if let Some(outcome) = run_builtin(builtin, argc, stack, args, hooks, briefcase)? {
                     return Ok(outcome);
-                }
-            }
-            ExecOp::LoadLoadAddStore { a, b, dst } => {
-                let n = cur.n_locals;
-                let va = slot_ref(locals, locals_base, n, a)?;
-                let vb = slot_ref(locals, locals_base, n, b)?;
-                let v = add_values(va, vb)?;
-                if dst >= n {
-                    return Err(corrupt("bad local slot"));
-                }
-                locals[locals_base + dst as usize] = v;
-            }
-            ExecOp::LoadConstAddStore { slot, cidx, dst } => {
-                let n = cur.n_locals;
-                let va = slot_ref(locals, locals_base, n, slot)?;
-                let vb = exec
-                    .consts
-                    .get(cidx as usize)
-                    .ok_or(corrupt("bad constant index"))?;
-                let v = match (va, vb) {
-                    // The hot counter-bump shape, no clones.
-                    (Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
-                    _ => add_values(va, vb)?,
-                };
-                if dst >= n {
-                    return Err(corrupt("bad local slot"));
-                }
-                locals[locals_base + dst as usize] = v;
-            }
-            ExecOp::LoadConstLtJf { slot, cidx, target } => {
-                let va = slot_ref(locals, locals_base, cur.n_locals, slot)?;
-                let vb = exec
-                    .consts
-                    .get(cidx as usize)
-                    .ok_or(corrupt("bad constant index"))?;
-                if !compare_values(va, vb, "<")?.is_lt() {
-                    pc = target as usize;
                 }
             }
         }

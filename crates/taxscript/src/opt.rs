@@ -8,13 +8,19 @@
 //!
 //! 1. **Constant folding** — `Const a; Const b; <op>` with statically
 //!    known operands collapses to a single push (or `True`/`False` for
-//!    comparisons). Division and modulo are never folded so a constant
-//!    zero divisor still faults at run time exactly like the legacy
-//!    interpreter.
-//! 2. **Superinstruction fusion** — the hot sequences
-//!    `Load+Load+Add+Store`, `Load+Const+Add+Store` (the `i = i + 1`
-//!    shape), `Load+Const+Lt+JumpIfFalse` (the `while (i < n)` loop
-//!    header), and `Const+CallBuiltin` each become one `ExecOp`.
+//!    comparisons) wherever the operator cannot fault. A zero divisor or
+//!    a type error is left in place so it faults at run time exactly
+//!    like the legacy interpreter.
+//! 2. **Operand addressing** — every binary operator lowers to one of a
+//!    small family of [`BinOp`] forms that read their operands where
+//!    they live: a local, a constant, or the stack top. `Load; Const;
+//!    op` becomes `BinLK`, `Load; Load; op` `BinLL`, `Load; op` and
+//!    `Const; op` rewrite the stack top in place (`BinSL`, `BinSK`), as
+//!    does a bare operator (`Bin`) after popping its right operand,
+//!    and a trailing `Store` or `JumpIfFalse` folds into the two-operand
+//!    forms (`BinLLStore`, `BinLKStore`, `BinLKJf`). `Const+CallBuiltin`
+//!    also becomes one `ExecOp`. None of this is keyed to an operator:
+//!    every form takes every `BinOp`.
 //! 3. **Basic-block fuel accounting** — every block begins with an
 //!    [`ExecOp::Fence`] carrying the block's *wire* instruction count.
 //!    The dispatcher charges the whole block at entry instead of
@@ -28,8 +34,8 @@
 
 use std::collections::BTreeSet;
 
+use crate::dispatch::binop;
 use crate::program::{Const, FnProto};
-use crate::vm::add_values;
 use crate::{Builtin, Op, Program, Value};
 
 /// Straight-line runs longer than this are split into multiple blocks,
@@ -37,10 +43,44 @@ use crate::{Builtin, Op, Program, Value};
 /// from the legacy per-instruction points.
 pub(crate) const MAX_BLOCK_WIRE_OPS: usize = 64;
 
+/// The eleven wire binary operators, as one operand of the
+/// operand-addressed [`ExecOp`] forms. The dispatcher's one kernel
+/// ([`binop`]) evaluates all of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BinOp {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Mod,
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl BinOp {
+    /// The operator a wire op applies, if it is a binary operator —
+    /// exactly the ops [`mirror`] lowers to [`ExecOp::Bin`].
+    fn of(op: Op) -> Option<BinOp> {
+        match mirror(op, 0) {
+            ExecOp::Bin(op) => Some(op),
+            _ => None,
+        }
+    }
+}
+
 /// One lowered instruction. Unlike the wire [`Op`], constant indices
 /// are `u32` (folding can grow the pool past `u16`) and the fused
 /// variants carry several operands, so `ExecOp` is allowed to be wider
 /// than `Op` — 16 bytes instead of 8 (asserted by `exec_ops_are_small`).
+///
+/// The `Bin*` forms name where their operands come from: `L` a local
+/// slot, `K` a constant, `S` the stack top (`a` is the left operand).
+/// The `S` forms overwrite the top in place rather than popping and
+/// pushing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ExecOp {
     /// Block prologue: charge `cost` fuel (the wire instruction count of
@@ -58,19 +98,56 @@ pub(crate) enum ExecOp {
     Store(u16),
     Pop,
     Dup,
-    Add,
-    Sub,
-    Mul,
-    Div,
-    Mod,
     Neg,
     Not,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
+    /// A bare wire operator (1 wire op): pop `b`, then top ∘= `b`.
+    Bin(BinOp),
+    /// `Load slot; op` (2 wire ops): top ∘= local.
+    BinSL {
+        op: BinOp,
+        slot: u16,
+    },
+    /// `Const cidx; op` (2 wire ops): top ∘= constant.
+    BinSK {
+        op: BinOp,
+        cidx: u32,
+    },
+    /// `Load a; Load b; op` (3 wire ops): push `a ∘ b`.
+    BinLL {
+        op: BinOp,
+        a: u16,
+        b: u16,
+    },
+    /// `Load slot; Const cidx; op` (3 wire ops): push local ∘ constant.
+    BinLK {
+        op: BinOp,
+        slot: u16,
+        cidx: u32,
+    },
+    /// `Load a; Load b; op; Store dst` (4 wire ops).
+    BinLLStore {
+        op: BinOp,
+        a: u16,
+        b: u16,
+        dst: u16,
+    },
+    /// `Load slot; Const cidx; op; Store dst` (4 wire ops) — e.g. the
+    /// `i = i + 1` counter bump.
+    BinLKStore {
+        op: BinOp,
+        slot: u16,
+        cidx: u32,
+        dst: u16,
+    },
+    /// `Load slot; Const cidx; op; JumpIfFalse target` (4 wire ops) —
+    /// e.g. the `while (i < n)` loop header. Jumps when the result is
+    /// falsy.
+    BinLKJf {
+        op: BinOp,
+        slot: u16,
+        cidx: u32,
+        target: u32,
+    },
     Jump(u32),
     JumpIfFalse(u32),
     JumpIfTrue(u32),
@@ -85,26 +162,6 @@ pub(crate) enum ExecOp {
         argc: u8,
     },
     Return,
-    /// `Load a; Load b; Add; Store dst` (4 wire ops).
-    LoadLoadAddStore {
-        a: u16,
-        b: u16,
-        dst: u16,
-    },
-    /// `Load slot; Const cidx; Add; Store dst` (4 wire ops) — the
-    /// `i = i + 1` counter bump.
-    LoadConstAddStore {
-        slot: u16,
-        cidx: u32,
-        dst: u16,
-    },
-    /// `Load slot; Const cidx; Lt; JumpIfFalse target` (4 wire ops) —
-    /// the `while (i < n)` loop header. Jumps when `!(slot < cidx)`.
-    LoadConstLtJf {
-        slot: u16,
-        cidx: u32,
-        target: u32,
-    },
     /// `Const cidx; CallBuiltin` (2 wire ops) — e.g. `exit(0)`,
     /// `display("…")`, `bc_len("HOSTS")`.
     ConstCallBuiltin {
@@ -149,11 +206,12 @@ impl ExecProgram {
                 Const::Str(s) => Value::Str(s.clone()),
             })
             .collect();
+        let n_wire_consts = consts.len();
         let mut max_block_cost = 0u32;
         let fns = program
             .functions()
             .iter()
-            .map(|f| lower_fn(f, program.constants(), &mut consts, &mut max_block_cost))
+            .map(|f| lower_fn(f, n_wire_consts, &mut consts, &mut max_block_cost))
             .collect();
         ExecProgram {
             consts,
@@ -181,7 +239,7 @@ fn is_terminator(op: Op) -> bool {
 
 fn lower_fn(
     f: &FnProto,
-    wire_consts: &[Const],
+    n_wire_consts: usize,
     consts: &mut Vec<Value>,
     max_block_cost: &mut u32,
 ) -> ExecFn {
@@ -229,7 +287,7 @@ fn lower_fn(
         let mut pc = start;
         while pc < end {
             let at = code.len() as u32;
-            let (op, used) = fuse_at(&f.code[pc..end], wire_consts, consts);
+            let (op, used) = fuse_at(&f.code[pc..end], n_wire_consts, consts);
             code.push(op);
             for k in 0..used {
                 map[pc + k] = at;
@@ -253,7 +311,7 @@ fn lower_fn(
             ExecOp::Jump(t)
             | ExecOp::JumpIfFalse(t)
             | ExecOp::JumpIfTrue(t)
-            | ExecOp::LoadConstLtJf { target: t, .. } => {
+            | ExecOp::BinLKJf { target: t, .. } => {
                 let wire_t = *t as usize;
                 *t = if wire_t <= len { map[wire_t] } else { off_end };
             }
@@ -267,122 +325,89 @@ fn lower_fn(
     }
 }
 
+/// Where an operand-addressed form reads an operand: a local slot or an
+/// in-range wire constant.
+#[derive(Clone, Copy)]
+enum Operand {
+    Local(u16),
+    Konst(u32),
+}
+
 /// Tries each fusion window (longest first) at the head of `w`, which
 /// never extends past the current block. Returns the lowered op and how
 /// many wire ops it consumed.
-fn fuse_at(w: &[Op], wire_consts: &[Const], consts: &mut Vec<Value>) -> (ExecOp, usize) {
-    if w.len() >= 4 {
-        match w[..4] {
-            [Op::Load(a), Op::Load(b), Op::Add, Op::Store(dst)] => {
-                return (ExecOp::LoadLoadAddStore { a, b, dst }, 4);
-            }
-            [Op::Load(slot), Op::Const(c), Op::Add, Op::Store(dst)]
-                if (c as usize) < wire_consts.len() =>
-            {
-                return (
-                    ExecOp::LoadConstAddStore {
-                        slot,
-                        cidx: c as u32,
-                        dst,
-                    },
-                    4,
-                );
-            }
-            [Op::Load(slot), Op::Const(c), Op::Lt, Op::JumpIfFalse(target)]
-                if (c as usize) < wire_consts.len() =>
-            {
-                return (
-                    ExecOp::LoadConstLtJf {
-                        slot,
-                        cidx: c as u32,
-                        target,
-                    },
-                    4,
-                );
-            }
-            _ => {}
-        }
-    }
-    if w.len() >= 3 {
-        if let [Op::Const(i), Op::Const(j), op] = w[..3] {
-            if let Some(folded) = fold_consts(i, j, op, wire_consts, consts) {
-                return (folded, 3);
-            }
-        }
-    }
-    if w.len() >= 2 {
-        if let [Op::Const(c), Op::CallBuiltin { builtin, argc }] = w[..2] {
-            if (c as usize) < wire_consts.len() {
-                return (
-                    ExecOp::ConstCallBuiltin {
-                        cidx: c as u32,
-                        builtin,
-                        argc,
-                    },
-                    2,
-                );
-            }
-        }
-    }
-    (mirror(w[0], wire_consts.len()), 1)
-}
-
-/// Folds `Const i; Const j; op` when the result is statically known
-/// *and* the legacy interpreter could not fault on it. Division/modulo
-/// (zero divisors) and mixed-type comparisons are left to run time.
-fn fold_consts(
-    i: u16,
-    j: u16,
-    op: Op,
-    wire_consts: &[Const],
-    consts: &mut Vec<Value>,
-) -> Option<ExecOp> {
-    let a = const_value(wire_consts.get(i as usize)?);
-    let b = const_value(wire_consts.get(j as usize)?);
-    match op {
-        Op::Add => add_values(&a, &b).ok().map(|v| push_const(consts, v)),
-        Op::Sub | Op::Mul => match (&a, &b) {
-            (Value::Int(x), Value::Int(y)) => {
-                let v = if matches!(op, Op::Sub) {
-                    x.wrapping_sub(*y)
-                } else {
-                    x.wrapping_mul(*y)
-                };
-                Some(push_const(consts, Value::Int(v)))
-            }
-            _ => None,
-        },
-        Op::Eq => Some(bool_op(a == b)),
-        Op::Ne => Some(bool_op(a != b)),
-        Op::Lt | Op::Le | Op::Gt | Op::Ge => {
-            let ord = match (&a, &b) {
-                (Value::Int(x), Value::Int(y)) => x.cmp(y),
-                (Value::Str(x), Value::Str(y)) => x.cmp(y),
-                _ => return None,
-            };
-            Some(bool_op(match op {
-                Op::Lt => ord.is_lt(),
-                Op::Le => ord.is_le(),
-                Op::Gt => ord.is_gt(),
-                _ => ord.is_ge(),
-            }))
-        }
+fn fuse_at(w: &[Op], n_wire_consts: usize, consts: &mut Vec<Value>) -> (ExecOp, usize) {
+    // An out-of-range `Const` is no operand: its window is not fused and
+    // it lowers through `mirror` to `BadConst`.
+    let operand = |i: usize| match w.get(i) {
+        Some(&Op::Load(slot)) => Some(Operand::Local(slot)),
+        Some(&Op::Const(c)) if (c as usize) < n_wire_consts => Some(Operand::Konst(c.into())),
         _ => None,
+    };
+    let bin = |i: usize| w.get(i).copied().and_then(BinOp::of);
+
+    if let (Some(Operand::Konst(i)), Some(Operand::Konst(j)), Some(op)) =
+        (operand(0), operand(1), bin(2))
+    {
+        if let Some(folded) = fold_consts(i, j, op, consts) {
+            return (folded, 3);
+        }
     }
+    if let (Some(Operand::Local(a)), Some(b), Some(op)) = (operand(0), operand(1), bin(2)) {
+        return match (b, w.get(3)) {
+            (Operand::Local(b), Some(&Op::Store(dst))) => (ExecOp::BinLLStore { op, a, b, dst }, 4),
+            (Operand::Konst(cidx), Some(&Op::Store(dst))) => (
+                ExecOp::BinLKStore {
+                    op,
+                    slot: a,
+                    cidx,
+                    dst,
+                },
+                4,
+            ),
+            (Operand::Konst(cidx), Some(&Op::JumpIfFalse(target))) => (
+                ExecOp::BinLKJf {
+                    op,
+                    slot: a,
+                    cidx,
+                    target,
+                },
+                4,
+            ),
+            (Operand::Local(b), _) => (ExecOp::BinLL { op, a, b }, 3),
+            (Operand::Konst(cidx), _) => (ExecOp::BinLK { op, slot: a, cidx }, 3),
+        };
+    }
+    if let (Some(b), Some(op)) = (operand(0), bin(1)) {
+        let fused = match b {
+            Operand::Local(slot) => ExecOp::BinSL { op, slot },
+            Operand::Konst(cidx) => ExecOp::BinSK { op, cidx },
+        };
+        return (fused, 2);
+    }
+    if let (Some(Operand::Konst(cidx)), Some(&Op::CallBuiltin { builtin, argc })) =
+        (operand(0), w.get(1))
+    {
+        return (
+            ExecOp::ConstCallBuiltin {
+                cidx,
+                builtin,
+                argc,
+            },
+            2,
+        );
+    }
+    (mirror(w[0], n_wire_consts), 1)
 }
 
-fn const_value(c: &Const) -> Value {
-    match c {
-        Const::Int(v) => Value::Int(*v),
-        Const::Str(s) => Value::Str(s.clone()),
-    }
-}
-
-fn bool_op(b: bool) -> ExecOp {
-    if b {
-        ExecOp::True
-    } else {
-        ExecOp::False
+/// Folds `Const i; Const j; op` (both wire constants) when the legacy
+/// interpreter could not fault on it — exactly when the kernel returns
+/// `Ok`. A zero divisor or a type error is left to run time.
+fn fold_consts(i: u32, j: u32, op: BinOp, consts: &mut Vec<Value>) -> Option<ExecOp> {
+    match binop(op, &consts[i as usize], &consts[j as usize]).ok()? {
+        Value::Bool(true) => Some(ExecOp::True),
+        Value::Bool(false) => Some(ExecOp::False),
+        v => Some(push_const(consts, v)),
     }
 }
 
@@ -412,19 +437,19 @@ fn mirror(op: Op, n_wire_consts: usize) -> ExecOp {
         Op::Store(s) => ExecOp::Store(s),
         Op::Pop => ExecOp::Pop,
         Op::Dup => ExecOp::Dup,
-        Op::Add => ExecOp::Add,
-        Op::Sub => ExecOp::Sub,
-        Op::Mul => ExecOp::Mul,
-        Op::Div => ExecOp::Div,
-        Op::Mod => ExecOp::Mod,
+        Op::Add => ExecOp::Bin(BinOp::Add),
+        Op::Sub => ExecOp::Bin(BinOp::Sub),
+        Op::Mul => ExecOp::Bin(BinOp::Mul),
+        Op::Div => ExecOp::Bin(BinOp::Div),
+        Op::Mod => ExecOp::Bin(BinOp::Mod),
         Op::Neg => ExecOp::Neg,
         Op::Not => ExecOp::Not,
-        Op::Eq => ExecOp::Eq,
-        Op::Ne => ExecOp::Ne,
-        Op::Lt => ExecOp::Lt,
-        Op::Le => ExecOp::Le,
-        Op::Gt => ExecOp::Gt,
-        Op::Ge => ExecOp::Ge,
+        Op::Eq => ExecOp::Bin(BinOp::Eq),
+        Op::Ne => ExecOp::Bin(BinOp::Ne),
+        Op::Lt => ExecOp::Bin(BinOp::Lt),
+        Op::Le => ExecOp::Bin(BinOp::Le),
+        Op::Gt => ExecOp::Bin(BinOp::Gt),
+        Op::Ge => ExecOp::Bin(BinOp::Ge),
         Op::Jump(t) => ExecOp::Jump(t),
         Op::JumpIfFalse(t) => ExecOp::JumpIfFalse(t),
         Op::JumpIfTrue(t) => ExecOp::JumpIfTrue(t),
@@ -461,33 +486,117 @@ mod tests {
         (ExecProgram::lower(&p), main)
     }
 
+    /// The operand form and operator of a lowered binary op, if any.
+    fn bin_form(op: &ExecOp) -> Option<(&'static str, BinOp)> {
+        Some(match *op {
+            ExecOp::Bin(op) => ("Bin", op),
+            ExecOp::BinSL { op, .. } => ("BinSL", op),
+            ExecOp::BinSK { op, .. } => ("BinSK", op),
+            ExecOp::BinLL { op, .. } => ("BinLL", op),
+            ExecOp::BinLK { op, .. } => ("BinLK", op),
+            ExecOp::BinLLStore { op, .. } => ("BinLLStore", op),
+            ExecOp::BinLKStore { op, .. } => ("BinLKStore", op),
+            ExecOp::BinLKJf { op, .. } => ("BinLKJf", op),
+            _ => return None,
+        })
+    }
+
+    fn forms(src: &str) -> Vec<(&'static str, BinOp)> {
+        let (exec, main) = lowered_main(src);
+        exec.fns[main].code.iter().filter_map(bin_form).collect()
+    }
+
+    const OPERATORS: [(&str, BinOp); 11] = [
+        ("+", BinOp::Add),
+        ("-", BinOp::Sub),
+        ("*", BinOp::Mul),
+        ("/", BinOp::Div),
+        ("%", BinOp::Mod),
+        ("==", BinOp::Eq),
+        ("!=", BinOp::Ne),
+        ("<", BinOp::Lt),
+        ("<=", BinOp::Le),
+        (">", BinOp::Gt),
+        (">=", BinOp::Ge),
+    ];
+
     #[test]
     fn loop_header_and_counter_bump_fuse() {
-        let (exec, main) = lowered_main("fn main() { let i = 0; while (i < 10) { i = i + 1; } }");
-        let code = &exec.fns[main].code;
-        assert!(
-            code.iter()
-                .any(|op| matches!(op, ExecOp::LoadConstLtJf { .. })),
-            "{code:?}"
-        );
-        assert!(
-            code.iter()
-                .any(|op| matches!(op, ExecOp::LoadConstAddStore { .. })),
-            "{code:?}"
+        let found = forms("fn main() { let i = 0; while (i < 10) { i = i + 1; } }");
+        assert_eq!(
+            found,
+            [("BinLKJf", BinOp::Lt), ("BinLKStore", BinOp::Add)],
+            "{found:?}"
         );
     }
 
     #[test]
     fn local_sum_fuses() {
-        let (exec, main) =
-            lowered_main("fn main() { let a = 1; let b = 2; let c = 0; c = a + b; }");
-        assert!(
+        let found = forms("fn main() { let a = 1; let b = 2; let c = 0; c = a + b; }");
+        assert_eq!(found, [("BinLLStore", BinOp::Add)]);
+    }
+
+    #[test]
+    fn every_operand_form_takes_every_operator() {
+        for (sym, op) in OPERATORS {
+            let found = forms(&format!(
+                "fn main() {{
+                    let a = 1; let b = 2; let c = 0;
+                    c = a {sym} b;
+                    c = a {sym} 3;
+                    display(a {sym} b);
+                    display(a {sym} 3);
+                    display((a {sym} b) {sym} a);
+                    display((a {sym} b) {sym} 3);
+                    display((a {sym} b) {sym} (a {sym} b));
+                    while (a {sym} 3) {{ }}
+                }}"
+            ));
+            for form in [
+                "Bin",
+                "BinSL",
+                "BinSK",
+                "BinLL",
+                "BinLK",
+                "BinLLStore",
+                "BinLKStore",
+                "BinLKJf",
+            ] {
+                assert!(found.contains(&(form, op)), "{sym}: no {form} in {found:?}");
+            }
+            assert!(found.iter().all(|&(_, o)| o == op), "{sym}: {found:?}");
+        }
+    }
+
+    #[test]
+    fn checksum_statement_lowers_to_four_ops() {
+        // `sum = (sum * 31 + k) % 1000003;` is 8 wire ops: Load, Const,
+        // Mul, Load, Add, Const, Mod, Store. It lowers to BinLK, BinSL,
+        // BinSK and Store — nothing in the lowering knows this shape.
+        let non_fence = |src: &str| {
+            let (exec, main) = lowered_main(src);
             exec.fns[main]
                 .code
                 .iter()
-                .any(|op| matches!(op, ExecOp::LoadLoadAddStore { .. })),
-            "{:?}",
-            exec.fns[main].code
+                .filter(|op| !matches!(op, ExecOp::Fence(_)))
+                .count()
+        };
+        let prelude = "let sum = 0; let k = 0;";
+        let with = non_fence(&format!(
+            "fn main() {{ {prelude} sum = (sum * 31 + k) % 1000003; }}"
+        ));
+        let without = non_fence(&format!("fn main() {{ {prelude} }}"));
+        assert!(with - without <= 4, "{} ExecOps", with - without);
+        let found = forms(&format!(
+            "fn main() {{ {prelude} sum = (sum * 31 + k) % 1000003; }}"
+        ));
+        assert_eq!(
+            found,
+            [
+                ("BinLK", BinOp::Mul),
+                ("BinSL", BinOp::Add),
+                ("BinSK", BinOp::Mod)
+            ]
         );
     }
 
@@ -506,23 +615,27 @@ mod tests {
 
     #[test]
     fn constants_fold() {
-        let (exec, main) = lowered_main("fn main() { let x = 2 + 3; }");
+        let (exec, main) = lowered_main("fn main() { let x = 2 + 3; let y = 7 / 2; }");
         let code = &exec.fns[main].code;
-        assert!(!code.iter().any(|op| matches!(op, ExecOp::Add)), "{code:?}");
+        assert!(!code.iter().any(|op| bin_form(op).is_some()), "{code:?}");
         assert!(exec.consts.contains(&Value::Int(5)), "{:?}", exec.consts);
+        assert!(exec.consts.contains(&Value::Int(3)), "{:?}", exec.consts);
     }
 
     #[test]
     fn division_by_constant_zero_is_not_folded() {
-        let (exec, main) = lowered_main("fn main() { let x = 1 / 0; }");
-        assert!(
-            exec.fns[main]
-                .code
-                .iter()
-                .any(|op| matches!(op, ExecOp::Div)),
-            "{:?}",
-            exec.fns[main].code
-        );
+        for src in [
+            "fn main() { let x = 1 / 0; }",
+            "fn main() { let x = 1 % 0; }",
+        ] {
+            let found = forms(src);
+            assert!(
+                found
+                    .iter()
+                    .any(|&(_, op)| matches!(op, BinOp::Div | BinOp::Mod)),
+                "{src}: {found:?}"
+            );
+        }
     }
 
     #[test]
@@ -584,7 +697,7 @@ mod tests {
                 ExecOp::Jump(t)
                 | ExecOp::JumpIfFalse(t)
                 | ExecOp::JumpIfTrue(t)
-                | ExecOp::LoadConstLtJf { target: t, .. } => *t as usize,
+                | ExecOp::BinLKJf { target: t, .. } => *t as usize,
                 _ => continue,
             };
             assert!(

@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use tacoma_briefcase::Briefcase;
 use tacoma_taxscript::{
-    compile_source, NullHooks, Outcome, Program, RuntimeError, Vm, DEFAULT_FUEL,
+    compile_source, NullHooks, Op, Outcome, Program, RuntimeError, Vm, DEFAULT_FUEL,
 };
 
 /// A small statement AST rendered to TaxScript source. Loops always
@@ -68,11 +68,14 @@ enum StrExpr {
     Concat(Box<StrExpr>, Box<StrExpr>),
 }
 
+/// Every comparison operator, so each meets every operand form the
+/// lowering has (local, constant, stack top).
+const COMPARISONS: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+
 #[derive(Debug, Clone)]
 enum Cond {
-    Lt(IntExpr, IntExpr),
-    Eq(IntExpr, IntExpr),
-    StrLt(StrExpr, StrExpr),
+    Int(&'static str, IntExpr, IntExpr),
+    Str(&'static str, StrExpr, StrExpr),
 }
 
 const N_INT_VARS: usize = 3;
@@ -113,9 +116,8 @@ impl StrExpr {
 impl Cond {
     fn render(&self) -> String {
         match self {
-            Cond::Lt(a, b) => format!("({} < {})", a.render(), b.render()),
-            Cond::Eq(a, b) => format!("({} == {})", a.render(), b.render()),
-            Cond::StrLt(a, b) => format!("({} < {})", a.render(), b.render()),
+            Cond::Int(op, a, b) => format!("({} {op} {})", a.render(), b.render()),
+            Cond::Str(op, a, b) => format!("({} {op} {})", a.render(), b.render()),
         }
     }
 }
@@ -217,10 +219,12 @@ fn arb_str_expr() -> impl Strategy<Value = StrExpr> {
 }
 
 fn arb_cond() -> impl Strategy<Value = Cond> {
+    let op = || (0..COMPARISONS.len()).prop_map(|i| COMPARISONS[i]);
+    // Int conditions twice as often: the stand-in proptest has no weights.
     prop_oneof![
-        (arb_int_expr(), arb_int_expr()).prop_map(|(a, b)| Cond::Lt(a, b)),
-        (arb_int_expr(), arb_int_expr()).prop_map(|(a, b)| Cond::Eq(a, b)),
-        (arb_str_expr(), arb_str_expr()).prop_map(|(a, b)| Cond::StrLt(a, b)),
+        (op(), arb_int_expr(), arb_int_expr()).prop_map(|(o, a, b)| Cond::Int(o, a, b)),
+        (op(), arb_int_expr(), arb_int_expr()).prop_map(|(o, a, b)| Cond::Int(o, a, b)),
+        (op(), arb_str_expr(), arb_str_expr()).prop_map(|(o, a, b)| Cond::Str(o, a, b)),
     ]
 }
 
@@ -405,5 +409,166 @@ fn error_classes_match() {
         let (fused, _) = run_tier(&program, DEFAULT_FUEL, false);
         assert_eq!(legacy, fused, "on {src}");
         assert!(legacy.result.is_err(), "on {src}");
+    }
+}
+
+/// The eleven binary operators, as TaxScript source.
+const OPERATORS: [&str; 11] = ["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">="];
+
+/// An operand's source literal, and whether a constant can hold it.
+const OPERANDS: [(&str, bool); 5] = [
+    ("7", true),
+    ("\"s\"", true),
+    ("nil", false),
+    ("[1]", false),
+    ("0", true),
+];
+
+fn type_name(literal: &str) -> &'static str {
+    match literal.as_bytes()[0] {
+        b'"' => "string",
+        b'n' => "nil",
+        b'[' => "list",
+        _ => "int",
+    }
+}
+
+/// What the legacy interpreter's semantics say `l op r` does: `None`
+/// when it yields a value, the exact fault otherwise.
+fn expected_fault(op: &'static str, l: &str, r: &str) -> Option<RuntimeError> {
+    let (tl, tr) = (type_name(l), type_name(r));
+    let type_error = |verb| {
+        Some(RuntimeError::TypeError {
+            op: verb,
+            got: format!("{tl} and {tr}"),
+        })
+    };
+    match op {
+        "==" | "!=" => None,
+        "+" => match (tl, tr) {
+            ("int", "int") | ("list", "list") => None,
+            _ if tl == "string" || tr == "string" => None,
+            _ => type_error("add"),
+        },
+        "-" | "*" | "/" | "%" => {
+            let verb = match op {
+                "-" => "subtract",
+                "*" => "multiply",
+                "/" => "divide",
+                _ => "modulo",
+            };
+            match (tl, tr) {
+                ("int", "int") if r == "0" && matches!(op, "/" | "%") => {
+                    Some(RuntimeError::DivisionByZero)
+                }
+                ("int", "int") => None,
+                _ => type_error(verb),
+            }
+        }
+        _ => match (tl, tr) {
+            ("int", "int") | ("string", "string") => None,
+            _ => type_error(op),
+        },
+    }
+}
+
+/// Every operator in every operand form the lowering has — local∘const,
+/// local∘local, expr∘local, expr∘const, expr∘expr, each with its result
+/// stored, pushed, or branched on — over ints, strings, `nil`, lists and
+/// a zero divisor. Both tiers must give the exact `Result` the legacy
+/// semantics predict (the `got` text included), the same display trace
+/// and briefcase bytes, and the same fuel under the block rule.
+#[test]
+fn operand_forms_fault_like_legacy() {
+    let mut cases = 0;
+    for op in OPERATORS {
+        for (l, _) in OPERANDS {
+            for (r, r_is_const) in OPERANDS {
+                let shapes = [
+                    ("local∘const", format!("a {op} {r}"), r_is_const),
+                    ("local∘local", format!("a {op} b"), true),
+                    ("expr∘local", format!("id(a) {op} b"), true),
+                    ("expr∘const", format!("id(a) {op} {r}"), r_is_const),
+                    ("expr∘expr", format!("id(a) {op} id(b)"), true),
+                ];
+                for (shape, expr, applies) in shapes {
+                    if !applies {
+                        continue;
+                    }
+                    for stmt in [
+                        format!("r = {expr}; display(r);"),
+                        format!("display({expr});"),
+                        format!("if ({expr}) {{ display(\"yes\"); }} else {{ display(\"no\"); }}"),
+                    ] {
+                        let src = format!(
+                            "fn id(x) {{ return x; }}\n\
+                             fn main() {{\n\
+                                 let a = {l}; let b = {r}; let r = nil;\n\
+                                 display(\"before\"); bc_append(\"LOG\", \"before\");\n\
+                                 {stmt}\n\
+                                 bc_append(\"LOG\", \"after\");\n\
+                             }}\n"
+                        );
+                        let program = compile_source(&src).expect("table source compiles");
+                        assert_parity(&program, &src);
+                        let (legacy, _) = run_tier(&program, DEFAULT_FUEL, true);
+                        let expected = match expected_fault(op, l, r) {
+                            Some(fault) => Err(fault),
+                            None => Ok(Outcome::Finished),
+                        };
+                        assert_eq!(legacy.result, expected, "{shape}:\n{src}");
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 11 * (3 * 25 + 2 * 15) * 3);
+}
+
+/// A wire `Const` whose index is out of range faults "bad constant
+/// index" on both tiers, wherever it sits — including inside every
+/// fusable window (operand forms, folding, constant builtin calls) and
+/// at the first index past the wire pool, which in the lowered pool
+/// would name a folded constant.
+#[test]
+fn bad_constant_in_a_fusable_window_faults_on_both_tiers() {
+    let src = r#"fn main() {
+        let a = 1; let r = 0;
+        display("start");
+        r = a + 5;
+        display(a * 6);
+        r = 2 + 3;
+        r = 4 / 2 == 1;
+        r = id(a) - 7;
+        display(8);
+        exit(0);
+    }
+    fn id(x) { return x; }"#;
+    let program = compile_source(src).unwrap();
+    let main = program.main_index();
+    let n_consts = program.constants().len() as u16;
+    let const_pcs: Vec<usize> = program.functions()[main]
+        .code
+        .iter()
+        .enumerate()
+        .filter(|(_, op)| matches!(op, Op::Const(_)))
+        .map(|(pc, _)| pc)
+        .collect();
+    assert!(const_pcs.len() >= 8, "{const_pcs:?}");
+    for pc in const_pcs {
+        for bad in [n_consts, u16::MAX] {
+            let mut broken = program.clone();
+            broken.functions_mut()[main].code[pc] = Op::Const(bad);
+            let (legacy, _) = run_tier(&broken, DEFAULT_FUEL, true);
+            assert_eq!(
+                legacy.result,
+                Err(RuntimeError::CorruptProgram {
+                    detail: "bad constant index"
+                }),
+                "pc {pc}, index {bad}"
+            );
+            assert_parity(&broken, &format!("{src}\n(pc {pc} -> Const({bad}))"));
+        }
     }
 }

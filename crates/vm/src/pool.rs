@@ -103,10 +103,10 @@ struct PoolInner {
 /// A bounded free-list of warm [`ExecScratch`] instances.
 ///
 /// `checkout` pops a warm scratch (or allocates a cold one); `checkin`
-/// returns it for the next launch, dropping it instead when the pool is
-/// already full. Scratches are cleared by the dispatcher on entry, so a
-/// returned scratch carries capacity but never values — checking in a
-/// scratch used on a faulted run is safe.
+/// clears it and returns it for the next launch, dropping it instead
+/// when the pool is already full. A pooled scratch therefore carries
+/// capacity but never the last agent's values, whether its run
+/// finished, faulted or moved.
 pub struct VmPool {
     capacity: usize,
     inner: Mutex<PoolInner>,
@@ -154,8 +154,10 @@ impl VmPool {
         }
     }
 
-    /// Returns a scratch for reuse; drops it if the pool is full.
-    pub fn checkin(&self, scratch: ExecScratch) {
+    /// Clears a scratch and returns it for reuse; drops it if the pool
+    /// is full.
+    pub fn checkin(&self, mut scratch: ExecScratch) {
+        scratch.clear();
         let mut inner = self.inner.lock().expect("vm pool poisoned");
         if inner.free.len() < self.capacity {
             inner.free.push(scratch);
@@ -222,7 +224,9 @@ impl Default for LaunchCaches {
 mod tests {
     use super::*;
     use tacoma_briefcase::Briefcase;
-    use tacoma_taxscript::{compile_source, NullHooks, Outcome, Vm};
+    use tacoma_taxscript::{
+        compile_source, GoDecision, HostHooks, NullHooks, Outcome, RuntimeError, Vm,
+    };
 
     #[test]
     fn program_cache_hits_on_second_decode() {
@@ -325,5 +329,76 @@ mod tests {
         pool.checkin(scratch);
         let warm = pool.checkout();
         assert!(warm.capacity() > 0, "checked-in capacity survives");
+    }
+
+    /// Accepts every `go`, so a run can end `Moved`.
+    struct Mover;
+
+    impl HostHooks for Mover {
+        fn display(&mut self, _: &str) {}
+        fn go(&mut self, _: &str, _: &Briefcase) -> GoDecision {
+            GoDecision::Moved
+        }
+        fn spawn(&mut self, _: &str, _: &Briefcase) -> Option<String> {
+            None
+        }
+        fn activate(&mut self, _: &str, _: &Briefcase) -> bool {
+            false
+        }
+        fn meet(&mut self, _: &str, _: &Briefcase) -> Option<Briefcase> {
+            None
+        }
+        fn await_bc(&mut self, _: i64) -> Option<Briefcase> {
+            None
+        }
+        fn now_ms(&mut self) -> i64 {
+            0
+        }
+        fn host_name(&mut self) -> String {
+            "h1".into()
+        }
+    }
+
+    #[test]
+    fn pooled_scratches_hold_no_values_after_any_outcome() {
+        let pool = VmPool::new(4);
+        let runs = [
+            (
+                r#"fn main() { let url = "https://a/x"; let l = [url, url]; exit(0); }"#,
+                Ok(Outcome::Exit(0)),
+            ),
+            (
+                r#"fn main() { let url = "https://a/x"; let n = url - 1; }"#,
+                Err(RuntimeError::TypeError {
+                    op: "subtract",
+                    got: "string and int".into(),
+                }),
+            ),
+            (
+                r#"fn main() { let next = "tacoma://h2/vm"; go(next); }"#,
+                Ok(Outcome::Moved {
+                    to: "tacoma://h2/vm".into(),
+                }),
+            ),
+        ];
+        let mut used = Vec::new();
+        for (src, expected) in runs {
+            let program = compile_source(src).unwrap();
+            let mut scratch = pool.checkout();
+            let mut bc = Briefcase::new();
+            let outcome = Vm::new(&program, Mover).run_with_scratch(&mut bc, &mut scratch);
+            assert_eq!(outcome, expected, "{src}");
+            assert!(!scratch.is_empty(), "the run left values behind: {src}");
+            used.push(scratch);
+        }
+        for scratch in used {
+            pool.checkin(scratch);
+        }
+        for _ in 0..3 {
+            let warm = pool.checkout();
+            assert!(warm.is_empty(), "a pooled scratch holds no values");
+            assert!(warm.capacity() > 0, "but keeps its capacity");
+        }
+        assert_eq!(pool.stats().hits, 3);
     }
 }
