@@ -41,7 +41,7 @@ use bytes::Bytes;
 use tacoma_bench::{fmt_duration, header, row};
 use tacoma_briefcase::Briefcase;
 use tacoma_firewall::{Message, PendingQueue};
-use tacoma_journal::{Journal, JournalConfig, OpenHop};
+use tacoma_journal::{Journal, JournalConfig};
 use tacoma_security::Principal;
 use tacoma_simnet::SimTime;
 use tacoma_transport::{
@@ -315,16 +315,17 @@ fn write_ahead_latency(records: usize, batch: usize, wire: &Bytes) -> f64 {
     let mut written = 0usize;
     while written < records {
         let chunk = batch.min(records - written);
-        let hops: Vec<OpenHop> = (0..chunk)
-            .map(|i| OpenHop {
-                key: format!("lat-{:08x}", written + i),
-                parent: None,
-                inbound: false,
-                to: "sink".to_owned(),
-                wire: wire.clone(),
-            })
+        let keys: Vec<String> = (0..chunk)
+            .map(|i| format!("lat-{:08x}", written + i))
             .collect();
-        journal.hop_begin_batch(&hops).expect("journal hop begin");
+        journal
+            .with_group(|group| {
+                for key in &keys {
+                    group.hop_begin(key, None, false, "sink", wire)?;
+                }
+                Ok(())
+            })
+            .expect("journal hop begin");
         written += chunk;
     }
     let wall = started.elapsed();

@@ -14,11 +14,9 @@
 //!   fan-out to the machine's parallelism, so on a single-core container
 //!   tick-4 legitimately costs the same wall time as tick-1.
 //!
-//! Also times the briefcase decode path both ways — `decode` (copies
-//! every element out of the wire buffer) vs `decode_bytes` (elements are
-//! zero-copy slices of one shared `Bytes`) — and the briefcase-migration
-//! hot path both ways (legacy deep-clone-per-peer vs CoW clones over one
-//! cached encoding; see `tacoma_bench::migrate`).
+//! Also times the briefcase-migration hot path both ways (legacy
+//! deep-clone-per-peer vs CoW clones over one cached encoding; see
+//! `tacoma_bench::migrate`).
 //!
 //! Also times firewall admission of the same bytecode agent cold (a fresh
 //! policy with empty caches, so full decode + verify + flow analysis
@@ -42,9 +40,6 @@ use tacoma_firewall::{AdmissionPolicy, AdmissionVerdict};
 use tacoma_security::Rights;
 use tacoma_vm::code_types;
 use tacoma_webbot::fleet::{run_fleet, FleetParams};
-
-/// Iterations for the codec timing loop.
-const CODEC_ITERS: u32 = 200;
 
 /// Wall-clock repetitions per scheduler configuration (minimum is kept).
 const WALL_REPS: usize = 3;
@@ -86,35 +81,6 @@ fn measure(label: &'static str, params: &FleetParams, threads: usize) -> Measure
         });
     }
     best.expect("WALL_REPS >= 1")
-}
-
-/// Builds a briefcase about the size one fleet pair ships home and times
-/// both decoders over it. Returns (decode, decode_bytes) total times.
-fn time_codec(smoke: bool) -> (Duration, Duration, usize) {
-    let mut bc = Briefcase::new();
-    let folder_count = if smoke { 8 } else { 64 };
-    for f in 0..folder_count {
-        for e in 0..16 {
-            bc.append(&format!("FOLDER-{f}"), vec![e as u8; 512]);
-        }
-    }
-    let wire = bc.encode();
-    let shared = bytes::Bytes::from(wire.clone());
-
-    let started = Instant::now();
-    for _ in 0..CODEC_ITERS {
-        let decoded = Briefcase::decode(&wire).expect("valid wire");
-        std::hint::black_box(decoded);
-    }
-    let copying = started.elapsed();
-
-    let started = Instant::now();
-    for _ in 0..CODEC_ITERS {
-        let decoded = Briefcase::decode_bytes(&shared).expect("valid wire");
-        std::hint::black_box(decoded);
-    }
-    let zero_copy = started.elapsed();
-    (copying, zero_copy, wire.len())
 }
 
 struct MigrateResult {
@@ -263,7 +229,6 @@ fn main() -> ExitCode {
         measure("tick, 1 worker", &params, 1),
         measure("tick, 4 workers", &params, 4),
     ];
-    let (codec_copy, codec_zero, wire_len) = time_codec(smoke);
     let migration = time_migrate(smoke);
     let admission = time_admission(smoke);
 
@@ -273,7 +238,6 @@ fn main() -> ExitCode {
     let makespan_speedup = seq.virtual_makespan.as_secs_f64()
         / tick4.virtual_makespan.as_secs_f64().max(f64::MIN_POSITIVE);
     let wall_speedup = tick1.wall.as_secs_f64() / tick4.wall.as_secs_f64().max(f64::MIN_POSITIVE);
-    let decode_speedup = codec_copy.as_secs_f64() / codec_zero.as_secs_f64().max(f64::MIN_POSITIVE);
 
     if json {
         println!("{{");
@@ -297,16 +261,6 @@ fn main() -> ExitCode {
         println!("  ],");
         println!("  \"virtual_makespan_speedup\": {makespan_speedup:.2},");
         println!("  \"wall_clock_speedup\": {wall_speedup:.2},");
-        println!("  \"codec\": {{");
-        println!("    \"wire_bytes\": {wire_len},");
-        println!("    \"iterations\": {CODEC_ITERS},");
-        println!("    \"decode_ms\": {:.2},", codec_copy.as_secs_f64() * 1e3);
-        println!(
-            "    \"decode_bytes_ms\": {:.2},",
-            codec_zero.as_secs_f64() * 1e3
-        );
-        println!("    \"zero_copy_speedup\": {decode_speedup:.2}");
-        println!("  }},");
         println!("  \"briefcase_migrate\": {{");
         println!("    \"folders\": {},", migration.folders);
         println!("    \"elements_per_folder\": {},", migration.elements);
@@ -363,11 +317,6 @@ fn main() -> ExitCode {
         }
         println!("\nvirtual makespan speedup (sequential / tick-4): {makespan_speedup:.2}x");
         println!("wall clock speedup (tick-1 / tick-4): {wall_speedup:.2}x");
-        println!(
-            "codec on a {wire_len}-byte briefcase x{CODEC_ITERS}: decode {} vs decode_bytes {} ({decode_speedup:.2}x)",
-            fmt_duration(codec_copy),
-            fmt_duration(codec_zero),
-        );
         println!(
             "briefcase_migrate ({} folders x {} x {}B, fanout {}, {} hops): legacy {} vs cow {} ({:.2}x)",
             migration.folders,

@@ -255,11 +255,11 @@ fn collect(system: &mut TaxSystem) -> MiningOutcome {
     let reply = system
         .call_service("client", "ag_cabinet", &principal, fetch)
         .expect("cabinet reachable");
-    let parked = Briefcase::decode(
+    let parked = Briefcase::decode_bytes(
         reply
             .element("CABINET-DATA", 0)
             .expect("report parked")
-            .data(),
+            .bytes(),
     )
     .expect("parked briefcase decodes");
     let matches = parked.folder("RESULTS").map_or(0, Folder::len) as u64;

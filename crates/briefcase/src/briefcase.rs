@@ -263,50 +263,16 @@ impl Briefcase {
         Arc::ptr_eq(&self.shared, &other.shared)
     }
 
-    /// Decodes a briefcase from the TAX wire format.
+    /// Decodes a briefcase from the TAX wire format without copying:
+    /// elements are slices of `wire`'s allocation. See
+    /// [`codec::decode_briefcase_bytes`].
     ///
     /// # Errors
     ///
-    /// Any [`BriefcaseError`] variant describing a malformed input; the
-    /// decoder never panics on arbitrary bytes.
-    pub fn decode(wire: &[u8]) -> Result<Self, BriefcaseError> {
-        codec::decode_briefcase(wire)
-    }
-
-    /// Decodes with explicit [`codec::DecodeLimits`], for receivers facing
-    /// untrusted peers that want tighter bounds than the defaults.
-    ///
-    /// # Errors
-    ///
-    /// Any [`BriefcaseError`] variant describing a malformed or over-limit
+    /// Any [`BriefcaseError`] variant describing a malformed or over-bound
     /// input; the decoder never panics on arbitrary bytes.
-    pub fn decode_with_limits(
-        wire: &[u8],
-        limits: &codec::DecodeLimits,
-    ) -> Result<Self, BriefcaseError> {
-        codec::decode_briefcase_with_limits(wire, limits)
-    }
-
-    /// Zero-copy decode from a shared buffer: elements are slices of
-    /// `wire`'s allocation. See [`codec::decode_briefcase_bytes`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Briefcase::decode`].
     pub fn decode_bytes(wire: &bytes::Bytes) -> Result<Self, BriefcaseError> {
         codec::decode_briefcase_bytes(wire)
-    }
-
-    /// Zero-copy decode with explicit limits.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Briefcase::decode_with_limits`].
-    pub fn decode_bytes_with_limits(
-        wire: &bytes::Bytes,
-        limits: &codec::DecodeLimits,
-    ) -> Result<Self, BriefcaseError> {
-        codec::decode_briefcase_bytes_with_limits(wire, limits)
     }
 
     /// Merges another briefcase into this one: folders with the same name
@@ -559,7 +525,10 @@ mod tests {
         assert!(!bc.has_cached_wire());
         let fresh = bc.wire_bytes();
         assert_ne!(stale.as_ref(), fresh.as_ref());
-        assert_eq!(fresh.as_ref(), Briefcase::decode(&fresh).unwrap().encode());
+        assert_eq!(
+            fresh.as_ref(),
+            Briefcase::decode_bytes(&fresh).unwrap().encode()
+        );
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //! assert_eq!(next.as_str()?, "tacoma://alpha/vm_script");
 //!
 //! // Wire roundtrip.
-//! let wire = bc.encode();
-//! let back = Briefcase::decode(&wire)?;
+//! let wire = tacoma_briefcase::Bytes::from(bc.encode());
+//! let back = Briefcase::decode_bytes(&wire)?;
 //! assert_eq!(bc, back);
 //! # Ok(())
 //! # }
@@ -47,9 +47,7 @@ pub use crate::briefcase::{Briefcase, FolderNames, Folders, FoldersMut, IntoFold
 // `Briefcase::wire_bytes`, `Element::bytes`) can name the buffer type
 // without a separate `bytes` dependency.
 pub use crate::codec::{
-    decode_briefcase, decode_briefcase_bytes, decode_briefcase_bytes_with_limits,
-    decode_briefcase_with_limits, encode_briefcase, encode_briefcase_into, DecodeLimits,
-    CODEC_VERSION, MAGIC,
+    decode_briefcase_bytes, encode_briefcase, encode_briefcase_into, CODEC_VERSION, MAGIC,
 };
 pub use crate::element::Element;
 pub use crate::error::BriefcaseError;

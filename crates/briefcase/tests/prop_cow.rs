@@ -115,11 +115,22 @@ fn apply(bc: &mut Briefcase, m: &Mutation) -> bool {
     }
 }
 
-/// Rebuilds the logical state from scratch (deep copy through the wire),
-/// so the expected encoding comes from a briefcase with no shared history
-/// and no cache.
+/// The deep-copy oracle: rebuilds `bc` from owned `Vec<u8>` copies of
+/// every element, so the copy shares no buffer, history or cache with it.
+fn deep_copy(bc: &Briefcase) -> Briefcase {
+    bc.iter()
+        .map(|folder| {
+            let mut copy = Folder::new(folder.name());
+            copy.extend(folder.iter().map(|e| Element::from(e.data().to_vec())));
+            copy
+        })
+        .collect()
+}
+
+/// The expected encoding, from a briefcase with no shared history and no
+/// cache.
 fn eager_reencode(bc: &Briefcase) -> Vec<u8> {
-    Briefcase::decode(&bc.encode()).unwrap().encode()
+    deep_copy(bc).encode()
 }
 
 proptest! {
@@ -144,8 +155,8 @@ proptest! {
         prop_assert_eq!(pristine.encode(), snapshot_wire);
 
         // And the mutated copy is internally consistent on the wire.
-        let wire = mutated.encode();
-        prop_assert_eq!(Briefcase::decode(&wire).unwrap(), mutated);
+        let wire = Bytes::from(mutated.encode());
+        prop_assert_eq!(Briefcase::decode_bytes(&wire).unwrap(), mutated);
     }
 
     /// Cache invalidation matches an eager re-encode byte for byte: after
@@ -186,7 +197,7 @@ proptest! {
     ) {
         let wire = Bytes::from(bc.encode());
         let mut decoded = Briefcase::decode_bytes(&wire).unwrap();
-        let mut copied = Briefcase::decode(&wire).unwrap();
+        let mut copied = deep_copy(&decoded);
         for m in &muts {
             apply(&mut decoded, m);
             apply(&mut copied, m);
@@ -194,8 +205,8 @@ proptest! {
         // The zero-copy lineage and the deep-copy lineage stay equal...
         prop_assert_eq!(&decoded, &copied);
         // ...and the mutated zero-copy briefcase re-encodes faithfully.
-        let reencoded = decoded.encode();
-        prop_assert_eq!(Briefcase::decode(&reencoded).unwrap(), decoded);
+        let reencoded = Bytes::from(decoded.encode());
+        prop_assert_eq!(Briefcase::decode_bytes(&reencoded).unwrap(), decoded);
     }
 
     /// Clones of a briefcase share one cached encoding (encode-once across

@@ -91,40 +91,12 @@ impl Kernel {
         }
     }
 
-    /// Decodes and routes one arrived envelope on `host` — zero-copy: the
-    /// firewall decodes straight out of the envelope's shared buffer.
-    pub fn process_envelope(&self, host: &TaxHost, envelope: &tacoma_simnet::Envelope) {
-        let now = self.now();
-        match host.with_firewall(|fw| fw.route_inbound_wire_bytes(&envelope.payload, now)) {
-            Ok(decision) => {
-                if let Err(e) = self.execute_deliver_decision(host, decision, 0) {
-                    host.record(now, None, EventKind::Rejected(e.to_string()));
-                }
-            }
-            Err(e) => host.record(now, None, EventKind::Rejected(e.to_string())),
-        }
-    }
-
-    /// Routes one wire-encoded message on `host` — the shared landing path
+    /// Routes one wire-encoded message on `host` — the one landing path
     /// for simnet envelopes and frames a [`TransportListener`] received
-    /// over TCP.
+    /// over TCP. Zero-copy: the firewall decodes briefcase contents
+    /// straight out of the payload's shared buffer.
     ///
     /// [`TransportListener`]: tacoma_transport::TransportListener
-    pub fn process_wire(&self, host: &TaxHost, payload: &[u8]) {
-        let now = self.now();
-        match host.with_firewall(|fw| fw.route_inbound_wire(payload, now)) {
-            Ok(decision) => {
-                if let Err(e) = self.execute_deliver_decision(host, decision, 0) {
-                    host.record(now, None, EventKind::Rejected(e.to_string()));
-                }
-            }
-            Err(e) => host.record(now, None, EventKind::Rejected(e.to_string())),
-        }
-    }
-
-    /// As [`Kernel::process_wire`], but the payload shares its buffer
-    /// (e.g. a frame read once off a TCP socket) and is decoded without
-    /// copying.
     pub fn process_wire_bytes(&self, host: &TaxHost, payload: &bytes::Bytes) {
         let now = self.now();
         match host.with_firewall(|fw| fw.route_inbound_wire_bytes(payload, now)) {
@@ -142,7 +114,7 @@ impl Kernel {
     pub fn pump_inbox(&self, host: &TaxHost) -> usize {
         let mut n = 0;
         while let Some(envelope) = host.try_recv_envelope() {
-            self.process_envelope(host, &envelope);
+            self.process_wire_bytes(host, &envelope.payload);
             n += 1;
         }
         n

@@ -48,7 +48,7 @@ impl ServiceAgent for AgCabinet {
                 };
                 // Validate before accepting: a cabinet of garbage helps no
                 // one.
-                if Briefcase::decode(data.data()).is_err() {
+                if Briefcase::decode_bytes(data.bytes()).is_err() {
                     return error_reply("store: CABINET-DATA is not a briefcase");
                 }
                 drawers.insert((owner, name), data.data().to_vec());

@@ -308,28 +308,15 @@ impl TaxSystem {
 
     /// Routes a wire-encoded message that arrived from outside the
     /// process (a frame a [`TransportListener`] accepted over TCP) into
-    /// `host_name`'s firewall, exactly as a simnet envelope would be.
+    /// `host_name`'s firewall, exactly as a simnet envelope would be. The
+    /// payload is a shared buffer routed zero-copy: the firewall decodes
+    /// briefcase contents straight out of it.
     ///
     /// # Errors
     ///
     /// [`TaxError::UnknownHost`] when the host is not in this process.
     ///
     /// [`TransportListener`]: tacoma_transport::TransportListener
-    pub fn inject_wire(&mut self, host_name: &str, payload: &[u8]) -> Result<(), TaxError> {
-        let host = self.host(host_name).ok_or_else(|| TaxError::UnknownHost {
-            host: host_name.to_owned(),
-        })?;
-        self.kernel.process_wire(&host, payload);
-        Ok(())
-    }
-
-    /// As [`TaxSystem::inject_wire`], but the payload is a shared buffer
-    /// (e.g. a frame read once off a TCP socket) routed zero-copy: the
-    /// firewall decodes briefcase contents straight out of it.
-    ///
-    /// # Errors
-    ///
-    /// [`TaxError::UnknownHost`] when the host is not in this process.
     pub fn inject_wire_bytes(
         &mut self,
         host_name: &str,
@@ -340,6 +327,17 @@ impl TaxSystem {
         })?;
         self.kernel.process_wire_bytes(&host, payload);
         Ok(())
+    }
+
+    /// Copies `payload` into a shared buffer and routes it with
+    /// [`TaxSystem::inject_wire_bytes`]. It exists only for hopbench
+    /// (`benchmark/`), which injects frames it holds as `Vec<u8>`.
+    ///
+    /// # Errors
+    ///
+    /// As [`TaxSystem::inject_wire_bytes`].
+    pub fn inject_wire(&mut self, host_name: &str, payload: &[u8]) -> Result<(), TaxError> {
+        self.inject_wire_bytes(host_name, &bytes::Bytes::copy_from_slice(payload))
     }
 
     /// Retries transport delivery of messages parked in `host_name`'s

@@ -701,31 +701,15 @@ impl Firewall {
     }
 
     /// Decodes wire bytes from a peer firewall and routes the message,
-    /// counting received traffic.
+    /// counting received traffic. Zero-copy: the decoded message's
+    /// briefcase elements are slices of `payload`'s shared allocation, so
+    /// inbound page bodies and agent binaries are routed to their VM
+    /// without a byte ever being copied off the receive buffer.
     ///
     /// # Errors
     ///
     /// [`FirewallError::BadWire`] on a malformed payload, plus everything
     /// [`Firewall::route_inbound`] raises.
-    pub fn route_inbound_wire(
-        &mut self,
-        payload: &[u8],
-        now: SimTime,
-    ) -> Result<Decision, FirewallError> {
-        self.stats.frames_received += 1;
-        self.stats.bytes_received += payload.len() as u64;
-        let message = Message::decode(payload)?;
-        self.route_inbound(message, now)
-    }
-
-    /// Zero-copy variant of [`Firewall::route_inbound_wire`]: the decoded
-    /// message's briefcase elements are slices of `payload`'s shared
-    /// allocation, so inbound page bodies and agent binaries are routed to
-    /// their VM without a byte ever being copied off the receive buffer.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Firewall::route_inbound_wire`].
     pub fn route_inbound_wire_bytes(
         &mut self,
         payload: &bytes::Bytes,
@@ -1506,8 +1490,8 @@ mod tests {
         fw.register_agent(&addr, "vm_script", SimTime::ZERO);
         let mut m = msg("alice", "alice/webbot:1");
         m.from_host = "h2".into();
-        let wire = m.encode();
-        let d = fw.route_inbound_wire(&wire, SimTime::ZERO).unwrap();
+        let wire = bytes::Bytes::from(m.encode());
+        let d = fw.route_inbound_wire_bytes(&wire, SimTime::ZERO).unwrap();
         assert!(matches!(d, Decision::DeliverLocal { .. }));
         let stats = fw.stats();
         assert_eq!(stats.frames_received, 1);

@@ -157,40 +157,17 @@ impl Message {
         frame.encode_into(out);
     }
 
-    /// Decodes a message from wire bytes.
+    /// Decodes a message from a shared buffer, zero-copy: the message
+    /// frame and its nested payload briefcase are both sliced out of
+    /// `bytes`' allocation, so element data (page bodies, agent binaries)
+    /// is never copied off the wire buffer.
     ///
     /// # Errors
     ///
     /// [`FirewallError::BadWire`] on any malformation; hostile input
     /// cannot panic the firewall.
-    pub fn decode(bytes: &[u8]) -> Result<Self, FirewallError> {
-        let frame = Briefcase::decode(bytes).map_err(bad)?;
-        Message::from_frame(&frame, |payload| {
-            Briefcase::decode(payload.data()).map_err(bad)
-        })
-    }
-
-    /// Zero-copy decode: the message frame and its nested payload
-    /// briefcase are both sliced out of `bytes`' shared allocation, so
-    /// element data (page bodies, agent binaries) is never copied off the
-    /// wire buffer.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Message::decode`].
     pub fn decode_bytes(bytes: &Bytes) -> Result<Self, FirewallError> {
         let frame = Briefcase::decode_bytes(bytes).map_err(bad)?;
-        Message::from_frame(&frame, |payload| {
-            Briefcase::decode_bytes(payload.bytes()).map_err(bad)
-        })
-    }
-
-    /// The shared field-extraction path behind both decoders; only the
-    /// nested-payload decode differs (copying vs slicing).
-    fn from_frame(
-        frame: &Briefcase,
-        decode_payload: impl FnOnce(&Element) -> Result<Briefcase, FirewallError>,
-    ) -> Result<Self, FirewallError> {
         let kind = match frame.single_str(wire::KIND).map_err(bad)? {
             "deliver" => MessageKind::Deliver,
             "go" => MessageKind::AgentTransfer { spawned: false },
@@ -216,7 +193,7 @@ impl Message {
         let hop = frame.single_str(wire::HOP).ok().map(str::to_owned);
         let hop_parent = frame.single_str(wire::HOP_PARENT).ok().map(str::to_owned);
         let payload = frame.element(wire::PAYLOAD, 0).map_err(bad)?;
-        let briefcase = decode_payload(payload)?;
+        let briefcase = Briefcase::decode_bytes(payload.bytes()).map_err(bad)?;
         Ok(Message {
             kind,
             from_host,
@@ -227,6 +204,17 @@ impl Message {
             hop,
             hop_parent,
         })
+    }
+
+    /// Copies `bytes` into a shared buffer and decodes it with
+    /// [`Message::decode_bytes`]. It exists only for hopbench
+    /// (`benchmark/`), which decodes frames it holds as `Vec<u8>`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly as [`Message::decode_bytes`].
+    pub fn decode(bytes: &[u8]) -> Result<Self, FirewallError> {
+        Message::decode_bytes(&Bytes::copy_from_slice(bytes))
     }
 
     /// The exact encoded size, for transfer-cost accounting — computed
@@ -451,11 +439,13 @@ mod tests {
 
     #[test]
     fn decode_bytes_matches_decode_and_shares_the_wire() {
+        // `decode` is the copying adapter hopbench calls.
         let m = sample();
         let wire = Bytes::from(m.encode());
         let copied = Message::decode(&wire).unwrap();
         let sliced = Message::decode_bytes(&wire).unwrap();
         assert_eq!(copied, sliced);
+        assert_eq!(sliced, m);
 
         // The nested payload's elements live inside the wire allocation.
         let base = wire.as_ptr() as usize;
@@ -464,7 +454,6 @@ mod tests {
         let p = e.bytes().as_ptr() as usize;
         assert!(p >= base && p + e.len() <= end);
 
-        // Rejection parity on garbage.
-        assert!(Message::decode_bytes(&Bytes::from_static(b"junk")).is_err());
+        assert!(Message::decode(b"junk").is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the inter-firewall wire format.
 
 use proptest::prelude::*;
-use tacoma_briefcase::{Briefcase, Folder};
+use tacoma_briefcase::{Briefcase, Bytes, Folder};
 use tacoma_firewall::{Message, MessageKind};
 use tacoma_security::Principal;
 use tacoma_uri::{AgentAddress, Instance};
@@ -60,16 +60,16 @@ proptest! {
     /// encode → decode is the identity on every constructible message.
     #[test]
     fn roundtrip(message in arb_message()) {
-        let wire = message.encode();
+        let wire = Bytes::from(message.encode());
         prop_assert_eq!(wire.len(), message.encoded_len());
-        let back = Message::decode(&wire).unwrap();
+        let back = Message::decode_bytes(&wire).unwrap();
         prop_assert_eq!(message, back);
     }
 
-    /// The decoder is total on arbitrary bytes.
+    /// The decoder `taxd` runs is total on arbitrary bytes.
     #[test]
     fn decode_total(bytes in prop::collection::vec(any::<u8>(), 0..400)) {
-        let _ = Message::decode(&bytes);
+        let _ = Message::decode_bytes(&Bytes::from(bytes));
     }
 
     /// Flipping one byte of a valid frame never panics, and either fails
@@ -79,6 +79,6 @@ proptest! {
         let mut wire = message.encode();
         let i = idx.index(wire.len());
         wire[i] ^= xor;
-        let _ = Message::decode(&wire);
+        let _ = Message::decode_bytes(&Bytes::from(wire));
     }
 }

@@ -73,7 +73,7 @@ fn received_notes(listener: &TransportListener, want: usize) -> BTreeMap<String,
         match listener.incoming().recv_timeout(Duration::from_millis(300)) {
             Ok(inbound) => {
                 assert_eq!(inbound.from_host, "alpha");
-                let message = Message::decode(&inbound.payload).unwrap();
+                let message = Message::decode_bytes(&inbound.payload).unwrap();
                 let note = message.briefcase.single_str("NOTE").unwrap().to_owned();
                 *notes.entry(note).or_insert(0) += 1;
             }

@@ -780,48 +780,6 @@ impl Journal {
         due.map_or(Ok(()), |lsn| self.ensure_synced(lsn))
     }
 
-    /// Journals a burst of parked messages under one group-commit fsync:
-    /// every record in the burst is written, then a single sync makes
-    /// them all durable before this returns. That amortizes the fsync a
-    /// write-ahead park pays across the burst while preserving the
-    /// write-ahead contract — provided the caller acknowledges none of
-    /// the burst before the call returns. Returns the assigned sequence
-    /// keys, in order.
-    ///
-    /// # Errors
-    ///
-    /// I/O failure on write, rotation, or fsync.
-    pub fn mail_parked_batch(&self, items: &[(Duration, Bytes)]) -> Result<Vec<u64>, JournalError> {
-        self.with_group(|group| {
-            let mut keys = Vec::with_capacity(items.len());
-            for (timeout, wire) in items {
-                keys.push(group.mail_parked(*timeout, wire)?);
-            }
-            Ok(keys)
-        })
-    }
-
-    /// Journals a burst of hop begins under one group-commit fsync (see
-    /// [`Journal::mail_parked_batch`] for the durability contract).
-    ///
-    /// # Errors
-    ///
-    /// I/O failure on write, rotation, or fsync.
-    pub fn hop_begin_batch(&self, hops: &[OpenHop]) -> Result<(), JournalError> {
-        self.with_group(|group| {
-            for hop in hops {
-                group.hop_begin(
-                    &hop.key,
-                    hop.parent.as_deref(),
-                    hop.inbound,
-                    &hop.to,
-                    &hop.wire,
-                )?;
-            }
-            Ok(())
-        })
-    }
-
     /// Forces any batched records to disk.
     ///
     /// # Errors

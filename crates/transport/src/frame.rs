@@ -190,55 +190,22 @@ impl Frame {
         out
     }
 
-    /// Decodes one frame from the front of `buf`, returning it and the
-    /// number of bytes consumed.
+    /// Decodes one frame from the front of a shared buffer, zero-copy:
+    /// the payload is a [`Bytes::slice`] of `buf`'s backing allocation, so
+    /// a briefcase frame read into one buffer flows to the firewall and VM
+    /// without the payload ever being copied.
+    ///
+    /// Returns the frame and the number of bytes consumed.
     ///
     /// # Errors
     ///
     /// [`TransportError::BadFrame`] on malformation,
     /// [`TransportError::FrameTooLarge`] when the declared payload
     /// exceeds `limits`.
-    pub fn decode(buf: &[u8], limits: &FrameLimits) -> Result<(Frame, usize), TransportError> {
-        let (kind, range) = Frame::decode_range(buf, limits)?;
-        Ok((
-            Frame {
-                kind,
-                payload: Bytes::copy_from_slice(&buf[range.clone()]),
-            },
-            range.end,
-        ))
-    }
-
-    /// Zero-copy decode from a shared buffer: the payload is a
-    /// [`Bytes::slice`] of `buf`'s backing allocation, so a briefcase
-    /// frame read into one buffer flows to the firewall and VM without
-    /// the payload ever being copied.
-    ///
-    /// Returns the frame and the number of bytes consumed.
-    ///
-    /// # Errors
-    ///
-    /// Exactly as [`Frame::decode`].
     pub fn decode_bytes(
         buf: &Bytes,
         limits: &FrameLimits,
     ) -> Result<(Frame, usize), TransportError> {
-        let (kind, range) = Frame::decode_range(buf, limits)?;
-        Ok((
-            Frame {
-                kind,
-                payload: buf.slice(range.clone()),
-            },
-            range.end,
-        ))
-    }
-
-    /// The shared validation path: parses and bounds-checks the header,
-    /// returning the payload's byte range within `buf`.
-    fn decode_range(
-        buf: &[u8],
-        limits: &FrameLimits,
-    ) -> Result<(FrameKind, std::ops::Range<usize>), TransportError> {
         if buf.len() < FRAME_HEADER_LEN {
             return Err(TransportError::BadFrame {
                 detail: format!("short header: {} bytes", buf.len()),
@@ -251,7 +218,13 @@ impl Frame {
                 detail: format!("payload truncated: want {total} bytes, have {}", buf.len()),
             });
         }
-        Ok((header.kind, FRAME_HEADER_LEN..total))
+        Ok((
+            Frame {
+                kind: header.kind,
+                payload: buf.slice(FRAME_HEADER_LEN..total),
+            },
+            total,
+        ))
     }
 
     /// Reads one frame from a blocking stream.
@@ -377,8 +350,8 @@ mod tests {
             FrameKind::AckSeq,
         ] {
             let f = Frame::new(kind, vec![1, 2, 3]);
-            let wire = f.encode();
-            let (back, used) = Frame::decode(&wire, &limits).unwrap();
+            let wire = Bytes::from(f.encode());
+            let (back, used) = Frame::decode_bytes(&wire, &limits).unwrap();
             assert_eq!(back, f);
             assert_eq!(used, wire.len());
         }
@@ -417,20 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn decode_bytes_is_zero_copy_and_matches_decode() {
+    fn decode_bytes_is_zero_copy() {
         let f = Frame::new(FrameKind::Briefcase, vec![5u8; 256]);
         let wire = Bytes::from(f.encode());
-        let (copied, used_a) = Frame::decode(&wire, &FrameLimits::default()).unwrap();
-        let (sliced, used_b) = Frame::decode_bytes(&wire, &FrameLimits::default()).unwrap();
-        assert_eq!(copied, sliced);
-        assert_eq!(used_a, used_b);
+        let (sliced, used) = Frame::decode_bytes(&wire, &FrameLimits::default()).unwrap();
+        assert_eq!(sliced, f);
+        assert_eq!(used, wire.len());
         // The sliced payload points inside the wire allocation.
         let base = wire.as_ptr() as usize;
         let p = sliced.payload.as_ptr() as usize;
         assert!(p >= base && p + sliced.payload.len() <= base + wire.len());
-        // The copying decode does not.
-        let q = copied.payload.as_ptr() as usize;
-        assert!(q < base || q >= base + wire.len());
     }
 
     #[test]
@@ -465,7 +434,8 @@ mod tests {
 
     #[test]
     fn garbage_is_bad_frame() {
-        let err = Frame::decode(b"NOTAFRAME!", &FrameLimits::default()).unwrap_err();
+        let err = Frame::decode_bytes(&Bytes::from_static(b"NOTAFRAME!"), &FrameLimits::default())
+            .unwrap_err();
         assert!(matches!(err, TransportError::BadFrame { .. }));
         let err = Frame::read_from(
             &mut b"TAXF\x02\x04\0\0\0\0".as_slice(),

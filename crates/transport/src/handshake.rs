@@ -17,6 +17,7 @@
 //! trust model of §2) — the peer is then treated as unauthenticated and
 //! the firewall's unauthenticated-rights policy applies downstream.
 
+use bytes::Bytes;
 use tacoma_briefcase::Briefcase;
 use tacoma_security::{Digest, Keyring, Principal, Signature, TrustStore};
 
@@ -67,8 +68,8 @@ pub fn build_welcome(host: &str) -> Vec<u8> {
 ///
 /// [`TransportError::BadFrame`] when the payload is not a WELCOME
 /// briefcase.
-pub fn parse_welcome(payload: &[u8]) -> Result<String, TransportError> {
-    let bc = Briefcase::decode(payload).map_err(|e| TransportError::BadFrame {
+pub fn parse_welcome(payload: &Bytes) -> Result<String, TransportError> {
+    let bc = Briefcase::decode_bytes(payload).map_err(|e| TransportError::BadFrame {
         detail: format!("welcome payload: {e}"),
     })?;
     Ok(bc
@@ -87,12 +88,12 @@ pub fn parse_welcome(payload: &[u8]) -> Result<String, TransportError> {
 /// unsigned while `require_signed`, signed by an untrusted principal, or
 /// carries a bad signature.
 pub fn verify_hello(
-    payload: &[u8],
+    payload: &Bytes,
     trust: &TrustStore,
     require_signed: bool,
 ) -> Result<HelloInfo, TransportError> {
     let rejected = |reason: String| TransportError::HandshakeFailed { reason };
-    let bc = Briefcase::decode(payload)
+    let bc = Briefcase::decode_bytes(payload)
         .map_err(|e| rejected(format!("hello is not a briefcase: {e}")))?;
     let host = bc
         .single_str(HOST)
@@ -153,7 +154,7 @@ mod tests {
     #[test]
     fn signed_hello_verifies_and_names_principal() {
         let (keys, trust) = trusted();
-        let payload = build_hello("h1", Some(&keys), 77);
+        let payload = Bytes::from(build_hello("h1", Some(&keys), 77));
         let info = verify_hello(&payload, &trust, true).unwrap();
         assert_eq!(info.host, "h1");
         assert_eq!(info.principal.unwrap().as_str(), "system@h1");
@@ -162,7 +163,7 @@ mod tests {
     #[test]
     fn unsigned_hello_needs_permissive_server() {
         let (_keys, trust) = trusted();
-        let payload = build_hello("h9", None, 1);
+        let payload = Bytes::from(build_hello("h9", None, 1));
         assert!(verify_hello(&payload, &trust, true).is_err());
         let info = verify_hello(&payload, &trust, false).unwrap();
         assert_eq!(info.host, "h9");
@@ -173,7 +174,7 @@ mod tests {
     fn untrusted_signer_is_refused_even_when_permissive() {
         let (_keys, trust) = trusted();
         let rogue = Keyring::generate(&Principal::local_system("evil"), 3);
-        let payload = build_hello("evil", Some(&rogue), 5);
+        let payload = Bytes::from(build_hello("evil", Some(&rogue), 5));
         assert!(matches!(
             verify_hello(&payload, &trust, false),
             Err(TransportError::HandshakeFailed { .. })
@@ -184,14 +185,18 @@ mod tests {
     fn tampered_host_breaks_signature() {
         let (keys, trust) = trusted();
         // Sign as h1 but claim to be h2: the MAC covers the host name.
-        let mut bc = Briefcase::decode(&build_hello("h1", Some(&keys), 9)).unwrap();
+        let mut bc =
+            Briefcase::decode_bytes(&Bytes::from(build_hello("h1", Some(&keys), 9))).unwrap();
         bc.set_single(HOST, "h2");
-        assert!(verify_hello(&bc.encode(), &trust, false).is_err());
+        assert!(verify_hello(&bc.wire_bytes(), &trust, false).is_err());
     }
 
     #[test]
     fn welcome_roundtrips() {
-        assert_eq!(parse_welcome(&build_welcome("srv")).unwrap(), "srv");
-        assert!(parse_welcome(b"junk").is_err());
+        assert_eq!(
+            parse_welcome(&Bytes::from(build_welcome("srv"))).unwrap(),
+            "srv"
+        );
+        assert!(parse_welcome(&Bytes::from_static(b"junk")).is_err());
     }
 }

@@ -1081,12 +1081,12 @@ mod tests {
 
         // The byte stream decodes back into the three frames.
         let limits = FrameLimits::default();
-        let mut rest: &[u8] = &sink.0;
-        let (f1, used) = Frame::decode(rest, &limits).unwrap();
-        rest = &rest[used..];
-        let (f2, used) = Frame::decode(rest, &limits).unwrap();
-        rest = &rest[used..];
-        let (f3, used) = Frame::decode(rest, &limits).unwrap();
+        let mut rest = Bytes::from(sink.0);
+        let (f1, used) = Frame::decode_bytes(&rest, &limits).unwrap();
+        rest = rest.slice(used..);
+        let (f2, used) = Frame::decode_bytes(&rest, &limits).unwrap();
+        rest = rest.slice(used..);
+        let (f3, used) = Frame::decode_bytes(&rest, &limits).unwrap();
         assert_eq!(used, rest.len());
         assert_eq!(f1.kind, FrameKind::BriefcaseSeq);
         let (seq, body) = crate::split_seq(&f1.payload).unwrap();

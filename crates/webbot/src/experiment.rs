@@ -209,7 +209,7 @@ fn collect(system: &mut TaxSystem, home: &str) -> CaseStudyOutcome {
     let data = reply
         .element("CABINET-DATA", 0)
         .unwrap_or_else(|_| panic!("no parked report; agent never came home? reply: {reply:?}"));
-    let parked = Briefcase::decode(data.data()).expect("parked briefcase decodes");
+    let parked = Briefcase::decode_bytes(data.bytes()).expect("parked briefcase decodes");
 
     let report = WebbotReport::read_from(&parked);
     let stamps = RunStamps::read_from(&parked);
@@ -244,7 +244,8 @@ mod tests {
 
     /// A site comfortably larger than the travelling agent (~0.6 MB of
     /// binaries), so the §5 trade-off points the paper's way; the
-    /// crossover below it is exercised by the E2/E8 benches.
+    /// crossover below it is exercised by `e2_wan_and_volume_sweep` and
+    /// `e8_mining_crossover` in `tests/paper_reproduction.rs`.
     fn small_params() -> CaseStudyParams {
         CaseStudyParams {
             pages: 60,

@@ -255,7 +255,7 @@ pub fn fetch_parked(
         .call_service(host, "ag_cabinet", owner, request)
         .ok()?;
     let data = reply.element("CABINET-DATA", 0).ok()?;
-    Briefcase::decode(data.data()).ok()
+    Briefcase::decode_bytes(data.bytes()).ok()
 }
 
 /// Fetches the parked report from `home`'s cabinet.

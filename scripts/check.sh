@@ -32,6 +32,11 @@ fi
 echo "==> cargo test"
 cargo test -q
 
+# hopbench builds against the workspace's public API, so deleting an item
+# it uses fails here rather than only in CI's release job.
+echo "==> hopbench builds (benchmark/)"
+cargo build --offline --locked --manifest-path benchmark/Cargo.toml
+
 echo "==> crash recovery (journal kill tests, release)"
 cargo test --release --test taxd_journal -q
 

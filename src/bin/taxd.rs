@@ -36,10 +36,11 @@ use std::env;
 use std::fs;
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tacoma::core::{AgentSpec, SystemBuilder, TaxSystem};
+use tacoma::core::{AgentSpec, SystemBuilder, TaxHost, TaxSystem};
 use tacoma::transport::{
     ListenerConfig, ReactorConfig, ReactorTransport, Transport, TransportListener,
 };
@@ -204,17 +205,13 @@ fn run(opts: &Options) -> Result<(), String> {
     // below; `taxsh stats --connect` is served straight off the firewall.
     let mut listener_config = ListenerConfig::trusting(&opts.host);
     listener_config.require_signed = opts.require_signed;
-    let deduped = Arc::new(std::sync::atomic::AtomicU64::new(0));
+    let deduped = Arc::new(AtomicU64::new(0));
     let stats_host = host.clone();
     let stats_transport = Arc::clone(&transport);
     let stats_journal = journal_handle.clone();
     let stats_deduped = Arc::clone(&deduped);
     listener_config.stats_provider = Some(Arc::new(move || {
-        let mut text = stats_host.with_firewall(|fw| {
-            fw.stats_mut().absorb_transport(&stats_transport.stats());
-            fw.stats_mut().hops_deduped = stats_deduped.load(std::sync::atomic::Ordering::Relaxed);
-            fw.stats().to_string()
-        });
+        let mut text = stats_line(&stats_host, &stats_transport, &stats_deduped);
         if let Some(journal) = &stats_journal {
             text.push_str(&format!("\njournal: {}", journal.stats()));
         }
@@ -239,7 +236,7 @@ fn run(opts: &Options) -> Result<(), String> {
             match journal.begin_inbound_hop(key, message.hop_parent.as_deref(), payload) {
                 Ok(true) => true,
                 Ok(false) => {
-                    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    counter.fetch_add(1, Ordering::Relaxed);
                     false
                 }
                 // Journal failure: forward anyway — degraded durability
@@ -340,13 +337,19 @@ fn run(opts: &Options) -> Result<(), String> {
         let _ = journal.checkpoint();
         println!("taxd: journal {}", journal.stats());
     }
-    let line = host.with_firewall(|fw| {
-        fw.stats_mut().absorb_transport(&transport.stats());
-        fw.stats_mut().hops_deduped = deduped.load(std::sync::atomic::Ordering::Relaxed);
-        fw.stats().to_string()
-    });
-    println!("taxd: stats {line}");
+    println!("taxd: stats {}", stats_line(&host, &transport, &deduped));
     Ok(())
+}
+
+/// The firewall's counter line with the reactor's transport counters and
+/// the door's dedup count folded in: the live `taxsh stats` answer and
+/// the exit line both print it, and hopbench parses both.
+fn stats_line(host: &TaxHost, transport: &ReactorTransport, deduped: &AtomicU64) -> String {
+    host.with_firewall(|fw| {
+        fw.stats_mut().absorb_transport(&transport.stats());
+        fw.stats_mut().hops_deduped = deduped.load(Ordering::Relaxed);
+        fw.stats().to_string()
+    })
 }
 
 /// Prints the events recorded since the last call and drops them: a

@@ -639,8 +639,8 @@ fn e7_wrapper_stack_reports_both_steps() {
     let reply = system
         .call_service(CLIENT, "ag_cabinet", &principal, fetch)
         .unwrap();
-    let parked = reply.element("CABINET-DATA", 0).unwrap().data().to_vec();
-    let report = WebbotReport::read_from(&Briefcase::decode(&parked).unwrap());
+    let parked = reply.element("CABINET-DATA", 0).unwrap();
+    let report = WebbotReport::read_from(&Briefcase::decode_bytes(parked.bytes()).unwrap());
     let internal_prefix = format!("http://{SERVER}/");
     let (internal, external): (Vec<_>, Vec<_>) = report
         .invalid
