@@ -10,8 +10,9 @@
 //! journal and one [`ReactorTransport`], the shape of a real daemon
 //! (listener connection threads plus the scheduler all appending to the
 //! same log and shipping through the same reactor). Each ship is the
-//! blocking `send` the firewall uses for agent transfers: it rides the
-//! reactor's pipelined window and waits for its own ack. Write-ahead
+//! blocking `send` the firewall uses for a synchronous transfer (a
+//! native program's `go`): it rides the reactor's pipelined window and
+//! waits for its own ack. Write-ahead
 //! records for a burst of `fsync_batch` cycles are journaled through one
 //! [`tacoma_journal::Journal::with_group`] group commit, and — because
 //! syncs are leader/follower — concurrent bursts from different threads
@@ -20,7 +21,11 @@
 //! proceed: the worst case group commit exists to avoid.
 //!
 //! Also reports the raw write-ahead amortization curve: microseconds per
-//! durable `hop-begin` record as the group-commit burst grows.
+//! durable `hop-begin` record as the group-commit burst grows, and — print
+//! only, no gate — the `segment_sync` row: the price of one synced append
+//! on a segment that grows with every write versus one zero-filled to its
+//! final length first, so appends overwrite and `sync_data` commits no
+//! file-size change.
 //!
 //! With `--json` the results are emitted as a JSON object (the format
 //! checked in as `BENCH_7.json`); `--smoke` shrinks the workload for CI;
@@ -31,6 +36,7 @@
 
 use std::env;
 use std::fs;
+use std::io::{Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -59,6 +65,10 @@ const BATCHES: [usize; 3] = [1, 8, 32];
 /// The CI gate: the best journaled throughput at fsync-batch >= 8 must be
 /// at least this fraction of the in-memory baseline.
 const THROUGHPUT_GATE: f64 = 0.5;
+
+/// The `segment_sync` probe's record size: a ≈ 440-byte agent frame plus
+/// its journal framing.
+const PROBE_RECORD_BYTES: usize = 520;
 
 /// The sink's address comes from the reactor's peer table; the port in
 /// each `send` is only the fallback for unmapped hosts.
@@ -334,13 +344,52 @@ fn write_ahead_latency(records: usize, batch: usize, wire: &Bytes) -> f64 {
     wall.as_secs_f64() * 1e6 / records as f64
 }
 
+/// µs per `write` + `sync_data` of one record: on a fresh file that each
+/// append grows, or (`preallocated`) on one zero-filled to its final
+/// length and synced first, so every append is an overwrite.
+#[allow(clippy::cast_precision_loss)]
+fn segment_sync(records: usize, preallocated: bool) -> f64 {
+    let dir = scratch_dir(if preallocated {
+        "seg_prealloc"
+    } else {
+        "seg_grow"
+    });
+    fs::create_dir_all(&dir).expect("probe dir");
+    let mut file = fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .truncate(true)
+        .open(dir.join("probe.taxj"))
+        .expect("probe file");
+    if preallocated {
+        file.write_all(&vec![0u8; records * PROBE_RECORD_BYTES])
+            .expect("zero-fill");
+        file.sync_all().expect("sync zero-fill");
+        file.seek(SeekFrom::Start(0)).expect("rewind");
+    }
+    let record = [0xA5u8; PROBE_RECORD_BYTES];
+    let started = Instant::now();
+    for _ in 0..records {
+        file.write_all(&record).expect("probe append");
+        file.sync_data().expect("probe sync");
+    }
+    let wall = started.elapsed();
+    drop(file);
+    let _ = fs::remove_dir_all(&dir);
+    wall.as_secs_f64() * 1e6 / records as f64
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let smoke = args.iter().any(|a| a == "--smoke");
     let check = args.iter().any(|a| a == "--check");
 
-    let (cycles, latency_records) = if smoke { (384, 96) } else { (19200, 512) };
+    let (cycles, latency_records, probe_records) = if smoke {
+        (384, 96, 200)
+    } else {
+        (19200, 512, 2000)
+    };
     let wire = build_transfer_wire(smoke);
     let park_wire = build_park_wire();
     let sink = Sink::start();
@@ -406,6 +455,20 @@ fn main() -> ExitCode {
         })
         .collect();
 
+    // Median of REPS rounds each; the rounds alternate the two layouts.
+    let mut growing = Vec::new();
+    let mut preallocated = Vec::new();
+    for _ in 0..REPS {
+        growing.push(segment_sync(probe_records, false));
+        preallocated.push(segment_sync(probe_records, true));
+    }
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let (growing, preallocated) = (median(growing), median(preallocated));
+    let sync_ratio = growing / preallocated.max(f64::MIN_POSITIVE);
+
     let inmem = runs[0].ops_per_sec;
     let batch8 = runs
         .iter()
@@ -448,7 +511,10 @@ fn main() -> ExitCode {
             let comma = if i + 1 < latencies.len() { "," } else { "" };
             println!("    {{ \"batch\": {batch}, \"us_per_record\": {us:.1} }}{comma}");
         }
-        println!("  ]");
+        println!("  ],");
+        println!(
+            "  \"segment_sync_us\": {{ \"records\": {probe_records}, \"record_bytes\": {PROBE_RECORD_BYTES}, \"growing\": {growing:.1}, \"preallocated\": {preallocated:.1}, \"ratio\": {sync_ratio:.2} }}"
+        );
         println!("}}");
     } else {
         println!(
@@ -486,6 +552,10 @@ fn main() -> ExitCode {
             print!(" batch {batch} = {us:.1}us/record;");
         }
         println!();
+        println!(
+            "segment_sync ({probe_records} x {PROBE_RECORD_BYTES} B, append + sync_data): \
+             growing {growing:.1}us/record, preallocated {preallocated:.1}us/record, ratio {sync_ratio:.2}x"
+        );
     }
 
     if check {

@@ -14,6 +14,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::task::Poll;
 use std::time::Duration;
 
 use parking_lot::RwLock;
@@ -23,10 +24,10 @@ use tacoma_security::{Principal, Rights};
 use tacoma_simnet::{HostId, Network, SimTime};
 use tacoma_taxscript::{GoDecision, Outcome};
 use tacoma_uri::{AgentAddress, AgentUri};
-use tacoma_vm::{ExecContext, HostHooks, VirtualMachine};
+use tacoma_vm::{ExecContext, Execution, HostHooks, Run, VirtualMachine};
 
 use crate::event::EventKind;
-use crate::host::{AgentTask, TaxHost};
+use crate::host::{AgentTask, Resumption, Settled, TaxHost};
 use crate::sched::TaskScope;
 use crate::service::{error_reply, ServiceAgent, ServiceEnv};
 use crate::TaxError;
@@ -170,8 +171,32 @@ impl Kernel {
             address,
             briefcase,
             hop,
+            resume: None,
         });
         Ok(())
+    }
+
+    /// Queues every task whose in-flight transfer `host`'s firewall has
+    /// settled, its verdict attached, behind the tasks already waiting.
+    /// Returns how many were queued.
+    pub fn resume_settled(&self, host: &TaxHost) -> usize {
+        let verdicts = host.with_firewall(tacoma_firewall::Firewall::take_verdicts);
+        let mut queued = 0;
+        for (token, verdict) in verdicts {
+            // A task killed while in flight is gone; its verdict only
+            // closed the books on the frame.
+            let Some((mut task, suspension, spawned)) = host.core.in_flight.lock().remove(&token)
+            else {
+                continue;
+            };
+            task.resume = Some(Resumption {
+                suspension,
+                settled: Settled { verdict, spawned },
+            });
+            host.push_task(task);
+            queued += 1;
+        }
+        queued
     }
 
     /// Delivers a briefcase to a local mobile agent's mailbox, running its
@@ -270,7 +295,7 @@ impl Kernel {
                 host.with_firewall(|fw| fw.ship(message, &remote, port, now, &*self.transport))?;
                 Ok(())
             }
-            Decision::Forwarded { .. } | Decision::Queued => Ok(()),
+            Decision::Forwarded { .. } | Decision::InFlight { .. } | Decision::Queued => Ok(()),
             Decision::InstallAgent {
                 vm,
                 address,
@@ -355,6 +380,8 @@ impl Kernel {
             principal: requester.clone(),
             depth: depth + 1,
             hop: None,
+            in_flight: None,
+            settled: None,
         };
         let mut env = ServiceEnv {
             host: host.name(),
@@ -372,11 +399,15 @@ impl Kernel {
     /// Executes one queued agent task on `host`: status check, VM lookup,
     /// hook wiring, execution, and completion bookkeeping. Runs on the
     /// global clock under the sequential scheduler and on the batch's
-    /// forked clock inside a tick scope.
-    pub(crate) fn run_task(&self, host: &TaxHost, task: AgentTask) {
+    /// forked clock inside a tick scope. A run that suspends on an
+    /// in-flight transfer is parked by its ship token until
+    /// [`Kernel::resume_settled`] queues it again; a resumed task carries
+    /// its run on instead of starting one.
+    pub(crate) fn run_task(&self, host: &TaxHost, mut task: AgentTask) {
         let now = self.now();
 
-        // Respect kill/stop decided while the task was queued.
+        // Respect kill/stop decided while the task was queued (or while
+        // its transfer was in flight).
         let status =
             host.with_firewall_read(|fw| fw.registry().get(&task.address).map(|r| r.status));
         match status {
@@ -394,16 +425,22 @@ impl Kernel {
             Some(AgentStatus::Running) => {}
         }
 
-        let vm: Option<Arc<dyn VirtualMachine>> = host.core.vms.read().get(&task.vm).cloned();
-        let Some(vm) = vm else {
-            host.record(
-                now,
-                Some(task.address.clone()),
-                EventKind::Rejected(format!("no VM named {:?}", task.vm)),
-            );
-            abort_hop(host, task.hop.as_deref());
-            host.with_firewall(|fw| fw.unregister_agent(&task.address));
-            return;
+        // A resumed run carries its program in its continuation.
+        let vm = if task.resume.is_some() {
+            None
+        } else {
+            let vm: Option<Arc<dyn VirtualMachine>> = host.core.vms.read().get(&task.vm).cloned();
+            let Some(vm) = vm else {
+                host.record(
+                    now,
+                    Some(task.address.clone()),
+                    EventKind::Rejected(format!("no VM named {:?}", task.vm)),
+                );
+                abort_hop(host, task.hop.as_deref());
+                host.with_firewall(|fw| fw.unregister_agent(&task.address));
+                return;
+            };
+            Some(vm)
         };
 
         let principal = match Principal::new(task.address.principal()) {
@@ -419,8 +456,6 @@ impl Kernel {
             }
         };
 
-        let (trust, natives) = exec_context_for(host);
-        let ctx = make_ctx(host, &trust, &natives);
         let mut hooks = KernelHooks {
             kernel: self.clone(),
             host: host.clone(),
@@ -428,12 +463,40 @@ impl Kernel {
             principal,
             depth: 0,
             hop: task.hop.clone(),
+            in_flight: None,
+            settled: None,
         };
-        let mut briefcase = task.briefcase;
-        let result = vm.execute(&mut briefcase, &mut hooks, &ctx);
+        let result = match (task.resume.take(), vm) {
+            (Some(resumption), _) => {
+                hooks.settled = Some(resumption.settled);
+                resumption
+                    .suspension
+                    .resume(&mut task.briefcase, &mut hooks)
+            }
+            (None, Some(vm)) => {
+                let (trust, natives) = exec_context_for(host);
+                let ctx = make_ctx(host, &trust, &natives);
+                vm.launch(&mut task.briefcase, &mut hooks, &ctx)
+            }
+            (None, None) => return, // Looked up above: a fresh run has a VM.
+        };
         let after = self.now();
 
-        match result {
+        let execution: Result<Execution, String> = match result {
+            Ok(Run::Suspended(suspension)) => match hooks.in_flight.take() {
+                Some((token, spawned)) => {
+                    host.core
+                        .in_flight
+                        .lock()
+                        .insert(token, (task, suspension, spawned));
+                    return;
+                }
+                None => Err("agent suspended with no transfer in flight".to_owned()),
+            },
+            Ok(Run::Done(execution)) => Ok(execution),
+            Err(e) => Err(e.to_string()),
+        };
+        match execution {
             Ok(execution) => {
                 if execution.trace.len() > 1 {
                     host.record(
@@ -443,10 +506,10 @@ impl Kernel {
                     );
                 }
                 match execution.outcome {
-                    Outcome::Moved { .. } => {
-                        // Departure was recorded by the go() hook; this
-                        // instance is terminated.
-                    }
+                    // Departure was recorded by the go() hook; this
+                    // instance is terminated. A finished run is never
+                    // suspended.
+                    Outcome::Moved { .. } | Outcome::Suspended => {}
                     outcome @ (Outcome::Finished | Outcome::Exit(_)) => {
                         host.record(
                             after,
@@ -457,11 +520,7 @@ impl Kernel {
                 }
             }
             Err(e) => {
-                host.record(
-                    after,
-                    Some(task.address.clone()),
-                    EventKind::Faulted(e.to_string()),
-                );
+                host.record(after, Some(task.address.clone()), EventKind::Faulted(e));
             }
         }
         // Every execution path above is terminal for this instance
@@ -486,11 +545,31 @@ impl Kernel {
         if let Some(action) = control {
             match action.kind {
                 ControlKind::Kill => {
-                    // Remove any queued execution and per-agent state; the
-                    // registry entry was already dropped by the firewall.
-                    let mut tasks = host.core.tasks.lock();
-                    tasks.retain(|t| t.address != action.agent);
-                    drop(tasks);
+                    // Remove any queued or parked execution and per-agent
+                    // state; the registry entry was already dropped by the
+                    // firewall. As in `run_task`, a killed agent's inbound
+                    // hop must never be replayed.
+                    let mut hops = Vec::new();
+                    let mut keep = |t: &AgentTask| {
+                        let killed = t.address == action.agent;
+                        if killed {
+                            hops.push(t.hop.clone());
+                        }
+                        !killed
+                    };
+                    host.core.tasks.lock().retain(&mut keep);
+                    host.core.parked.lock().retain(&mut keep);
+                    for hop in &hops {
+                        abort_hop(host, hop.as_deref());
+                    }
+                    // A run suspended on an in-flight transfer goes the
+                    // same way. Its inbound hop is already closed: the
+                    // transfer's begin named it as parent. The frame's
+                    // verdict settles the outbound hop.
+                    host.core
+                        .in_flight
+                        .lock()
+                        .retain(|_, (t, ..)| t.address != action.agent);
                     host.drop_agent_state(&action.agent);
                     host.record(
                         self.now(),
@@ -540,6 +619,11 @@ pub struct KernelHooks {
     /// transfers, so a journaled begin for the next hop proves this one
     /// progressed past its send.
     pub(crate) hop: Option<String>,
+    /// The ship token of the transfer a `poll_go`/`poll_spawn` left in
+    /// flight, with the instance a pending `spawn` pre-allocated.
+    pub(crate) in_flight: Option<(u64, Option<String>)>,
+    /// The verdict a resumed run's pending `go`/`spawn` is answered with.
+    pub(crate) settled: Option<Settled>,
 }
 
 impl KernelHooks {
@@ -591,13 +675,16 @@ impl KernelHooks {
         (target, absorbed)
     }
 
-    /// The shared transfer path behind `go` and `spawn`.
+    /// The shared transfer path behind `go` and `spawn`. Returns the ship
+    /// token when a `suspendable` transfer is left in flight, `None` when
+    /// it settled at once (the agent moved or landed locally).
     fn transfer(
         &mut self,
         uri: &str,
         briefcase: &Briefcase,
         spawned: bool,
-    ) -> Result<(), TaxError> {
+        suspendable: bool,
+    ) -> Result<Option<u64>, TaxError> {
         let mut travelling = briefcase.clone();
         let (target_text, absorbed) = self.run_wrappers(WrapKind::Move, uri, &mut travelling);
         if absorbed {
@@ -614,27 +701,76 @@ impl KernelHooks {
             spawned,
         );
         if self.host.journal().is_some() {
-            let key = hop_key(&message, self.hop.as_deref());
+            let key = hop_key(&message, self.hop.as_deref(), &self.agent);
             message = message.with_hop(key, self.hop.clone());
         }
         let now = self.now();
         let transport = Arc::clone(&self.kernel.transport);
-        let decision = self
-            .host
-            .with_firewall(|fw| fw.dispatch_outbound(message, now, &*transport))?;
+        let decision = self.host.with_firewall(|fw| {
+            if suspendable {
+                fw.dispatch_transfer(message, now, &*transport)
+            } else {
+                fw.dispatch_outbound(message, now, &*transport)
+            }
+        })?;
         match decision {
-            Decision::Forwarded { .. } => Ok(()),
+            Decision::Forwarded { .. } => Ok(None),
+            Decision::InFlight { token } => Ok(Some(token)),
             Decision::InstallAgent {
                 vm,
                 address,
                 briefcase,
                 hop,
                 ..
-            } => self.kernel.install(&self.host, vm, address, briefcase, hop),
+            } => self
+                .kernel
+                .install(&self.host, vm, address, briefcase, hop)
+                .map(|()| None),
             other => Err(TaxError::BadAgentSpec {
                 detail: format!("unexpected transfer decision {other:?}"),
             }),
         }
+    }
+
+    /// Reports a `go`'s settled verdict as an event and to the script.
+    fn finish_go(&mut self, uri: &str, result: Result<(), TaxError>) -> GoDecision {
+        let (kind, decision) = match result {
+            Ok(()) => (
+                EventKind::Departed { to: uri.to_owned() },
+                GoDecision::Moved,
+            ),
+            Err(e) => (EventKind::Rejected(e.to_string()), GoDecision::Unreachable),
+        };
+        self.host.record(self.now(), Some(self.agent.clone()), kind);
+        decision
+    }
+
+    /// Reports a `spawn`'s settled verdict: the child's instance, or a
+    /// rejection event and none.
+    fn finish_spawn(&mut self, instance: String, result: Result<(), TaxError>) -> Option<String> {
+        match result {
+            Ok(()) => Some(instance),
+            Err(e) => {
+                self.host.record(
+                    self.now(),
+                    Some(self.agent.clone()),
+                    EventKind::Rejected(e.to_string()),
+                );
+                None
+            }
+        }
+    }
+
+    /// Pre-allocates a `spawn`'s child instance so it can be reported
+    /// back (§3.1: "which is then reported back to the calling agent"),
+    /// and stamps it into the child's briefcase.
+    fn spawn_child(&mut self, briefcase: &Briefcase) -> (String, Briefcase) {
+        let instance = self
+            .host
+            .with_firewall(tacoma_firewall::Firewall::allocate_instance);
+        let mut child = briefcase.clone();
+        child.set_single("SYS:INSTANCE", instance.as_str());
+        (instance.as_str().to_owned(), child)
     }
 }
 
@@ -644,16 +780,26 @@ enum WrapKind {
     Move,
 }
 
-/// Content-derived dedup key for a migration. Stable across a
-/// crash-redo of the sending task (VM execution is deterministic, so a
-/// replayed run rebuilds the identical message) yet distinct across
-/// genuinely different sends: the parent key chains every hop to its
-/// predecessor, so even a `go` back to a previously visited host under
-/// the same briefcase hashes differently.
-fn hop_key(message: &Message, parent: Option<&str>) -> String {
+/// Dedup key for a migration. Stable across a crash-redo of the sending
+/// task (VM execution is deterministic, so a replayed run rebuilds the
+/// identical message) yet distinct across genuinely different sends: the
+/// parent key chains every hop to its predecessor, so even a `go` back to
+/// a previously visited host under the same briefcase hashes differently.
+/// A root hop has no parent; it mixes in the launch identity instead —
+/// the agent's `name:instance` (Figure 2's URI) — so two independent
+/// launches of a byte-identical agent get distinct keys.
+fn hop_key(message: &Message, parent: Option<&str>, agent: &AgentAddress) -> String {
     let mut hasher = tacoma_security::Hasher::new();
+    let launch;
+    let origin = match parent {
+        Some(parent) => parent,
+        None => {
+            launch = format!("launch:{}:{}", agent.name(), agent.instance().as_str());
+            &launch
+        }
+    };
     let to = message.to.to_string();
-    for field in [parent.unwrap_or(""), &message.from_host, &to] {
+    for field in [origin, &message.from_host, &to] {
         hasher.update(&(field.len() as u64).to_le_bytes());
         hasher.update(field.as_bytes());
     }
@@ -691,44 +837,45 @@ impl HostHooks for KernelHooks {
     }
 
     fn go(&mut self, uri: &str, briefcase: &Briefcase) -> GoDecision {
-        match self.transfer(uri, briefcase, false) {
-            Ok(()) => {
-                self.host.record(
-                    self.now(),
-                    Some(self.agent.clone()),
-                    EventKind::Departed { to: uri.to_owned() },
-                );
-                GoDecision::Moved
-            }
-            Err(e) => {
-                self.host.record(
-                    self.now(),
-                    Some(self.agent.clone()),
-                    EventKind::Rejected(e.to_string()),
-                );
-                GoDecision::Unreachable
-            }
-        }
+        let result = self.transfer(uri, briefcase, false, false).map(drop);
+        self.finish_go(uri, result)
     }
 
     fn spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Option<String> {
-        // Pre-allocate the child's instance so it can be reported back
-        // (§3.1: "which is then reported back to the calling agent").
-        let instance = self
-            .host
-            .with_firewall(tacoma_firewall::Firewall::allocate_instance);
-        let mut child = briefcase.clone();
-        child.set_single("SYS:INSTANCE", instance.as_str());
-        match self.transfer(uri, &child, true) {
-            Ok(()) => Some(instance.as_str().to_owned()),
-            Err(e) => {
-                self.host.record(
-                    self.now(),
-                    Some(self.agent.clone()),
-                    EventKind::Rejected(e.to_string()),
-                );
-                None
+        let (instance, child) = self.spawn_child(briefcase);
+        let result = self.transfer(uri, &child, true, false).map(drop);
+        self.finish_spawn(instance, result)
+    }
+
+    fn poll_go(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<GoDecision> {
+        if let Some(settled) = self.settled.take() {
+            let result = settled.verdict.map_err(TaxError::from);
+            return Poll::Ready(self.finish_go(uri, result));
+        }
+        match self.transfer(uri, briefcase, false, true) {
+            Ok(Some(token)) => {
+                self.in_flight = Some((token, None));
+                Poll::Pending
             }
+            Ok(None) => Poll::Ready(self.finish_go(uri, Ok(()))),
+            Err(e) => Poll::Ready(self.finish_go(uri, Err(e))),
+        }
+    }
+
+    fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
+        if let Some(settled) = self.settled.take() {
+            let instance = settled.spawned.unwrap_or_default();
+            let result = settled.verdict.map_err(TaxError::from);
+            return Poll::Ready(self.finish_spawn(instance, result));
+        }
+        let (instance, child) = self.spawn_child(briefcase);
+        match self.transfer(uri, &child, true, true) {
+            Ok(Some(token)) => {
+                self.in_flight = Some((token, Some(instance)));
+                Poll::Pending
+            }
+            Ok(None) => Poll::Ready(self.finish_spawn(instance, Ok(()))),
+            Err(e) => Poll::Ready(self.finish_spawn(instance, Err(e))),
         }
     }
 
@@ -881,8 +1028,10 @@ impl HostHooks for KernelHooks {
                 Some(reply)
             }
             Decision::Queued => None,
-            // route_outbound never produces Forwarded (only dispatch does).
-            Decision::Forwarded { .. } | Decision::InstallAgent { .. } => None,
+            // route_outbound never produces these (only dispatch does).
+            Decision::Forwarded { .. }
+            | Decision::InFlight { .. }
+            | Decision::InstallAgent { .. } => None,
         }
     }
 

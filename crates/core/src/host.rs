@@ -7,12 +7,12 @@ use std::sync::Arc;
 use crossbeam::channel::Receiver;
 use parking_lot::{Mutex, RwLock};
 use tacoma_briefcase::Briefcase;
-use tacoma_firewall::Firewall;
+use tacoma_firewall::{Firewall, FirewallError};
 use tacoma_security::{Policy, TrustStore};
 use tacoma_simnet::Envelope;
 use tacoma_simnet::{HostId, SimTime};
 use tacoma_uri::{AgentAddress, DEFAULT_PORT};
-use tacoma_vm::{Architecture, NativeRegistry, VirtualMachine, VmBin, VmC, VmScript};
+use tacoma_vm::{Architecture, NativeRegistry, Suspension, VirtualMachine, VmBin, VmC, VmScript};
 
 use crate::event::{EventKind, HostEvent};
 use crate::sched::SystemLogHandle;
@@ -24,14 +24,38 @@ use crate::{wrappers, TaxError};
 /// One agent execution scheduled on a host: run `address`'s briefcase on
 /// VM `vm`. `hop` carries the journal dedup key of the migration that
 /// delivered the agent, if any; the kernel commits it when the task
-/// reaches a terminal outcome.
-#[derive(Debug, Clone)]
+/// reaches a terminal outcome. A task with `resume` carries on a run
+/// that suspended at a `go`/`spawn` instead of starting one.
+#[derive(Debug)]
 pub(crate) struct AgentTask {
     pub vm: String,
     pub address: AgentAddress,
     pub briefcase: Briefcase,
     pub hop: Option<String>,
+    pub resume: Option<Resumption>,
 }
+
+/// A suspended run whose transfer has been settled: the continuation and
+/// the verdict its pending `go`/`spawn` is answered with.
+#[derive(Debug)]
+pub(crate) struct Resumption {
+    pub suspension: Suspension,
+    pub settled: Settled,
+}
+
+/// The settled verdict of an in-flight transfer, as the resumed agent's
+/// hooks report it.
+#[derive(Debug)]
+pub(crate) struct Settled {
+    /// `Ok` when the peer acknowledged the frame.
+    pub verdict: Result<(), FirewallError>,
+    /// The child instance a pending `spawn` pre-allocated.
+    pub spawned: Option<String>,
+}
+
+/// A task parked while its transfer is in flight: the task, its
+/// continuation, and the instance a pending `spawn` pre-allocated.
+pub(crate) type InFlightTask = (AgentTask, Suspension, Option<String>);
 
 pub(crate) struct HostCore {
     pub name: HostId,
@@ -42,6 +66,8 @@ pub(crate) struct HostCore {
     pub vms: RwLock<BTreeMap<String, Arc<dyn VirtualMachine>>>,
     pub tasks: Mutex<VecDeque<AgentTask>>,
     pub parked: Mutex<Vec<AgentTask>>,
+    /// Tasks suspended on an in-flight transfer, by ship token.
+    pub in_flight: Mutex<HashMap<u64, InFlightTask>>,
     pub mailboxes: Mutex<HashMap<AgentAddress, VecDeque<Briefcase>>>,
     pub wrappers: Mutex<HashMap<AgentAddress, WrapperStack>>,
     pub events: Mutex<Vec<HostEvent>>,
@@ -399,6 +425,7 @@ impl HostBuilder {
                 vms: RwLock::new(vms),
                 tasks: Mutex::new(VecDeque::new()),
                 parked: Mutex::new(Vec::new()),
+                in_flight: Mutex::new(HashMap::new()),
                 mailboxes: Mutex::new(HashMap::new()),
                 wrappers: Mutex::new(HashMap::new()),
                 events: Mutex::new(Vec::new()),

@@ -3,12 +3,14 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_firewall::Message;
 use tacoma_security::{Keyring, Principal};
 use tacoma_simnet::{LinkSpec, MessageBus, Network, SimClock, SimTime, Topology};
+use tacoma_transport::Doorbell;
 use tacoma_uri::AgentAddress;
 
 use crate::agent::AgentSpec;
@@ -360,7 +362,9 @@ impl TaxSystem {
 
     /// Settles completions from a nonblocking transport into `host_name`'s
     /// firewall: acked ships are counted and their hops committed, failed
-    /// ships are parked for the redelivery sweep. Returns the number of
+    /// mail is parked for the redelivery sweep, and every agent suspended
+    /// on a settled transfer is queued to resume with its verdict (the
+    /// next [`TaxSystem::run_until_quiet`] runs it). Returns the number of
     /// completions settled. A no-op (returns 0) on blocking transports.
     ///
     /// # Errors
@@ -372,7 +376,9 @@ impl TaxSystem {
         })?;
         let now = self.kernel.now();
         let transport = Arc::clone(&self.kernel.transport);
-        Ok(host.with_firewall(|fw| fw.pump_transport(now, &*transport)))
+        let settled = host.with_firewall(|fw| fw.pump_transport(now, &*transport));
+        self.kernel.resume_settled(&host);
+        Ok(settled)
     }
 
     /// Frames `host_name` handed to a nonblocking transport whose
@@ -458,7 +464,7 @@ impl TaxSystem {
                         fw.replay_park(
                             message,
                             now,
-                            std::time::Duration::from_nanos(parked.timeout_nanos),
+                            Duration::from_nanos(parked.timeout_nanos),
                             parked.key,
                         );
                         summary.reparked += 1;
@@ -756,6 +762,13 @@ impl TaxSystem {
     /// livelock backstop). On exhaustion a warning event is recorded —
     /// check [`RunOutcome::quiesced`] rather than assuming silence means
     /// completion.
+    ///
+    /// Agents whose `go`/`spawn` rides a nonblocking transport suspend
+    /// instead of waiting, so "quiet" means no task can run now; those
+    /// agents resume after [`TaxSystem::pump_transport`] brings their
+    /// verdicts. When the scheduler goes quiet it releases every transfer
+    /// frame the turn held back, after one journal fsync covers all their
+    /// hop begins (the write-ahead barrier).
     pub fn run_until_quiet(&mut self) -> RunOutcome {
         self.run_for(MAX_STEPS)
     }
@@ -765,11 +778,13 @@ impl TaxSystem {
     pub fn run_for(&mut self, budget: usize) -> RunOutcome {
         let mut steps = 0;
         while steps < budget {
-            if !self.step() {
+            if self.step() {
+                steps += 1;
+            } else if self.release_held() == 0 {
                 return RunOutcome::Quiesced { steps };
             }
-            steps += 1;
         }
+        self.release_held();
         if self.is_quiet() {
             return RunOutcome::Quiesced { steps };
         }
@@ -785,6 +800,69 @@ impl TaxSystem {
             );
         }
         RunOutcome::StepBudgetExhausted { steps }
+    }
+
+    /// The write-ahead barrier on every host: one fsync per journal makes
+    /// the turn's hop begins durable, then the held transfer frames go to
+    /// the transport. A frame the peer's queue refused settled on the
+    /// blocking send; its sender is queued to resume. Returns how many
+    /// tasks that queued.
+    fn release_held(&mut self) -> usize {
+        let transport = Arc::clone(&self.kernel.transport);
+        if !transport.supports_nowait() {
+            return 0; // Only a nonblocking transport leaves transfers in flight.
+        }
+        let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
+        let mut resumed = 0;
+        for host in &hosts {
+            if host.with_firewall(|fw| fw.release_held(&*transport)) > 0 {
+                resumed += self.kernel.resume_settled(host);
+            }
+        }
+        resumed
+    }
+
+    /// Settles the sends this system has in flight on a nonblocking
+    /// transport, waiting at most until `deadline`: the held transfer
+    /// frames are released first (the write-ahead barrier), then every
+    /// host's completions are pumped until none is in flight. The agents
+    /// the verdicts resume are queued, not run. Between pumps that settle
+    /// nothing it waits on `doorbell` when given (one the transport rings
+    /// on every completion), and otherwise parks for 200 µs. Returns how
+    /// many sends are still in flight.
+    pub fn settle(&mut self, deadline: Instant, doorbell: Option<&Doorbell>) -> usize {
+        let transport = Arc::clone(&self.kernel.transport);
+        if !transport.supports_nowait() {
+            return 0;
+        }
+        self.release_held();
+        let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
+        let now = self.kernel.now();
+        loop {
+            let (mut settled, mut in_flight) = (0, 0);
+            for host in &hosts {
+                let (pumped, left) = host.with_firewall(|fw| {
+                    (fw.pump_transport(now, &*transport), fw.transport_inflight())
+                });
+                if pumped > 0 {
+                    self.kernel.resume_settled(host);
+                }
+                settled += pumped;
+                in_flight += left;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if in_flight == 0 || left.is_zero() {
+                return in_flight;
+            }
+            if settled == 0 {
+                match doorbell {
+                    Some(doorbell) => {
+                        doorbell.wait(left);
+                    }
+                    None => std::thread::sleep(SETTLE_POLL.min(left)),
+                }
+            }
+        }
     }
 
     /// Whether no messages or tasks are outstanding.
@@ -838,6 +916,27 @@ fn run_batch(kernel: &Kernel, host: &TaxHost, tasks: Vec<AgentTask>, scope: &Arc
                 "host batch panicked; remaining tasks in the batch were abandoned".into(),
             ),
         );
+    }
+}
+
+/// How long [`TaxSystem::settle`] parks between pumps when it has no
+/// doorbell to wait on.
+const SETTLE_POLL: Duration = Duration::from_micros(200);
+
+/// How long a dropped system waits for the sends it left in flight. A
+/// backstop only: [`TaxSystem::settle`] returns as soon as none is left.
+const SETTLE_ON_DROP: Duration = Duration::from_secs(1);
+
+impl Drop for TaxSystem {
+    /// Settles what the system left in flight on a nonblocking transport
+    /// before it goes: the transport can outlive the system (it is
+    /// shared), and a frame acked after the firewall is gone would never
+    /// have its hop committed or be counted. The agents suspended on
+    /// those frames are not resumed.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.settle(Instant::now() + SETTLE_ON_DROP, None);
+        }
     }
 }
 

@@ -52,6 +52,14 @@ pub enum Decision {
         /// Encoded size that went over the wire.
         bytes: usize,
     },
+    /// The agent transfer was handed over and its verdict comes back
+    /// later: [`Firewall::take_verdicts`] reports it under `token` once
+    /// [`Firewall::pump_transport`] (or [`Firewall::release_held`]) has
+    /// settled it. Only [`Firewall::dispatch_transfer`] produces this.
+    InFlight {
+        /// The ship token the verdict will carry.
+        token: u64,
+    },
     /// The receiver is absent or not ready; the message was queued with a
     /// timeout.
     Queued,
@@ -106,16 +114,36 @@ pub enum ControlKind {
     Resume,
 }
 
-/// A message handed to a nonblocking transport whose completion has not
-/// come back yet: everything needed to finish the bookkeeping (on ack) or
-/// to park the message (on failure) when [`Firewall::pump_transport`]
-/// drains the completion. Only plain deliveries ride this path, so a
-/// ticket never carries a hop key.
+/// A message handed to a nonblocking transport (or held for it) whose
+/// completion has not come back yet: everything needed to finish the
+/// bookkeeping when [`Firewall::pump_transport`] drains the completion.
+// Unboxed: a ticket lives in the in-flight map for one round trip, and
+// boxing the mail would cost an allocation per send.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-struct ShipTicket {
-    message: Message,
-    bytes: usize,
+enum ShipTicket {
+    /// A plain delivery: counted on ack, parked on failure.
+    Mail { message: Message, bytes: usize },
+    /// An agent transfer whose sender is suspended on the verdict: its
+    /// hop commits on ack and aborts on failure, and the verdict goes to
+    /// [`Firewall::take_verdicts`].
+    Transfer { hop: Option<String>, bytes: usize },
 }
+
+/// An outbound transfer frame held back until the journal record that
+/// begins its hop is durable (see [`Firewall::release_held`]).
+#[derive(Debug)]
+struct HeldFrame {
+    token: u64,
+    host: String,
+    port: u16,
+    wire: Bytes,
+}
+
+/// A settled in-flight transfer: its ship token, and `Ok` when the peer
+/// acknowledged the frame (the agent moved) or the error that lost it
+/// (the agent is told its destination was unreachable).
+pub type TransferVerdict = (u64, Result<(), FirewallError>);
 
 /// The per-host firewall.
 #[derive(Debug)]
@@ -135,6 +163,10 @@ pub struct Firewall {
     journal: Option<Arc<Journal>>,
     inflight: HashMap<u64, ShipTicket>,
     next_ship_token: u64,
+    held: Vec<HeldFrame>,
+    /// The LSN the next [`Firewall::release_held`] must make durable.
+    held_lsn: u64,
+    verdicts: Vec<TransferVerdict>,
 }
 
 impl Firewall {
@@ -158,6 +190,9 @@ impl Firewall {
             journal: None,
             inflight: HashMap::new(),
             next_ship_token: 1,
+            held: Vec::new(),
+            held_lsn: 0,
+            verdicts: Vec::new(),
         }
     }
 
@@ -428,6 +463,37 @@ impl Firewall {
         }
     }
 
+    /// Routes an agent transfer like [`Firewall::dispatch_outbound`], but
+    /// a remote hop on a nonblocking transport does not wait for its
+    /// verdict: it returns [`Decision::InFlight`], and the verdict comes
+    /// back through [`Firewall::take_verdicts`]. With a journal, the
+    /// hop's begin record is appended unsynced and the frame is held
+    /// until [`Firewall::release_held`] makes the records durable — one
+    /// fsync for every transfer of a scheduler turn. A transport without
+    /// a nonblocking path (the simnet) keeps the synchronous verdict.
+    ///
+    /// # Errors
+    ///
+    /// As [`Firewall::dispatch_outbound`].
+    pub fn dispatch_transfer(
+        &mut self,
+        message: Message,
+        now: SimTime,
+        transport: &dyn tacoma_transport::Transport,
+    ) -> Result<Decision, FirewallError> {
+        if !transport.supports_nowait() || matches!(message.kind, MessageKind::Deliver) {
+            return self.dispatch_outbound(message, now, transport);
+        }
+        match self.route_outbound(message, now)? {
+            Decision::ForwardRemote {
+                host,
+                port,
+                message,
+            } => self.ship_in_flight(message, &host, port, now, transport),
+            other => Ok(other),
+        }
+    }
+
     /// Hands one already-routed message to the transport, parking or
     /// reporting failures per message kind (the second half of
     /// [`Firewall::dispatch_outbound`], exposed for callers that routed
@@ -446,15 +512,7 @@ impl Firewall {
         now: SimTime,
         transport: &dyn tacoma_transport::Transport,
     ) -> Result<Decision, FirewallError> {
-        // `encoded_len` is O(folders) arithmetic, so the frame buffer is
-        // sized exactly once; the payload bytes inside come from the
-        // briefcase's encode-once cache, not a fresh serialization. The
-        // buffer is adopted into a shared `Bytes` so the journal record,
-        // the transport queue, and any park all reference the same heap
-        // allocation.
-        let mut buf = Vec::with_capacity(message.encoded_len());
-        message.encode_into(&mut buf);
-        let wire = Bytes::from(buf);
+        let wire = encode_frame(&message);
         // Write-ahead: a migration must be durable *before* the first
         // transmission attempt, so a crash between send and ack resumes
         // the hop instead of losing the agent. The journaled wire is the
@@ -471,22 +529,21 @@ impl Firewall {
         // bounded per-peer queue and complete later; the send is reported
         // `Forwarded` optimistically and [`Firewall::pump_transport`]
         // settles the books when the cumulative ack (or the retry-budget
-        // failure) comes back. Agent transfers stay on the blocking path
-        // deliberately: a failed `go`/`spawn` must surface to the waiting
-        // agent, and the hop-commit journal record must be written in
-        // execution order (before the task that sent it is marked
-        // finished), which only a synchronous ack guarantees. A blocking
-        // send still rides the reactor's pipelined window — it just waits
-        // for its own completion.
+        // failure) comes back. A transfer reaching this method wants its
+        // verdict now (a native program's `go`, or a simnet host), so it
+        // takes the blocking send; a suspendable agent's transfer goes
+        // through [`Firewall::dispatch_transfer`] instead. A blocking send
+        // still rides the reactor's pipelined window — it just waits for
+        // its own completion.
         if transport.supports_nowait() && matches!(message.kind, MessageKind::Deliver) {
-            let token = self.next_ship_token;
-            self.next_ship_token += 1;
+            let token = self.next_token();
             if transport
                 .send_nowait(&self.host, host, port, wire.clone(), token)
                 .is_ok()
             {
                 let bytes = wire.len();
-                self.inflight.insert(token, ShipTicket { message, bytes });
+                self.inflight
+                    .insert(token, ShipTicket::Mail { message, bytes });
                 return Ok(Decision::Forwarded {
                     host: host.to_owned(),
                     bytes,
@@ -497,43 +554,174 @@ impl Firewall {
             // which waits for queue space inside its retry budget instead
             // of dropping the frame.
         }
-        match transport.send(&self.host, host, port, &wire[..]) {
-            Ok(()) => {
-                if let (Some(journal), Some(key)) = (&self.journal, &hop_key) {
-                    // The receiver acked: it now owns the hop. Batched —
-                    // losing this record only re-ships a frame the
-                    // receiver's dedup set will suppress.
-                    let _ = journal.hop_committed(key);
-                }
-                self.stats.frames_sent += 1;
-                self.stats.bytes_sent += wire.len() as u64;
-                Ok(Decision::Forwarded {
+        self.send_blocking(
+            message,
+            &wire,
+            hop_key.as_deref(),
+            (host, port),
+            now,
+            transport,
+        )
+    }
+
+    /// The in-flight half of [`Firewall::dispatch_transfer`].
+    fn ship_in_flight(
+        &mut self,
+        message: Message,
+        host: &str,
+        port: u16,
+        now: SimTime,
+        transport: &dyn tacoma_transport::Transport,
+    ) -> Result<Decision, FirewallError> {
+        let wire = encode_frame(&message);
+        let bytes = wire.len();
+        let token = self.next_token();
+        let hop = match (&self.journal, &message.hop) {
+            (Some(journal), Some(key)) => {
+                // Write-ahead, batched: append now, send only once
+                // `release_held`'s fsync covers the record.
+                let parent = message.hop_parent.as_deref();
+                let lsn = journal.append_hop_begin(key, parent, false, host, &wire)?;
+                self.held_lsn = self.held_lsn.max(lsn);
+                self.held.push(HeldFrame {
+                    token,
                     host: host.to_owned(),
-                    bytes: wire.len(),
-                })
+                    port,
+                    wire,
+                });
+                Some(key.clone())
             }
-            Err(e) => {
-                self.stats.retry_timeouts += 1;
-                match message.kind {
-                    // A lost `go`/`spawn` must surface: the sending agent
-                    // is waiting to learn whether it moved — and since it
-                    // learns the hop failed, replay must not retry it.
-                    MessageKind::AgentTransfer { .. } => {
-                        if let (Some(journal), Some(key)) = (&self.journal, &hop_key) {
-                            let _ = journal.hop_aborted(key);
-                        }
-                        Err(FirewallError::Transport(e))
+            // Nothing to make durable first: straight into the peer's
+            // queue — or, when it is full, the blocking send, as for mail.
+            _ if transport
+                .send_nowait(&self.host, host, port, wire.clone(), token)
+                .is_ok() =>
+            {
+                None
+            }
+            _ => return self.send_blocking(message, &wire, None, (host, port), now, transport),
+        };
+        self.inflight
+            .insert(token, ShipTicket::Transfer { hop, bytes });
+        Ok(Decision::InFlight { token })
+    }
+
+    /// The write-ahead barrier: one fsync makes every hop begin that
+    /// [`Firewall::dispatch_transfer`] appended since the last call
+    /// durable, and only then are the held frames handed to the
+    /// transport — no transfer frame reaches the wire before its record
+    /// is on disk. A frame the peer's queue refuses takes the blocking
+    /// send, settled at once; if the fsync fails, every held transfer
+    /// fails unsent. Returns the number of frames released. Daemons call
+    /// this when the scheduler goes quiet.
+    pub fn release_held(&mut self, transport: &dyn tacoma_transport::Transport) -> usize {
+        if self.held.is_empty() {
+            return 0;
+        }
+        let held = std::mem::take(&mut self.held);
+        let released = held.len();
+        let durable = match &self.journal {
+            Some(journal) => journal
+                .ensure_synced(self.held_lsn)
+                .map_err(FirewallError::from),
+            None => Ok(()),
+        };
+        for frame in held {
+            let result = match &durable {
+                Err(e) => Err(e.clone()),
+                Ok(()) => {
+                    let wire = frame.wire.clone();
+                    if transport
+                        .send_nowait(&self.host, &frame.host, frame.port, wire, frame.token)
+                        .is_ok()
+                    {
+                        continue;
                     }
-                    // A plain delivery is parked with a timeout, exactly
-                    // like mail for a not-yet-arrived local agent.
-                    MessageKind::Deliver => {
-                        let key = self.journal_park(&message, Some(&wire));
-                        self.pending
-                            .enqueue_keyed(message, now, self.queue_timeout, key);
-                        self.stats.queued += 1;
-                        Ok(Decision::Queued)
-                    }
+                    transport
+                        .send(&self.host, &frame.host, frame.port, &frame.wire)
+                        .map_err(FirewallError::Transport)
                 }
+            };
+            if let Some(ShipTicket::Transfer { hop, bytes }) = self.inflight.remove(&frame.token) {
+                self.close_transfer(frame.token, hop.as_deref(), bytes, result);
+            }
+        }
+        released
+    }
+
+    /// Every transfer verdict settled since the last call, in settling
+    /// order. The kernel resumes each suspended sender with its verdict.
+    pub fn take_verdicts(&mut self) -> Vec<TransferVerdict> {
+        std::mem::take(&mut self.verdicts)
+    }
+
+    /// Closes the books on one in-flight transfer and queues its verdict
+    /// for the suspended sender.
+    fn close_transfer(
+        &mut self,
+        token: u64,
+        hop: Option<&str>,
+        bytes: usize,
+        result: Result<(), FirewallError>,
+    ) {
+        self.book(hop, bytes, result.is_ok());
+        self.verdicts.push((token, result));
+    }
+
+    /// Counts one settled send; for a journaled transfer, also closes its
+    /// hop — committed when the receiver acked it (it now owns the hop;
+    /// batched, since losing the record only re-ships a frame the
+    /// receiver's dedup set suppresses), aborted when it was lost (the
+    /// sender learns of the failure, so replay must not retry it).
+    fn book(&mut self, hop: Option<&str>, bytes: usize, delivered: bool) {
+        let journal = self.journal.as_ref().zip(hop);
+        if delivered {
+            self.stats.frames_sent += 1;
+            self.stats.bytes_sent += bytes as u64;
+            if let Some((journal, key)) = journal {
+                let _ = journal.hop_committed(key);
+            }
+        } else {
+            self.stats.retry_timeouts += 1;
+            if let Some((journal, key)) = journal {
+                let _ = journal.hop_aborted(key);
+            }
+        }
+    }
+
+    fn next_token(&mut self) -> u64 {
+        let token = self.next_ship_token;
+        self.next_ship_token += 1;
+        token
+    }
+
+    /// A blocking send and its bookkeeping: on ack the hop (if any)
+    /// commits; a lost transfer aborts its hop and surfaces, a lost
+    /// delivery parks.
+    fn send_blocking(
+        &mut self,
+        message: Message,
+        wire: &Bytes,
+        hop_key: Option<&str>,
+        (host, port): (&str, u16),
+        now: SimTime,
+        transport: &dyn tacoma_transport::Transport,
+    ) -> Result<Decision, FirewallError> {
+        let sent = transport.send(&self.host, host, port, &wire[..]);
+        self.book(hop_key, wire.len(), sent.is_ok());
+        match (sent, message.kind) {
+            (Ok(()), _) => Ok(Decision::Forwarded {
+                host: host.to_owned(),
+                bytes: wire.len(),
+            }),
+            // A lost `go`/`spawn` must surface: the sending agent is
+            // waiting to learn whether it moved.
+            (Err(e), MessageKind::AgentTransfer { .. }) => Err(FirewallError::Transport(e)),
+            // A plain delivery is parked with a timeout, exactly like
+            // mail for a not-yet-arrived local agent.
+            (Err(_), MessageKind::Deliver) => {
+                self.park(message, now, Some(wire));
+                Ok(Decision::Queued)
             }
         }
     }
@@ -559,28 +747,37 @@ impl Firewall {
                 continue; // Not ours (or already settled).
             };
             settled += 1;
-            match completion.result {
-                Ok(()) => {
-                    self.stats.frames_sent += 1;
-                    self.stats.bytes_sent += ticket.bytes as u64;
+            match ticket {
+                ShipTicket::Transfer { hop, bytes } => {
+                    let result = completion.result.map_err(FirewallError::Transport);
+                    self.close_transfer(completion.token, hop.as_deref(), bytes, result);
                 }
-                Err(_) => {
-                    self.stats.retry_timeouts += 1;
-                    let key = self.journal_park(&ticket.message, None);
-                    self.pending
-                        .enqueue_keyed(ticket.message, now, self.queue_timeout, key);
-                    self.stats.queued += 1;
+                ShipTicket::Mail { message, bytes } => {
+                    let delivered = completion.result.is_ok();
+                    self.book(None, bytes, delivered);
+                    if !delivered {
+                        self.park(message, now, None);
+                    }
                 }
             }
         }
         settled
     }
 
-    /// Frames handed to a nonblocking transport whose completion has not
-    /// been pumped yet. Daemons drain this to zero (or a deadline) before
-    /// reporting final stats.
+    /// Frames handed to a nonblocking transport (or held for it) whose
+    /// completion has not been pumped yet. Daemons drain this to zero (or
+    /// a deadline) before reporting final stats.
     pub fn transport_inflight(&self) -> usize {
         self.inflight.len()
+    }
+
+    /// Parks a remote-bound message whose send failed, for the
+    /// redelivery sweep: journaled, with the usual timeout.
+    fn park(&mut self, message: Message, now: SimTime, wire: Option<&Bytes>) {
+        let key = self.journal_park(&message, wire);
+        self.pending
+            .enqueue_keyed(message, now, self.queue_timeout, key);
+        self.stats.queued += 1;
     }
 
     /// Journals a `MailParked` record for a message about to enter the
@@ -1009,6 +1206,17 @@ impl Firewall {
             Err(matches) => Err(FirewallError::Ambiguous { target, matches }),
         }
     }
+}
+
+/// Encodes `message` as one shared frame buffer. `encoded_len` is
+/// O(folders) arithmetic, so the buffer is sized exactly once; the
+/// payload bytes inside come from the briefcase's encode-once cache, not
+/// a fresh serialization. The journal record, the transport queue, and
+/// any park all reference the same heap allocation.
+fn encode_frame(message: &Message) -> Bytes {
+    let mut buf = Vec::with_capacity(message.encoded_len());
+    message.encode_into(&mut buf);
+    Bytes::from(buf)
 }
 
 #[cfg(test)]
@@ -1584,8 +1792,14 @@ mod tests {
     #[derive(Debug, Default)]
     struct NowaitTransport {
         fail: std::sync::atomic::AtomicBool,
+        /// Refuse the nonblocking path, as a full peer queue does.
+        refuse: std::sync::atomic::AtomicBool,
         queued: parking_lot::Mutex<Vec<u64>>,
         blocking_sends: parking_lot::Mutex<usize>,
+        /// When set, the journal's `(records, fsyncs)` at each
+        /// nonblocking send.
+        watch: Option<Arc<Journal>>,
+        seen: parking_lot::Mutex<Vec<(u64, u64)>>,
     }
 
     impl tacoma_transport::Transport for NowaitTransport {
@@ -1620,6 +1834,16 @@ mod tests {
             _payload: bytes::Bytes,
             token: u64,
         ) -> Result<(), tacoma_transport::TransportError> {
+            if self.refuse.load(std::sync::atomic::Ordering::SeqCst) {
+                return Err(tacoma_transport::TransportError::QueueFull {
+                    host: "h2".into(),
+                    capacity: 0,
+                });
+            }
+            if let Some(journal) = &self.watch {
+                let js = journal.stats();
+                self.seen.lock().push((js.records, js.fsyncs));
+            }
             self.queued.lock().push(token);
             Ok(())
         }
@@ -1707,9 +1931,10 @@ mod tests {
         )
         .with_hop("aa11", None);
 
-        // A `go` must learn its fate synchronously — the hop is begun,
-        // sent blocking, and committed before dispatch returns, so the
-        // journal's commit ordering matches execution order.
+        // A `go` that wants its verdict now (a native program's) learns
+        // its fate synchronously — the hop is begun, sent blocking, and
+        // committed before dispatch returns. Suspendable agents use
+        // `dispatch_transfer` instead.
         let t = NowaitTransport::default();
         let d = fw.dispatch_outbound(transfer, SimTime::ZERO, &t).unwrap();
         assert!(matches!(d, Decision::Forwarded { .. }));
@@ -1718,6 +1943,132 @@ mod tests {
         let js = journal.stats();
         assert_eq!((js.open_hops, js.committed_hops), (0, 1));
         assert_eq!(fw.stats().frames_sent, 1);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    fn journaled_fw(tag: &str) -> (Firewall, Arc<Journal>, std::path::PathBuf) {
+        use tacoma_journal::JournalConfig;
+        let dir = std::env::temp_dir().join(format!("taxfw-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
+        let journal = Arc::new(journal);
+        let mut fw = Firewall::new("h1", 27017, Policy::trusting(), TrustStore::new());
+        fw.add_vm("vm_script");
+        fw.set_journal(Arc::clone(&journal));
+        (fw, journal, dir)
+    }
+
+    fn keyed_transfer(key: &str) -> Message {
+        let mut bc = Briefcase::new();
+        bc.set_single(folders::AGENT_NAME, "webbot");
+        bc.set_single("TAG", key);
+        Message::transfer(
+            "h1",
+            Principal::new("alice").unwrap(),
+            "tacoma://h2/vm_script".parse().unwrap(),
+            bc,
+            false,
+        )
+        .with_hop(key, None)
+    }
+
+    #[test]
+    fn transfers_ride_nowait_and_settle_by_verdict() {
+        let (mut fw, journal, dir) = journaled_fw("inflight");
+        let t = NowaitTransport::default();
+        let Decision::InFlight { token } = fw
+            .dispatch_transfer(keyed_transfer("aa11"), SimTime::ZERO, &t)
+            .unwrap()
+        else {
+            panic!("a transfer on a nowait transport is left in flight");
+        };
+        assert_eq!(fw.transport_inflight(), 1);
+        assert_eq!(*t.blocking_sends.lock(), 0);
+        assert_eq!(journal.stats().open_hops, 1, "begun before it ships");
+
+        assert_eq!(fw.release_held(&t), 1);
+        assert_eq!(fw.pump_transport(SimTime::ZERO, &t), 1);
+        assert_eq!(fw.take_verdicts(), vec![(token, Ok(()))]);
+        assert_eq!(fw.transport_inflight(), 0);
+        let js = journal.stats();
+        assert_eq!((js.open_hops, js.committed_hops), (0, 1));
+        assert_eq!(fw.stats().frames_sent, 1);
+
+        // A lost frame aborts its hop and reports the failure.
+        let Decision::InFlight { token } = fw
+            .dispatch_transfer(keyed_transfer("bb22"), SimTime::ZERO, &t)
+            .unwrap()
+        else {
+            panic!("in flight");
+        };
+        fw.release_held(&t);
+        t.fail.store(true, std::sync::atomic::Ordering::SeqCst);
+        fw.pump_transport(SimTime::ZERO, &t);
+        let verdicts = fw.take_verdicts();
+        assert_eq!(verdicts.len(), 1);
+        assert_eq!(verdicts[0].0, token);
+        assert!(matches!(verdicts[0].1, Err(FirewallError::Transport(_))));
+        // Aborted is terminal: the journal closes the hop either way.
+        let js = journal.stats();
+        assert_eq!((js.open_hops, js.committed_hops), (0, 2));
+        assert_eq!(fw.stats().retry_timeouts, 1);
+        assert_eq!(fw.pending_len(), 0, "a lost transfer is not parked");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn no_transfer_frame_reaches_the_transport_before_its_hop_begin_is_durable() {
+        let (mut fw, journal, dir) = journaled_fw("barrier");
+        let t = NowaitTransport {
+            watch: Some(Arc::clone(&journal)),
+            ..NowaitTransport::default()
+        };
+        let before = journal.stats();
+        for key in ["k1", "k2", "k3"] {
+            let d = fw
+                .dispatch_transfer(keyed_transfer(key), SimTime::ZERO, &t)
+                .unwrap();
+            assert!(matches!(d, Decision::InFlight { .. }));
+        }
+        // Three begins appended, none synced, and nothing sent.
+        let appended = journal.stats();
+        assert_eq!(appended.records, before.records + 3);
+        assert_eq!(appended.fsyncs, before.fsyncs);
+        assert!(t.seen.lock().is_empty(), "no frame before the barrier");
+
+        assert_eq!(fw.release_held(&t), 3);
+        // Every frame went out after exactly one fsync that covered all
+        // three begins.
+        let seen = t.seen.lock().clone();
+        assert_eq!(seen.len(), 3);
+        for (records, fsyncs) in seen {
+            assert_eq!(records, before.records + 3);
+            assert_eq!(fsyncs, before.fsyncs + 1);
+        }
+        assert_eq!(fw.release_held(&t), 0, "nothing held twice");
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_full_queue_sends_a_held_transfer_blocking() {
+        let (mut fw, journal, dir) = journaled_fw("queuefull");
+        let t = NowaitTransport::default();
+        t.refuse.store(true, std::sync::atomic::Ordering::SeqCst);
+        let Decision::InFlight { token } = fw
+            .dispatch_transfer(keyed_transfer("cc33"), SimTime::ZERO, &t)
+            .unwrap()
+        else {
+            panic!("in flight");
+        };
+        fw.release_held(&t);
+        assert_eq!(*t.blocking_sends.lock(), 1);
+        // Settled by the blocking send, without a pump.
+        assert_eq!(fw.take_verdicts(), vec![(token, Ok(()))]);
+        assert_eq!(fw.transport_inflight(), 0);
+        assert_eq!(journal.stats().committed_hops, 1);
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

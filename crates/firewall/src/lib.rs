@@ -34,7 +34,9 @@ mod stats;
 
 pub use admission::{AdmissionError, AdmissionPolicy, AdmissionVerdict};
 pub use error::FirewallError;
-pub use firewall::{ControlAction, ControlKind, Decision, Firewall, FIREWALL_AGENT_NAME};
+pub use firewall::{
+    ControlAction, ControlKind, Decision, Firewall, TransferVerdict, FIREWALL_AGENT_NAME,
+};
 pub use message::{Message, MessageKind};
 pub use pending::{PendingQueue, DEFAULT_QUEUE_TIMEOUT};
 pub use registry::{AgentStatus, Registration, Registry};

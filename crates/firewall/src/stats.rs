@@ -86,6 +86,9 @@ pub struct FirewallStats {
     /// Duplicate hop arrivals suppressed by the journal's dedup set
     /// (sender retries and replayed re-ships of already-executed hops).
     pub hops_deduped: u64,
+    /// Arriving hops the door forwarded although journaling them failed:
+    /// each ran without a durable record (degraded durability).
+    pub door_journal_errors: u64,
     /// `vm_bin` launches answered from the host's compiled-program cache
     /// (gauge, absorbed from the cache when stats are read).
     pub program_cache_hits: u64,
@@ -160,7 +163,7 @@ impl fmt::Display for FirewallStats {
              cache-hits={} cache-misses={} cache-evictions={} \
              tx-frames={} tx-bytes={} rx-frames={} rx-bytes={} reconnects={} handshake-fail={} retry-timeouts={} \
              acks={} retransmits={} q-depth={} q-high={} q-drops={} wakes={} \
-             jr-records={} jr-bytes={} jr-fsyncs={} jr-replayed={} jr-reparked={} jr-resumed={} hop-dedup={} \
+             jr-records={} jr-bytes={} jr-fsyncs={} jr-replayed={} jr-reparked={} jr-resumed={} hop-dedup={} door-journal-errors={} \
              prog-hits={} prog-misses={} prog-evictions={} pool-hits={} pool-misses={} pool-evictions={}",
             self.delivered_local,
             self.forwarded_remote,
@@ -194,6 +197,7 @@ impl fmt::Display for FirewallStats {
             self.journal_reparked,
             self.journal_resumed,
             self.hops_deduped,
+            self.door_journal_errors,
             self.program_cache_hits,
             self.program_cache_misses,
             self.program_cache_evictions,

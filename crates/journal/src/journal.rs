@@ -627,7 +627,11 @@ impl Journal {
     /// Rotation safety: `rotate()` fsyncs the outgoing file while holding
     /// the append lock, so any record at or below the snapshot tip is
     /// either in the snapshot file or already durable in an earlier one.
-    fn ensure_synced(&self, lsn: u64) -> Result<(), JournalError> {
+    ///
+    /// # Errors
+    ///
+    /// I/O failure on fsync.
+    pub fn ensure_synced(&self, lsn: u64) -> Result<(), JournalError> {
         if self.synced.load(Ordering::Acquire) >= lsn {
             return Ok(());
         }
@@ -698,14 +702,33 @@ impl Journal {
         to: &str,
         wire: &Bytes,
     ) -> Result<(), JournalError> {
-        let lsn = self.inner.lock().append(&Record::HopBegin {
+        let lsn = self.append_hop_begin(key, parent, inbound, to, wire)?;
+        self.ensure_synced(lsn)
+    }
+
+    /// Appends a hop begin *without* syncing it and returns its LSN: the
+    /// write-ahead barrier's half of [`Journal::hop_begin`]. The caller
+    /// holds the frame back until [`Journal::ensure_synced`] has covered
+    /// the LSN, so one fsync can make a whole turn's begins durable.
+    ///
+    /// # Errors
+    ///
+    /// I/O failure on write or rotation.
+    pub fn append_hop_begin(
+        &self,
+        key: &str,
+        parent: Option<&str>,
+        inbound: bool,
+        to: &str,
+        wire: &Bytes,
+    ) -> Result<u64, JournalError> {
+        self.inner.lock().append(&Record::HopBegin {
             key: key.to_owned(),
             parent: parent.map(str::to_owned),
             inbound,
             to: to.to_owned(),
             wire: wire.clone(),
-        })?;
-        self.ensure_synced(lsn)
+        })
     }
 
     /// The receiver's door: journals an inbound hop begin *unless* the key

@@ -21,15 +21,17 @@
 //! every termination point.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
+use std::task::Poll;
 
 use tacoma_briefcase::Briefcase;
 
 use crate::opt::{BinOp, ExecOp, ExecProgram};
 use crate::vm::{
-    add_values, call_builtin, compare_values, index_value, pop, pop2, BuiltinResult,
-    MAX_CALL_DEPTH, MAX_VALUE_STACK,
+    add_values, call_builtin, compare_values, go_result, index_value, pop, pop2, spawn_value,
+    BuiltinResult, MAX_CALL_DEPTH, MAX_VALUE_STACK,
 };
-use crate::{HostHooks, Outcome, RuntimeError, Value};
+use crate::{Builtin, HostHooks, Outcome, RuntimeError, Value};
 
 /// One call-stack entry. Unlike the legacy `Frame`, locals are slices
 /// of the shared arena, not an owned `Vec`.
@@ -42,6 +44,16 @@ struct ExecFrame {
     locals_base: u32,
 }
 
+/// Where a suspended run stopped: the lowered program it runs, the
+/// instruction after the `go`/`spawn` call, and the builtin to poll
+/// again (its arguments stay in the scratch's argument buffer).
+#[derive(Debug)]
+struct Suspended {
+    exec: Arc<ExecProgram>,
+    pc: u32,
+    builtin: Builtin,
+}
+
 /// Reusable interpreter state: the value stack, the locals arena, the
 /// frame stack, and a builtin-argument buffer.
 ///
@@ -51,12 +63,19 @@ struct ExecFrame {
 /// The scratch is cleared on entry to every run, and a pool clears it
 /// again when it is returned, so reuse never leaks values between
 /// agents.
+///
+/// A run that stops at a `go` or `spawn` whose verdict is in flight
+/// ([`Outcome::Suspended`]) leaves its whole state here — pc, fuel,
+/// frames, stack and locals: the scratch is then a first-order
+/// continuation, and [`ExecScratch::resume`] carries on from the call.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     stack: Vec<Value>,
     locals: Vec<Value>,
     frames: Vec<ExecFrame>,
     args: Vec<Value>,
+    suspended: Option<Suspended>,
+    fuel: u64,
 }
 
 impl ExecScratch {
@@ -75,16 +94,68 @@ impl ExecScratch {
     /// run leaves its stack, locals and builtin arguments behind until
     /// [`ExecScratch::clear`].
     pub fn is_empty(&self) -> bool {
-        self.stack.is_empty() && self.locals.is_empty() && self.args.is_empty()
+        self.stack.is_empty()
+            && self.locals.is_empty()
+            && self.args.is_empty()
+            && self.suspended.is_none()
     }
 
     /// Drops every value and frame the last run left behind, keeping the
-    /// buffers' capacity.
+    /// buffers' capacity. A suspended run is abandoned.
     pub fn clear(&mut self) {
         self.stack.clear();
         self.locals.clear();
         self.frames.clear();
         self.args.clear();
+        self.suspended = None;
+    }
+
+    /// Whether the last run stopped with [`Outcome::Suspended`] and has
+    /// not been resumed to its end since.
+    pub fn is_suspended(&self) -> bool {
+        self.suspended.is_some()
+    }
+
+    /// The fuel the last suspended or resumed run had left when it
+    /// stopped.
+    pub fn fuel_remaining(&self) -> u64 {
+        self.fuel
+    }
+
+    /// Carries on a suspended run: polls the `go` or `spawn` it stopped
+    /// at again, with the same arguments, and runs on from there on the
+    /// fuel it had left. A host still without a verdict suspends the run
+    /// again. The outcome is the one an uninterrupted run would have
+    /// reached — same trace, briefcase and fuel.
+    ///
+    /// # Errors
+    ///
+    /// Any [`RuntimeError`] the rest of the run raises, and
+    /// [`RuntimeError::CorruptProgram`] when nothing is suspended.
+    pub fn resume<H: HostHooks>(
+        &mut self,
+        hooks: &mut H,
+        briefcase: &mut Briefcase,
+    ) -> Result<Outcome, RuntimeError> {
+        let Some(suspended) = self.suspended.take() else {
+            return Err(corrupt("no suspended run to resume"));
+        };
+        let mut fuel = self.fuel;
+        let result = match poll_transfer(suspended.builtin, &self.args, hooks, briefcase) {
+            Poll::Pending => {
+                self.suspended = Some(suspended);
+                return Ok(Outcome::Suspended);
+            }
+            Poll::Ready(Ok(BuiltinResult::Value(v))) => {
+                self.stack.push(v);
+                let pc = suspended.pc as usize;
+                execute(&suspended.exec, pc, hooks, &mut fuel, self, briefcase)
+            }
+            Poll::Ready(Ok(BuiltinResult::Terminal(outcome))) => Ok(outcome),
+            Poll::Ready(Err(e)) => Err(e),
+        };
+        self.fuel = fuel;
+        result
     }
 }
 
@@ -282,36 +353,68 @@ fn binop_push(op: BinOp, a: &Value, b: &Value, stack: &mut Vec<Value>) -> Result
     Ok(())
 }
 
-/// Runs a lowered program to completion. `fuel` is decremented in
-/// place so callers can observe consumption afterwards.
+/// Runs a lowered program to completion or suspension. `fuel` is
+/// decremented in place so callers can observe consumption afterwards.
 pub(crate) fn run_fused<H: HostHooks>(
-    exec: &ExecProgram,
+    exec: &Arc<ExecProgram>,
     hooks: &mut H,
     fuel: &mut u64,
     scratch: &mut ExecScratch,
     briefcase: &mut Briefcase,
 ) -> Result<Outcome, RuntimeError> {
     scratch.clear();
-    let ExecScratch {
-        stack,
-        locals,
-        frames,
-        args,
-    } = scratch;
-
     let main_idx = exec.main_idx as usize;
-    let Some(mut cur) = exec.fns.get(main_idx) else {
+    let Some(main) = exec.fns.get(main_idx) else {
         return Err(corrupt("bad call target"));
     };
-    locals.resize(cur.n_locals as usize, Value::Nil);
-    frames.push(ExecFrame {
+    scratch.locals.resize(main.n_locals as usize, Value::Nil);
+    scratch.frames.push(ExecFrame {
         fn_idx: main_idx as u32,
         ret_pc: 0,
         stack_base: 0,
         locals_base: 0,
     });
-    let mut pc = 0usize;
-    let mut locals_base = 0usize;
+    execute(exec, 0, hooks, fuel, scratch, briefcase)
+}
+
+/// The dispatch loop, entered at `pc` of the innermost frame: at 0 of
+/// `main` for a fresh run, just past the suspending call for a resumed
+/// one.
+fn execute<H: HostHooks>(
+    program: &Arc<ExecProgram>,
+    mut pc: usize,
+    hooks: &mut H,
+    fuel: &mut u64,
+    scratch: &mut ExecScratch,
+    briefcase: &mut Briefcase,
+) -> Result<Outcome, RuntimeError> {
+    let exec: &ExecProgram = program;
+    let ExecScratch {
+        stack,
+        locals,
+        frames,
+        args,
+        suspended,
+        fuel: fuel_at_suspension,
+    } = scratch;
+    let Some(entry) = frames.last() else {
+        return Err(corrupt("no frame to run"));
+    };
+    let mut cur = &exec.fns[entry.fn_idx as usize];
+    let mut locals_base = entry.locals_base as usize;
+    // Parks the run at the builtin just called: the continuation is
+    // this scratch plus the pc after the call.
+    macro_rules! suspend {
+        ($builtin:expr) => {{
+            *suspended = Some(Suspended {
+                exec: Arc::clone(program),
+                pc: pc as u32,
+                builtin: $builtin,
+            });
+            *fuel_at_suspension = *fuel;
+            return Ok(Outcome::Suspended);
+        }};
+    }
 
     loop {
         let Some(&op) = cur.code.get(pc) else {
@@ -495,8 +598,10 @@ pub(crate) fn run_fused<H: HostHooks>(
                 locals_base = top.locals_base as usize;
             }
             ExecOp::CallBuiltin { builtin, argc } => {
-                if let Some(outcome) = run_builtin(builtin, argc, stack, args, hooks, briefcase)? {
-                    return Ok(outcome);
+                match run_builtin(builtin, argc, stack, args, hooks, briefcase)? {
+                    None => {}
+                    Some(Outcome::Suspended) => suspend!(builtin),
+                    Some(outcome) => return Ok(outcome),
                 }
             }
             ExecOp::ConstCallBuiltin {
@@ -505,8 +610,10 @@ pub(crate) fn run_fused<H: HostHooks>(
                 argc,
             } => {
                 stack.push(konst(&exec.consts, cidx)?.clone());
-                if let Some(outcome) = run_builtin(builtin, argc, stack, args, hooks, briefcase)? {
-                    return Ok(outcome);
+                match run_builtin(builtin, argc, stack, args, hooks, briefcase)? {
+                    None => {}
+                    Some(Outcome::Suspended) => suspend!(builtin),
+                    Some(outcome) => return Ok(outcome),
                 }
             }
         }
@@ -515,9 +622,11 @@ pub(crate) fn run_fused<H: HostHooks>(
 
 /// Shared builtin tail for `CallBuiltin` and `ConstCallBuiltin`:
 /// pops arguments into the reusable buffer and dispatches. Returns
-/// `Some(outcome)` for terminal builtins (`exit`, accepted `go`).
+/// `Some(outcome)` for terminal builtins (`exit`, accepted `go`) and
+/// [`Outcome::Suspended`] for a `go`/`spawn` whose verdict is in flight
+/// (the arguments stay in the buffer for the poll at resume).
 fn run_builtin<H: HostHooks>(
-    builtin: crate::Builtin,
+    builtin: Builtin,
     argc: u8,
     stack: &mut Vec<Value>,
     args: &mut Vec<Value>,
@@ -530,11 +639,41 @@ fn run_builtin<H: HostHooks>(
     }
     args.clear();
     args.extend(stack.drain(stack.len() - argc..));
-    match call_builtin(hooks, builtin, args, briefcase)? {
+    let result = match builtin {
+        Builtin::Go | Builtin::Spawn => match poll_transfer(builtin, args, hooks, briefcase) {
+            Poll::Ready(result) => result?,
+            Poll::Pending => return Ok(Some(Outcome::Suspended)),
+        },
+        _ => call_builtin(hooks, builtin, args, briefcase)?,
+    };
+    match result {
         BuiltinResult::Value(v) => {
             stack.push(v);
             Ok(None)
         }
         BuiltinResult::Terminal(outcome) => Ok(Some(outcome)),
+    }
+}
+
+/// Asks the host for a `go` or `spawn` verdict it may not have yet — the
+/// fused tier's one suspension point. A settled verdict means exactly
+/// what the legacy tier's synchronous call does.
+fn poll_transfer<H: HostHooks>(
+    builtin: Builtin,
+    args: &[Value],
+    hooks: &mut H,
+    briefcase: &Briefcase,
+) -> Poll<Result<BuiltinResult, RuntimeError>> {
+    let go = builtin == Builtin::Go;
+    let uri = match args[0].expect_str(if go { "go" } else { "spawn" }) {
+        Ok(uri) => uri,
+        Err(e) => return Poll::Ready(Err(e)),
+    };
+    if go {
+        hooks.poll_go(uri, briefcase).map(|d| Ok(go_result(d, uri)))
+    } else {
+        hooks
+            .poll_spawn(uri, briefcase)
+            .map(|instance| Ok(BuiltinResult::Value(spawn_value(instance))))
     }
 }

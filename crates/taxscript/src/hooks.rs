@@ -1,10 +1,12 @@
 //! The host interface: how a running agent reaches the TAX library
 //! primitives (§3.1) from inside the VM sandbox.
 
+use std::task::Poll;
+
 use tacoma_briefcase::Briefcase;
 
 /// The host's answer to a `go(uri)` request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GoDecision {
     /// The move will happen: the VM stops with
     /// [`Outcome::Moved`](crate::Outcome) and the host ships the
@@ -55,6 +57,24 @@ pub trait HostHooks {
     /// which is right for hosts without a virtual clock.
     fn work_ns(&mut self, nanos: u64) {
         let _ = nanos;
+    }
+
+    /// `go(uri)` from a VM that can suspend. A host whose transport
+    /// acknowledges later answers [`Poll::Pending`]: the fused
+    /// dispatcher then stops with [`Outcome::Suspended`](crate::Outcome),
+    /// its state held in the run's [`ExecScratch`](crate::ExecScratch),
+    /// and [`ExecScratch::resume`](crate::ExecScratch::resume) polls
+    /// again with the same arguments once the verdict is in. The default
+    /// answers at once through [`HostHooks::go`].
+    fn poll_go(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<GoDecision> {
+        Poll::Ready(self.go(uri, briefcase))
+    }
+
+    /// `spawn(uri)` from a VM that can suspend, as [`HostHooks::poll_go`]
+    /// is to `go`. The default answers at once through
+    /// [`HostHooks::spawn`].
+    fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
+        Poll::Ready(self.spawn(uri, briefcase))
     }
 }
 

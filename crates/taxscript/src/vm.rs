@@ -33,6 +33,11 @@ pub enum Outcome {
         /// Destination agent URI.
         to: String,
     },
+    /// The run stopped at a `go` or `spawn` whose verdict is still in
+    /// flight ([`HostHooks::poll_go`] answered pending). Only the fused
+    /// tier suspends; the run's [`ExecScratch`] holds the continuation,
+    /// and [`ExecScratch::resume`] carries on from the call.
+    Suspended,
 }
 
 struct Frame {
@@ -95,7 +100,12 @@ impl<'p, H: HostHooks> Vm<'p, H> {
     }
 
     /// Like [`Vm::run`], but reusing a caller-provided [`ExecScratch`]
-    /// so warm launches skip the stack/locals/frame allocations.
+    /// so warm launches skip the stack/locals/frame allocations. A run
+    /// whose hooks answer a `go` or `spawn` with
+    /// [`Poll::Pending`](std::task::Poll::Pending) ends
+    /// [`Outcome::Suspended`] and continues
+    /// through [`ExecScratch::resume`]; [`Vm::run`]'s own scratch would
+    /// drop that continuation.
     ///
     /// # Errors
     ///
@@ -351,23 +361,11 @@ pub(crate) fn call_builtin<H: HostHooks>(
         }
         B::Go => {
             let uri = args[0].expect_str("go")?;
-            match hooks.go(uri, bc) {
-                GoDecision::Moved => {
-                    return Ok(BuiltinResult::Terminal(Outcome::Moved {
-                        to: uri.to_owned(),
-                    }))
-                }
-                // Figure 4: `if (go(next, bc)) { display("Unable…") }`
-                // — go returns truthy exactly on failure.
-                GoDecision::Unreachable => Value::Int(1),
-            }
+            return Ok(go_result(hooks.go(uri, bc), uri));
         }
         B::Spawn => {
             let uri = args[0].expect_str("spawn")?;
-            match hooks.spawn(uri, bc) {
-                Some(instance) => Value::Str(instance),
-                None => Value::Nil,
-            }
+            spawn_value(hooks.spawn(uri, bc))
         }
         B::Activate => {
             let uri = args[0].expect_str("activate")?;
@@ -513,6 +511,22 @@ pub(crate) fn call_builtin<H: HostHooks>(
 pub(crate) enum BuiltinResult {
     Value(Value),
     Terminal(Outcome),
+}
+
+/// What a settled `go` verdict means to the script.
+pub(crate) fn go_result(decision: GoDecision, uri: &str) -> BuiltinResult {
+    match decision {
+        GoDecision::Moved => BuiltinResult::Terminal(Outcome::Moved { to: uri.to_owned() }),
+        // Figure 4: `if (go(next, bc)) { display("Unable…") }` — go
+        // returns truthy exactly on failure.
+        GoDecision::Unreachable => BuiltinResult::Value(Value::Int(1)),
+    }
+}
+
+/// What a settled `spawn` verdict means to the script: the child's
+/// instance, or nil.
+pub(crate) fn spawn_value(instance: Option<String>) -> Value {
+    instance.map_or(Value::Nil, Value::Str)
 }
 
 pub(crate) fn pop(stack: &mut Vec<Value>) -> Result<Value, RuntimeError> {

@@ -11,10 +11,13 @@
 //! never after, and with *equal* totals on every run that terminates
 //! (normally or via `exit`/`go`). Those bounds are asserted here too.
 
+use std::task::Poll;
+
 use proptest::prelude::*;
 use tacoma_briefcase::Briefcase;
 use tacoma_taxscript::{
-    compile_source, NullHooks, Op, Outcome, Program, RuntimeError, Vm, DEFAULT_FUEL,
+    compile_source, ExecScratch, GoDecision, HostHooks, NullHooks, Op, Outcome, Program,
+    RuntimeError, Vm, DEFAULT_FUEL,
 };
 
 /// A small statement AST rendered to TaxScript source. Loops always
@@ -41,6 +44,11 @@ enum Stmt {
     /// `go("…")` — NullHooks refuse the move, so this exercises the
     /// non-terminal branch of `go`.
     Go,
+    /// `v0 = hop("…");` — a `go` one call frame down, so a suspension
+    /// must restore a callee's frame.
+    GoInHelper,
+    /// `display(spawn("…"));` — the child's instance, or nil.
+    Spawn,
     /// `vN = helper(vM);` — exercises Call/Return frames.
     CallHelper(usize, usize),
 }
@@ -160,6 +168,8 @@ fn render_block(stmts: &[Stmt], depth: usize, out: &mut String) {
                 "if (bc_len(\"LOG\") > {threshold}) {{ exit({code}); }}\n"
             )),
             Stmt::Go => out.push_str("if (go(\"tacoma://h1/vm_script\")) { display(\"miss\"); }\n"),
+            Stmt::GoInHelper => out.push_str("v0 = hop(\"tacoma://h2/vm_script\");\n"),
+            Stmt::Spawn => out.push_str("display(spawn(\"tacoma://h3/vm_script\"));\n"),
             Stmt::CallHelper(dst, src) => out.push_str(&format!("v{dst} = helper(v{src});\n")),
         }
     }
@@ -180,6 +190,7 @@ fn render_program(stmts: &[Stmt]) -> String {
     body.push_str("display(v0, v1, v2, s0, s1);\n");
     format!(
         "fn helper(x) {{ if (x < 0) {{ return 0 - x; }} return x * 2 + 1; }}\n\
+         fn hop(u) {{ let t = 7; if (go(u)) {{ return t + 1; }} return t; }}\n\
          fn main() {{\n{body}}}\n"
     )
 }
@@ -238,6 +249,8 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         arb_int_expr().prop_map(Stmt::BcSetInt),
         ((2i64..12), (0i64..50)).prop_map(|(t, c)| Stmt::MaybeExit(t, c)),
         Just(Stmt::Go),
+        Just(Stmt::GoInHelper),
+        Just(Stmt::Spawn),
         ((0..N_INT_VARS), (0..N_INT_VARS)).prop_map(|(d, s)| Stmt::CallHelper(d, s)),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -321,8 +334,185 @@ fn assert_parity(program: &Program, src: &str) {
     }
 }
 
+/// A host that settles every `go` and `spawn` from a verdict script:
+/// bit `i` of `bits` decides the `i`-th transfer (set: moved, or the
+/// child `child-i` spawned; clear: unreachable, or nil).
+#[derive(Debug, Default)]
+struct Verdicts {
+    bits: u64,
+    next: u32,
+    displayed: Vec<String>,
+}
+
+impl Verdicts {
+    fn new(bits: u64) -> Self {
+        Verdicts {
+            bits,
+            ..Verdicts::default()
+        }
+    }
+
+    fn take(&mut self) -> (bool, u32) {
+        let i = self.next;
+        self.next += 1;
+        (self.bits >> (i % 64) & 1 == 1, i)
+    }
+}
+
+impl HostHooks for Verdicts {
+    fn display(&mut self, text: &str) {
+        self.displayed.push(text.to_owned());
+    }
+    fn go(&mut self, _uri: &str, _bc: &Briefcase) -> GoDecision {
+        match self.take() {
+            (true, _) => GoDecision::Moved,
+            (false, _) => GoDecision::Unreachable,
+        }
+    }
+    fn spawn(&mut self, _uri: &str, _bc: &Briefcase) -> Option<String> {
+        match self.take() {
+            (true, i) => Some(format!("child-{i}")),
+            (false, _) => None,
+        }
+    }
+    fn activate(&mut self, _uri: &str, _bc: &Briefcase) -> bool {
+        false
+    }
+    fn meet(&mut self, _uri: &str, _bc: &Briefcase) -> Option<Briefcase> {
+        None
+    }
+    fn await_bc(&mut self, _timeout_ms: i64) -> Option<Briefcase> {
+        None
+    }
+    fn now_ms(&mut self) -> i64 {
+        0
+    }
+    fn host_name(&mut self) -> String {
+        "localhost".to_owned()
+    }
+}
+
+/// Leaves every `go` and `spawn` in flight once: the first poll answers
+/// pending, the poll at resume settles it through the inner host.
+#[derive(Debug)]
+struct Deferring {
+    inner: Verdicts,
+    pending: bool,
+    suspensions: usize,
+}
+
+impl Deferring {
+    fn defer(&mut self) -> bool {
+        self.pending = !self.pending;
+        self.suspensions += usize::from(self.pending);
+        self.pending
+    }
+}
+
+impl HostHooks for Deferring {
+    fn display(&mut self, text: &str) {
+        self.inner.display(text);
+    }
+    fn go(&mut self, uri: &str, bc: &Briefcase) -> GoDecision {
+        self.inner.go(uri, bc)
+    }
+    fn spawn(&mut self, uri: &str, bc: &Briefcase) -> Option<String> {
+        self.inner.spawn(uri, bc)
+    }
+    fn activate(&mut self, uri: &str, bc: &Briefcase) -> bool {
+        self.inner.activate(uri, bc)
+    }
+    fn meet(&mut self, uri: &str, bc: &Briefcase) -> Option<Briefcase> {
+        self.inner.meet(uri, bc)
+    }
+    fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase> {
+        self.inner.await_bc(timeout_ms)
+    }
+    fn now_ms(&mut self) -> i64 {
+        self.inner.now_ms()
+    }
+    fn host_name(&mut self) -> String {
+        self.inner.host_name()
+    }
+    fn poll_go(&mut self, uri: &str, bc: &Briefcase) -> Poll<GoDecision> {
+        if self.defer() {
+            Poll::Pending
+        } else {
+            Poll::Ready(self.inner.go(uri, bc))
+        }
+    }
+    fn poll_spawn(&mut self, uri: &str, bc: &Briefcase) -> Poll<Option<String>> {
+        if self.defer() {
+            Poll::Pending
+        } else {
+            Poll::Ready(self.inner.spawn(uri, bc))
+        }
+    }
+}
+
+/// The fused tier run straight through against `Verdicts(bits)`.
+/// Returns the number of transfers it asked for too.
+fn run_uninterrupted(program: &Program, bits: u64) -> (Observed, u64, usize) {
+    let mut bc = seeded_briefcase();
+    let mut vm = Vm::new(program, Verdicts::new(bits));
+    let result = vm.run(&mut bc);
+    let used = DEFAULT_FUEL - vm.fuel_remaining();
+    let hooks = vm.into_hooks();
+    let observed = Observed {
+        result,
+        displayed: hooks.displayed,
+        briefcase: bc,
+    };
+    (observed, used, hooks.next as usize)
+}
+
+/// The same run with every transfer left in flight once: it suspends at
+/// each `go`/`spawn` and is resumed from its scratch. Returns the number
+/// of suspensions too.
+fn run_suspending(program: &Program, bits: u64) -> (Observed, u64, usize) {
+    let mut bc = seeded_briefcase();
+    let hooks = Deferring {
+        inner: Verdicts::new(bits),
+        pending: false,
+        suspensions: 0,
+    };
+    let mut vm = Vm::new(program, hooks);
+    let mut scratch = ExecScratch::new();
+    let mut result = vm.run_with_scratch(&mut bc, &mut scratch);
+    let mut fuel = vm.fuel_remaining();
+    while let Ok(Outcome::Suspended) = result {
+        assert!(scratch.is_suspended());
+        result = scratch.resume(vm.hooks_mut(), &mut bc);
+        fuel = scratch.fuel_remaining();
+    }
+    assert!(!scratch.is_suspended());
+    let hooks = vm.into_hooks();
+    let observed = Observed {
+        result,
+        displayed: hooks.inner.displayed,
+        briefcase: bc,
+    };
+    (observed, DEFAULT_FUEL - fuel, hooks.suspensions)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A run that suspends at every `go` and `spawn` and is resumed with
+    /// the verdict equals the uninterrupted run: outcome, display trace,
+    /// briefcase bytes and fuel. The verdict script covers both answers —
+    /// moved (the run ends there) and unreachable (the script carries on
+    /// from the call) — and both for `spawn`.
+    #[test]
+    fn suspended_run_matches_uninterrupted(src in arb_program(), bits in any::<u64>()) {
+        let program = compile_source(&src).expect("generated source compiles");
+        let (straight, used_straight, transfers) = run_uninterrupted(&program, bits);
+        let (resumed, used_resumed, suspensions) = run_suspending(&program, bits);
+        prop_assert_eq!(&straight, &resumed, "suspension changed the run of:\n{}", src);
+        prop_assert_eq!(straight.briefcase.encode(), resumed.briefcase.encode());
+        prop_assert_eq!(used_straight, used_resumed, "fuel diverged on:\n{}", src);
+        prop_assert_eq!(transfers, suspensions, "every transfer suspends once");
+    }
 
     /// With generous fuel both tiers agree on outcome, display trace,
     /// briefcase mutations, error class, and (for terminating runs)

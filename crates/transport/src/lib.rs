@@ -38,6 +38,7 @@
 
 pub mod backoff;
 pub mod conn;
+pub mod doorbell;
 pub mod error;
 pub mod frame;
 pub mod handshake;
@@ -50,6 +51,7 @@ pub mod window;
 
 pub use backoff::BackoffPolicy;
 pub use conn::{ConnectConfig, Connection};
+pub use doorbell::Doorbell;
 pub use error::TransportError;
 pub use frame::{
     frame_header, parse_ack_seq, split_seq, write_frame_vectored, Frame, FrameKind, FrameLimits,

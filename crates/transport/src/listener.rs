@@ -45,8 +45,8 @@ use crate::poll::{self, PollFd, WakeReader, Waker, POLLIN, POLLOUT};
 use crate::reactor::{FrameReader, ReadStatus, WriteQueue, HOUSEKEEPING_TICK};
 use crate::window::RecvWindow;
 use crate::{
-    build_welcome, split_seq, verify_hello, Frame, FrameKind, FrameLimits, TransportCounters,
-    TransportStats,
+    build_welcome, split_seq, verify_hello, Doorbell, Frame, FrameKind, FrameLimits,
+    TransportCounters, TransportStats,
 };
 
 /// Server-side configuration.
@@ -140,6 +140,7 @@ pub struct Inbound {
 pub struct TransportListener {
     addr: SocketAddr,
     rx: Receiver<Inbound>,
+    doorbell: Arc<Doorbell>,
     shutdown: Arc<AtomicBool>,
     /// The accept thread's and every shard's waker, so shutdown is seen
     /// at once.
@@ -165,6 +166,7 @@ impl TransportListener {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = TransportCounters::new();
         let (tx, rx) = unbounded();
+        let doorbell = Arc::new(Doorbell::new());
 
         let shard_count = config.shards.max(1);
         let mut intakes: Vec<(Sender<TcpStream>, Arc<Waker>)> = Vec::with_capacity(shard_count);
@@ -180,6 +182,7 @@ impl TransportListener {
                 wake,
                 config: config.clone(),
                 tx: tx.clone(),
+                doorbell: Arc::clone(&doorbell),
                 counters: counters.clone(),
                 shutdown: Arc::clone(&shutdown),
                 conns: Vec::new(),
@@ -199,6 +202,7 @@ impl TransportListener {
         Ok(TransportListener {
             addr: local,
             rx,
+            doorbell,
             shutdown,
             wakers,
             counters,
@@ -215,6 +219,14 @@ impl TransportListener {
     /// The channel inbound payloads arrive on.
     pub fn incoming(&self) -> &Receiver<Inbound> {
         &self.rx
+    }
+
+    /// The doorbell rung after every payload enters
+    /// [`TransportListener::incoming`]. Hand it to
+    /// [`ReactorTransport::ring_on_completion`](crate::ReactorTransport::ring_on_completion)
+    /// too, and one wait covers inbound frames and send completions.
+    pub fn doorbell(&self) -> Arc<Doorbell> {
+        Arc::clone(&self.doorbell)
     }
 
     /// Counter snapshot for the inbound side.
@@ -353,6 +365,7 @@ struct ListenerShard {
     wake: WakeReader,
     config: ListenerConfig,
     tx: Sender<Inbound>,
+    doorbell: Arc<Doorbell>,
     counters: TransportCounters,
     shutdown: Arc<AtomicBool>,
     conns: Vec<ConnState>,
@@ -592,12 +605,15 @@ impl ListenerShard {
         else {
             return false;
         };
-        self.tx
+        let sent = self
+            .tx
             .send(Inbound {
                 from_host: host.clone(),
                 from_principal: principal.clone(),
                 payload,
             })
-            .is_ok()
+            .is_ok();
+        self.doorbell.ring();
+        sent
     }
 }

@@ -41,7 +41,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -54,8 +54,9 @@ use crate::poll::{self, PollFd, WakeReader, Waker, POLLIN, POLLOUT};
 use crate::traits::Completion;
 use crate::window::SendWindow;
 use crate::{
-    frame_header, parse_ack_seq, BackoffPolicy, ConnectConfig, Connection, Frame, FrameKind,
-    FrameLimits, Transport, TransportCounters, TransportError, TransportStats, FRAME_HEADER_LEN,
+    frame_header, parse_ack_seq, BackoffPolicy, ConnectConfig, Connection, Doorbell, Frame,
+    FrameKind, FrameLimits, Transport, TransportCounters, TransportError, TransportStats,
+    FRAME_HEADER_LEN,
 };
 
 /// How many frames one `write_vectored` call may coalesce.
@@ -443,6 +444,8 @@ struct Shard {
     connect_results: Receiver<ConnectOutcome>,
     connect_tx: Sender<ConnectOutcome>,
     completions: Sender<Completion>,
+    /// Rung after every completion, once set ([`ReactorTransport::ring_on_completion`]).
+    doorbell: Arc<OnceLock<Arc<Doorbell>>>,
     counters: TransportCounters,
     config: ReactorConfig,
     nonce: Arc<AtomicU64>,
@@ -562,6 +565,9 @@ impl Shard {
             token: out.token,
             result,
         });
+        if let Some(doorbell) = self.doorbell.get() {
+            doorbell.ring();
+        }
     }
 
     fn apply_connect(&mut self, outcome: ConnectOutcome) {
@@ -825,6 +831,7 @@ pub struct ReactorTransport {
     shards: Vec<ShardHandle>,
     shard_threads: Mutex<Vec<JoinHandle<()>>>,
     completions_rx: Receiver<Completion>,
+    doorbell: Arc<OnceLock<Arc<Doorbell>>>,
     counters: TransportCounters,
     /// Host name → socket address overrides ([`ReactorTransport::add_peer`]).
     peers: Mutex<HashMap<String, String>>,
@@ -843,6 +850,7 @@ impl ReactorTransport {
     pub fn new(config: ReactorConfig) -> Self {
         let shard_count = config.shards.max(1);
         let (completions_tx, completions_rx) = unbounded();
+        let doorbell = Arc::new(OnceLock::new());
         let counters = TransportCounters::new();
         let seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -861,6 +869,7 @@ impl ReactorTransport {
                 connect_results,
                 connect_tx,
                 completions: completions_tx.clone(),
+                doorbell: Arc::clone(&doorbell),
                 counters: counters.clone(),
                 config: config.clone(),
                 nonce: Arc::clone(&nonce),
@@ -881,10 +890,18 @@ impl ReactorTransport {
             shards,
             shard_threads: Mutex::new(shard_threads),
             completions_rx,
+            doorbell,
             counters,
             peers: Mutex::new(HashMap::new()),
             depths: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Rings `doorbell` after every completion from here on, so a loop
+    /// waiting on it learns of acks and failures at once rather than on
+    /// its next poll. Set once; later calls are ignored.
+    pub fn ring_on_completion(&self, doorbell: Arc<Doorbell>) {
+        let _ = self.doorbell.set(doorbell);
     }
 
     /// Maps a firewall host name to a socket address

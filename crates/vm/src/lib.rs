@@ -31,6 +31,7 @@
 
 mod artifact;
 mod error;
+mod launch;
 mod pool;
 mod registry;
 mod vm_bin;
@@ -40,6 +41,7 @@ mod vmtrait;
 
 pub use artifact::{Architecture, ArtifactBundle, BinaryArtifact, ARTIFACT_MAGIC};
 pub use error::VmError;
+pub use launch::{Run, Suspension};
 pub use pool::{LaunchCaches, ProgramCache, VmPool, PROGRAM_CACHE_CAPACITY, VM_POOL_CAPACITY};
 pub use registry::{NativeProgram, NativeRegistry};
 pub use vm_bin::VmBin;

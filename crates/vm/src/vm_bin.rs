@@ -5,30 +5,12 @@ use std::sync::Arc;
 
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::{Digest, Principal, SecurityError, Signature};
-use tacoma_taxscript::{Program, Vm};
 
-use crate::vm_script::HooksProxy;
+use crate::launch::{Launcher, Run};
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
 use crate::{
     ArtifactBundle, ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmError,
-    VmPool,
 };
-
-/// Runs a decoded program with a scratch from `pool`, returning the
-/// scratch afterwards even on a fault.
-pub(crate) fn launch(
-    pool: &VmPool,
-    program: &Program,
-    briefcase: &mut Briefcase,
-    hooks: &mut dyn HostHooks,
-    fuel: u64,
-) -> Result<tacoma_taxscript::Outcome, VmError> {
-    let mut scratch = pool.checkout();
-    let mut vm = Vm::new(program, HooksProxy(hooks)).with_fuel(fuel);
-    let outcome = vm.run_with_scratch(briefcase, &mut scratch);
-    pool.checkin(scratch);
-    Ok(outcome?)
-}
 
 /// The binary VM. Safety mechanism: code signing — efficient execution
 /// "once sufficient trust has been established".
@@ -101,8 +83,36 @@ impl VirtualMachine for VmBin {
         hooks: &mut dyn HostHooks,
         ctx: &ExecContext<'_>,
     ) -> Result<Execution, VmError> {
-        let mut trace = Vec::new();
+        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
+    }
 
+    fn launch(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Run, VmError> {
+        self.run(briefcase, hooks, ctx, Vec::new())
+    }
+}
+
+impl VmBin {
+    fn launcher(&self) -> Launcher<'_> {
+        Launcher {
+            caches: &self.caches,
+            vm: VM_BIN_NAME,
+        }
+    }
+
+    /// Launches the signed binary in `briefcase`, its trace lines
+    /// appended to `trace` (what a VM that hands it on has recorded).
+    pub(crate) fn run(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+        mut trace: Vec<String>,
+    ) -> Result<Run, VmError> {
         // Trust first: vm_bin's whole safety story is the signature.
         match Self::verify_signature(briefcase, ctx) {
             Ok(()) => trace.push("vm_bin: signature verified against trusted principal".to_owned()),
@@ -127,9 +137,8 @@ impl VirtualMachine for VmBin {
                     "vm_bin: executing {} bytecode instructions",
                     program.instruction_count(),
                 ));
-                let outcome = launch(self.caches.pool(), &program, briefcase, hooks, ctx.fuel)?;
-                trace.push(format!("vm_bin: agent ended with {outcome:?}"));
-                Ok(Execution { outcome, trace })
+                self.launcher()
+                    .run(&program, briefcase, hooks, ctx.fuel, trace)
             }
             code_types::BINARY_ARTIFACT => {
                 let bundle = ArtifactBundle::decode(&code)?;
@@ -148,16 +157,15 @@ impl VirtualMachine for VmBin {
                     trace.push(format!("vm_bin: exec native program {key:?}"));
                     let outcome = program.run(briefcase, hooks)?;
                     trace.push(format!("vm_bin: agent ended with {outcome:?}"));
-                    Ok(Execution { outcome, trace })
+                    Ok(Run::Done(Execution { outcome, trace }))
                 } else {
                     let (program, _) = self.caches.programs().decode(&artifact.payload)?;
                     trace.push(format!(
                         "vm_bin: executing {} bytecode instructions",
                         program.instruction_count(),
                     ));
-                    let outcome = launch(self.caches.pool(), &program, briefcase, hooks, ctx.fuel)?;
-                    trace.push(format!("vm_bin: agent ended with {outcome:?}"));
-                    Ok(Execution { outcome, trace })
+                    self.launcher()
+                        .run(&program, briefcase, hooks, ctx.fuel, trace)
                 }
             }
             other => Err(VmError::UnsupportedCodeType {

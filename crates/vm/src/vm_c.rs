@@ -18,6 +18,7 @@ use std::sync::Arc;
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_taxscript::compile_source;
 
+use crate::launch::Run;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
 use crate::{ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmBin, VmError};
 
@@ -60,6 +61,15 @@ impl VirtualMachine for VmC {
         hooks: &mut dyn HostHooks,
         ctx: &ExecContext<'_>,
     ) -> Result<Execution, VmError> {
+        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
+    }
+
+    fn launch(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Run, VmError> {
         let code_type = code_type_of(briefcase);
         if code_type != code_types::TAXSCRIPT_SOURCE {
             return Err(VmError::UnsupportedCodeType {
@@ -111,12 +121,7 @@ impl VirtualMachine for VmC {
             fuel: ctx.fuel,
             allow_unsigned: true,
         };
-        let inner = self.bin.execute(briefcase, hooks, &bin_ctx)?;
-        trace.extend(inner.trace);
-        Ok(Execution {
-            outcome: inner.outcome,
-            trace,
-        })
+        self.bin.run(briefcase, hooks, &bin_ctx, trace)
     }
 }
 

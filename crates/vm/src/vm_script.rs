@@ -8,7 +8,7 @@ use tacoma_briefcase::Briefcase;
 use tacoma_taxscript::analysis::AnalysisFailure;
 use tacoma_taxscript::{compile_source, HostHooks, Program};
 
-use crate::vm_bin::launch;
+use crate::launch::{Launcher, Run};
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
 use crate::{ExecContext, Execution, LaunchCaches, VirtualMachine, VmError};
 
@@ -73,6 +73,15 @@ impl VirtualMachine for VmScript {
         hooks: &mut dyn HostHooks,
         ctx: &ExecContext<'_>,
     ) -> Result<Execution, VmError> {
+        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
+    }
+
+    fn launch(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Run, VmError> {
         let code_type = code_type_of(briefcase);
         let code = code_bytes(briefcase)?;
         let mut trace = Vec::new();
@@ -149,49 +158,11 @@ impl VirtualMachine for VmScript {
             }
         };
 
-        let outcome = launch(self.caches.pool(), program, briefcase, hooks, ctx.fuel)?;
-        trace.push(format!("vm_script: agent ended with {outcome:?}"));
-        Ok(Execution { outcome, trace })
-    }
-}
-
-/// Adapts `&mut dyn HostHooks` to the by-value hooks parameter of
-/// [`Vm::new`](tacoma_taxscript::Vm::new).
-pub(crate) struct HooksProxy<'a>(pub &'a mut dyn HostHooks);
-
-impl HostHooks for HooksProxy<'_> {
-    fn display(&mut self, text: &str) {
-        self.0.display(text);
-    }
-    fn go(&mut self, uri: &str, briefcase: &Briefcase) -> tacoma_taxscript::GoDecision {
-        self.0.go(uri, briefcase)
-    }
-    fn spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Option<String> {
-        self.0.spawn(uri, briefcase)
-    }
-    fn activate(&mut self, uri: &str, briefcase: &Briefcase) -> bool {
-        self.0.activate(uri, briefcase)
-    }
-    fn meet(&mut self, uri: &str, briefcase: &Briefcase) -> Option<Briefcase> {
-        self.0.meet(uri, briefcase)
-    }
-    fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase> {
-        self.0.await_bc(timeout_ms)
-    }
-    fn now_ms(&mut self) -> i64 {
-        self.0.now_ms()
-    }
-    fn host_name(&mut self) -> String {
-        self.0.host_name()
-    }
-    fn work_ns(&mut self, nanos: u64) {
-        self.0.work_ns(nanos);
-    }
-}
-
-impl std::fmt::Debug for HooksProxy<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HooksProxy")
+        Launcher {
+            caches: &self.caches,
+            vm: "vm_script",
+        }
+        .run(program, briefcase, hooks, ctx.fuel, trace)
     }
 }
 

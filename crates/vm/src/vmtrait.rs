@@ -4,7 +4,7 @@ use tacoma_briefcase::Briefcase;
 use tacoma_security::TrustStore;
 use tacoma_taxscript::{HostHooks, Outcome, DEFAULT_FUEL};
 
-use crate::{Architecture, NativeRegistry, VmError};
+use crate::{Architecture, NativeRegistry, Run, VmError};
 
 /// The `CODE-TYPE` folder values the standard VMs understand.
 pub mod code_types {
@@ -95,12 +95,38 @@ pub trait VirtualMachine: Send + Sync {
     /// [`VmError`] if the code cannot be extracted, verified, compiled, or
     /// run. Faults never escape as panics — that is the VM's §3.3 safety
     /// obligation.
+    ///
+    /// # Panics
+    ///
+    /// The built-in VMs run this as [`VirtualMachine::launch`] and panic
+    /// if the run suspends: hooks whose `poll_go`/`poll_spawn` can answer
+    /// pending must launch instead.
     fn execute(
         &self,
         briefcase: &mut Briefcase,
         hooks: &mut dyn HostHooks,
         ctx: &ExecContext<'_>,
     ) -> Result<Execution, VmError>;
+
+    /// Like [`VirtualMachine::execute`], but an agent whose `go` or
+    /// `spawn` the hooks answer pending ([`HostHooks::poll_go`]) stops
+    /// there, and the [`Suspension`] carries it on once the verdict is
+    /// in. The default runs [`VirtualMachine::execute`], so a VM that
+    /// keeps it must ask its hooks' synchronous `go`/`spawn`.
+    ///
+    /// # Errors
+    ///
+    /// As [`VirtualMachine::execute`].
+    ///
+    /// [`Suspension`]: crate::Suspension
+    fn launch(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Run, VmError> {
+        self.execute(briefcase, hooks, ctx).map(Run::Done)
+    }
 }
 
 /// Reads the briefcase's `CODE-TYPE` (defaulting to source for bare-code

@@ -40,6 +40,11 @@ cargo build --offline --locked --manifest-path benchmark/Cargo.toml
 echo "==> crash recovery (journal kill tests, release)"
 cargo test --release --test taxd_journal -q
 
+# The real-socket witness for transfers in flight: agents suspend on
+# nonblocking sends between two taxd processes.
+echo "==> two-daemon loopback (release)"
+cargo test --release --test taxd_loopback -q
+
 echo "==> execution-tier differential (serial + parallel harness, release)"
 cargo test --release -p tacoma-taxscript --test prop_differential -q -- --test-threads 1
 cargo test --release -p tacoma-taxscript --test prop_differential -q -- --test-threads 4

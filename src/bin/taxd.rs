@@ -37,10 +37,12 @@ use std::fs;
 use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::TryRecvError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tacoma::core::{AgentSpec, SystemBuilder, TaxHost, TaxSystem};
+use tacoma::journal::JournalError;
 use tacoma::transport::{
     ListenerConfig, ReactorConfig, ReactorTransport, Transport, TransportListener,
 };
@@ -48,7 +50,9 @@ use tacoma::transport::{
 /// How often the pending-queue sweep retries parked remote mail.
 const SWEEP_EVERY: Duration = Duration::from_millis(250);
 
-/// How long one `recv_timeout` on the inbound channel blocks.
+/// The longest one doorbell wait blocks: the housekeeping tick for the
+/// redelivery sweep and the idle exit. Frames and completions ring the
+/// doorbell and end the wait at once.
 const POLL_EVERY: Duration = Duration::from_millis(50);
 
 struct Options {
@@ -153,6 +157,8 @@ fn run(opts: &Options) -> Result<(), String> {
     // pipelined ack window; the loop below pumps completions.
     let mut config = ReactorConfig::default();
     config.connect.local_host.clone_from(&opts.host);
+    // One loop turn takes at most one ack window of inbound frames.
+    let batch = config.ack_window.max(1);
     let transport = Arc::new(ReactorTransport::new(config));
     for (name, addr) in &opts.peers {
         transport.add_peer(name.clone(), addr.clone());
@@ -205,13 +211,13 @@ fn run(opts: &Options) -> Result<(), String> {
     // below; `taxsh stats --connect` is served straight off the firewall.
     let mut listener_config = ListenerConfig::trusting(&opts.host);
     listener_config.require_signed = opts.require_signed;
-    let deduped = Arc::new(AtomicU64::new(0));
+    let door = Arc::new(DoorCounters::default());
     let stats_host = host.clone();
     let stats_transport = Arc::clone(&transport);
     let stats_journal = journal_handle.clone();
-    let stats_deduped = Arc::clone(&deduped);
+    let stats_door = Arc::clone(&door);
     listener_config.stats_provider = Some(Arc::new(move || {
-        let mut text = stats_line(&stats_host, &stats_transport, &stats_deduped);
+        let mut text = stats_line(&stats_host, &stats_transport, &stats_door);
         if let Some(journal) = &stats_journal {
             text.push_str(&format!("\njournal: {}", journal.stats()));
         }
@@ -219,11 +225,9 @@ fn run(opts: &Options) -> Result<(), String> {
     }));
     if let Some(journal) = &journal_handle {
         // The door-side dedup point: journal each arriving keyed hop
-        // *before* it is acked, and suppress (but still ack) retries of
-        // hops this journal has already seen — the sender stops retrying
-        // without the agent running twice.
+        // *before* it is acked.
         let journal = Arc::clone(journal);
-        let counter = Arc::clone(&deduped);
+        let door = Arc::clone(&door);
         listener_config.pre_ack = Some(Arc::new(move |payload| {
             let Ok(message) = tacoma::firewall::Message::decode_bytes(payload) else {
                 return true; // Let the firewall reject malformed frames.
@@ -233,16 +237,8 @@ fn run(opts: &Options) -> Result<(), String> {
             else {
                 return true; // Unkeyed traffic is not journaled at the door.
             };
-            match journal.begin_inbound_hop(key, message.hop_parent.as_deref(), payload) {
-                Ok(true) => true,
-                Ok(false) => {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                    false
-                }
-                // Journal failure: forward anyway — degraded durability
-                // must not lose the agent.
-                Err(_) => true,
-            }
+            let begun = journal.begin_inbound_hop(key, message.hop_parent.as_deref(), payload);
+            admit_at_door(&begun, &door)
         }));
     }
     let mut listener =
@@ -261,35 +257,45 @@ fn run(opts: &Options) -> Result<(), String> {
         system.launch(&opts.host, spec).map_err(|e| e.to_string())?;
     }
 
+    // One wait covers both sources: the listener and the reactor ring the
+    // same doorbell when a frame arrives or a send completes.
+    let doorbell = listener.doorbell();
+    transport.ring_on_completion(Arc::clone(&doorbell));
     let mut last_activity = Instant::now();
     let mut last_sweep = Instant::now();
-    loop {
-        if system.run_until_quiet().steps() > 0 {
-            last_activity = Instant::now();
-        }
+    'serve: loop {
         // Settle acked/failed nonblocking sends: commits hops, parks
-        // frames whose retry budget ran out.
-        if system
+        // failed mail, and queues every agent suspended on a settled
+        // transfer to resume with its verdict in this turn.
+        let settled = system
             .pump_transport(&opts.host)
-            .map_err(|e| e.to_string())?
-            > 0
-        {
+            .map_err(|e| e.to_string())?;
+        // Batch drain: every frame the listener holds, up to one ack
+        // window, joins this turn — so the turn's agents suspend on their
+        // transfers together and one journal fsync covers all their hops.
+        let mut injected = 0;
+        while injected < batch {
+            match listener.incoming().try_recv() {
+                Ok(inbound) => {
+                    system
+                        .inject_wire_bytes(&opts.host, &inbound.payload)
+                        .map_err(|e| e.to_string())?;
+                    injected += 1;
+                }
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => break 'serve,
+            }
+        }
+        let ran = system.run_until_quiet().steps();
+        print_new_events(&mut system);
+        if settled + injected + ran > 0 {
             last_activity = Instant::now();
         }
-        print_new_events(&mut system);
-
-        match listener.incoming().recv_timeout(POLL_EVERY) {
-            Ok(inbound) => {
-                last_activity = Instant::now();
-                system
-                    .inject_wire_bytes(&opts.host, &inbound.payload)
-                    .map_err(|e| e.to_string())?;
-                continue; // Run the scheduler before blocking again.
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {} // Housekeeping below.
+        if injected == batch {
+            continue; // More may wait: their ring was spent on an earlier wait.
         }
 
+        doorbell.wait(POLL_EVERY);
         if last_sweep.elapsed() >= SWEEP_EVERY {
             last_sweep = Instant::now();
             let (delivered, _reparked) = system
@@ -310,23 +316,15 @@ fn run(opts: &Options) -> Result<(), String> {
             }
         }
     }
-    // Drain whatever is still riding the reactor so the final stats and
+    // Settle whatever is still riding the reactor, and run the agents its
+    // verdicts resume (they may send again), so the final stats and
     // journal checkpoint reflect settled sends, not frames in limbo.
     let drain_deadline = Instant::now() + Duration::from_secs(5);
-    while system
-        .transport_inflight(&opts.host)
-        .map_err(|e| e.to_string())?
-        > 0
-        && Instant::now() < drain_deadline
-    {
-        if system
-            .pump_transport(&opts.host)
-            .map_err(|e| e.to_string())?
-            == 0
-        {
-            std::thread::sleep(Duration::from_millis(5));
+    loop {
+        let left = system.settle(drain_deadline, Some(&doorbell));
+        if left > 0 || system.run_until_quiet().steps() == 0 {
+            break;
         }
-        system.run_until_quiet();
     }
     listener.shutdown();
 
@@ -337,17 +335,48 @@ fn run(opts: &Options) -> Result<(), String> {
         let _ = journal.checkpoint();
         println!("taxd: journal {}", journal.stats());
     }
-    println!("taxd: stats {}", stats_line(&host, &transport, &deduped));
+    println!("taxd: stats {}", stats_line(&host, &transport, &door));
     Ok(())
 }
 
+/// What the door's pre-ack journaling did, for the stats line.
+#[derive(Debug, Default)]
+struct DoorCounters {
+    /// Retries of already-journaled hops, acked but suppressed.
+    deduped: AtomicU64,
+    /// Hops forwarded although journaling them failed.
+    journal_errors: AtomicU64,
+}
+
+/// The pre-ack verdict for one arriving keyed hop, given what journaling
+/// it returned. A fresh hop is forwarded. A hop the journal has already
+/// seen is acked but suppressed, so the sender stops retrying without
+/// the agent running twice. A journal failure forwards anyway — degraded
+/// durability must not lose the agent — and is counted, so the stats
+/// line shows the degradation.
+fn admit_at_door(begun: &Result<bool, JournalError>, door: &DoorCounters) -> bool {
+    match *begun {
+        Ok(fresh) => {
+            if !fresh {
+                door.deduped.fetch_add(1, Ordering::Relaxed);
+            }
+            fresh
+        }
+        Err(_) => {
+            door.journal_errors.fetch_add(1, Ordering::Relaxed);
+            true
+        }
+    }
+}
+
 /// The firewall's counter line with the reactor's transport counters and
-/// the door's dedup count folded in: the live `taxsh stats` answer and
-/// the exit line both print it, and hopbench parses both.
-fn stats_line(host: &TaxHost, transport: &ReactorTransport, deduped: &AtomicU64) -> String {
+/// the door's counts folded in: the live `taxsh stats` answer and the
+/// exit line both print it, and hopbench parses both.
+fn stats_line(host: &TaxHost, transport: &ReactorTransport, door: &DoorCounters) -> String {
     host.with_firewall(|fw| {
         fw.stats_mut().absorb_transport(&transport.stats());
-        fw.stats_mut().hops_deduped = deduped.load(Ordering::Relaxed);
+        fw.stats_mut().hops_deduped = door.deduped.load(Ordering::Relaxed);
+        fw.stats_mut().door_journal_errors = door.journal_errors.load(Ordering::Relaxed);
         fw.stats().to_string()
     })
 }
@@ -359,4 +388,27 @@ fn print_new_events(system: &mut TaxSystem) {
         println!("{host:>12}  {event}");
     }
     let _ = std::io::stdout().flush();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn door_forwards_fresh_hops_and_suppresses_duplicates() {
+        let door = DoorCounters::default();
+        assert!(admit_at_door(&Ok(true), &door));
+        assert!(!admit_at_door(&Ok(false), &door));
+        assert_eq!(door.deduped.load(Ordering::Relaxed), 1);
+        assert_eq!(door.journal_errors.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn door_journal_failure_forwards_and_is_counted() {
+        let door = DoorCounters::default();
+        let failed = Err(JournalError::Io(std::io::Error::other("disk full")));
+        assert!(admit_at_door(&failed, &door), "the agent must not be lost");
+        assert_eq!(door.journal_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(door.deduped.load(Ordering::Relaxed), 0);
+    }
 }

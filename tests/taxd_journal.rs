@@ -402,9 +402,8 @@ fn receiver_crash_after_commit_resumes_nothing() {
     let _ = fs::remove_dir_all(&beta_journal);
 }
 
-/// A round-trip agent with a per-agent marker baked into the source.
-/// Hop keys are content-derived, so three agents on the same itinerary
-/// must carry three distinct scripts to count as three distinct hops.
+/// A round-trip agent with a per-agent marker baked into the source, so
+/// each agent's displays can be counted apart.
 fn marked_hello(tag: &str) -> String {
     format!(
         r#"
@@ -528,6 +527,113 @@ fn receiver_crash_mid_window_executes_every_hop_exactly_once() {
             "{marker} ran {count} times:\nbeta1:\n{beta1_log}\nbeta2:\n{beta2_log}"
         );
     }
+
+    let _ = fs::remove_dir_all(&alpha_journal);
+    let _ = fs::remove_dir_all(&beta_journal);
+}
+
+/// The hello agent, busy for a while at `beta` before it heads home, so
+/// its return leg trails beta's acks by far more than an fsync.
+const SLOW_AT_BETA: &str = r#"
+    fn main() {
+        display("visiting " + host_name());
+        if (host_name() == "beta") {
+            let i = 0;
+            while (i < 2000000) { i = i + 1; }
+        }
+        let next = bc_remove("HOSTS", 0);
+        if (next == nil) { display("done"); exit(0); }
+        go(next);
+    }
+"#;
+
+/// Kill the *sender* while agents are suspended with their transfers in
+/// flight. Three byte-identical agents are launched — distinct launches,
+/// so distinct root hops. They run in one turn, each suspends at its
+/// `go`, one fsync covers the three hop begins, and the frames go out
+/// together. Alpha aborts at the first `hop-committed`, written when it
+/// settles the first ack (the agents stay busy at beta long enough that
+/// no return leg can be first): the other two agents are still
+/// suspended on frames beta may or may not have. The restart re-ships
+/// both open hops from the journal, beta's door suppresses any it
+/// already has, and every agent completes its itinerary exactly once.
+#[test]
+fn sender_crash_with_agents_suspended_in_flight_completes_each_once() {
+    let script = script_file("inflight", SLOW_AT_BETA);
+    let alpha_journal = journal_dir("inflight_alpha");
+    let beta_journal = journal_dir("inflight_beta");
+    let (alpha_port, beta_port) = free_ports();
+    let alpha_addr = format!("127.0.0.1:{alpha_port}");
+    let beta_addr = format!("127.0.0.1:{beta_port}");
+
+    let beta = spawn_daemon(&daemon_args(
+        "beta",
+        &beta_addr,
+        Some(("alpha", &alpha_addr)),
+        &beta_journal,
+        6000,
+        vec![],
+    ));
+    let mut alpha_extra = Vec::new();
+    for _ in 0..3 {
+        alpha_extra.push("--launch".into());
+        alpha_extra.push(script.to_string_lossy().into_owned());
+    }
+    alpha_extra.extend([
+        "--itinerary".into(),
+        "beta,alpha".into(),
+        "--crash-after-record".into(),
+        "hop-committed:1".into(),
+    ]);
+    let alpha1 = spawn_daemon(&daemon_args(
+        "alpha",
+        &alpha_addr,
+        Some(("beta", &beta_addr)),
+        &alpha_journal,
+        4000,
+        alpha_extra,
+    ));
+    let alpha1_log = alpha1.crash_finish();
+    let alpha2 = spawn_daemon(&daemon_args(
+        "alpha",
+        &alpha_addr,
+        Some(("beta", &beta_addr)),
+        &alpha_journal,
+        4000,
+        vec![],
+    ));
+
+    let alpha2_log = alpha2.finish();
+    let beta_log = beta.finish();
+    let _ = fs::remove_file(&script);
+
+    // Exactly the two suspended agents' hops were open at the crash.
+    assert_eq!(replay_field(&alpha2_log, "resumed-out"), 2, "{alpha2_log}");
+    assert_eq!(replay_field(&alpha2_log, "resumed-in"), 0, "{alpha2_log}");
+    // Each agent ran at beta once — a re-shipped frame beta already had
+    // was deduplicated at the door — and came home once.
+    assert_eq!(
+        displays(&beta_log),
+        ["visiting beta", "visiting beta", "visiting beta"],
+        "{beta_log}\nalpha1:\n{alpha1_log}"
+    );
+    assert!(stats_field(&beta_log, "hop-dedup") <= 2, "{beta_log}");
+    let mut home = displays(&alpha2_log);
+    home.sort();
+    assert_eq!(
+        home,
+        [
+            "done",
+            "done",
+            "done",
+            "visiting alpha",
+            "visiting alpha",
+            "visiting alpha"
+        ],
+        "{alpha2_log}"
+    );
+    // The launch leg ran in the crashed incarnation, at most once each.
+    assert!(displays(&alpha1_log).len() <= 3, "{alpha1_log}");
 
     let _ = fs::remove_dir_all(&alpha_journal);
     let _ = fs::remove_dir_all(&beta_journal);
