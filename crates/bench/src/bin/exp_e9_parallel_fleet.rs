@@ -1,12 +1,14 @@
 //! **E9 — the parallel tick scheduler on a Webbot fleet.**
 //!
-//! Runs the same `K`-pair mobilized-Webbot fleet under the sequential
-//! scheduler and under the BSP tick scheduler, and reports both clocks:
+//! Runs the same `K`-pair mobilized-Webbot fleet under the BSP tick
+//! scheduler with 1 and 4 workers, runs each pair alone, and reports both
+//! clocks:
 //!
-//! * **virtual makespan** — simulated time at quiescence. Under the tick
-//!   scheduler the per-tick barrier advances the global clock to the
-//!   *slowest* batch instead of the sum of all batches, so disjoint pairs
-//!   overlap and the makespan collapses toward one scan's length.
+//! * **virtual makespan** — simulated time at quiescence. The per-tick
+//!   barrier advances the global clock to the *slowest* batch instead of
+//!   the sum of all batches, so disjoint pairs overlap and the fleet's
+//!   makespan collapses toward one scan's length. The speedup is the sum
+//!   of the pairs' makespans, each run alone, over the fleet's.
 //! * **wall clock** — real time to run the scheduler, reported as the
 //!   minimum over several repetitions. It is reported, not gated: the
 //!   smoke fleet runs for a few milliseconds, too short for a tick-4 vs
@@ -225,18 +227,21 @@ fn main() -> ExitCode {
     };
 
     let runs = [
-        measure("sequential", &params, 0),
         measure("tick, 1 worker", &params, 1),
         measure("tick, 4 workers", &params, 4),
     ];
+    // Each pair alone: virtual time is deterministic, so one run each.
+    let alone: Vec<Duration> = (0..params.plan.len())
+        .map(|i| run_fleet(&params.pair_alone(i), 1).virtual_makespan)
+        .collect();
+    let alone_sum: Duration = alone.iter().sum();
     let migration = time_migrate(smoke);
     let admission = time_admission(smoke);
 
-    let seq = &runs[0];
-    let tick1 = &runs[1];
-    let tick4 = &runs[2];
-    let makespan_speedup = seq.virtual_makespan.as_secs_f64()
-        / tick4.virtual_makespan.as_secs_f64().max(f64::MIN_POSITIVE);
+    let tick1 = &runs[0];
+    let tick4 = &runs[1];
+    let makespan_speedup =
+        alone_sum.as_secs_f64() / tick4.virtual_makespan.as_secs_f64().max(f64::MIN_POSITIVE);
     let wall_speedup = tick1.wall.as_secs_f64() / tick4.wall.as_secs_f64().max(f64::MIN_POSITIVE);
 
     if json {
@@ -259,6 +264,15 @@ fn main() -> ExitCode {
             );
         }
         println!("  ],");
+        let alone_ms: Vec<String> = alone
+            .iter()
+            .map(|d| format!("{:.3}", d.as_secs_f64() * 1e3))
+            .collect();
+        println!("  \"pair_alone_makespans_ms\": [{}],", alone_ms.join(", "));
+        println!(
+            "  \"pair_alone_makespan_sum_ms\": {:.3},",
+            alone_sum.as_secs_f64() * 1e3
+        );
         println!("  \"virtual_makespan_speedup\": {makespan_speedup:.2},");
         println!("  \"wall_clock_speedup\": {wall_speedup:.2},");
         println!("  \"briefcase_migrate\": {{");
@@ -291,7 +305,7 @@ fn main() -> ExitCode {
         println!("}}");
     } else {
         println!(
-            "E9: parallel tick scheduler vs sequential, {}-pair Webbot fleet",
+            "E9: parallel tick scheduler, {}-pair Webbot fleet vs its pairs alone",
             params.plan.len()
         );
         println!(
@@ -315,7 +329,12 @@ fn main() -> ExitCode {
                 &widths,
             );
         }
-        println!("\nvirtual makespan speedup (sequential / tick-4): {makespan_speedup:.2}x");
+        println!(
+            "\npairs alone: {} virtual makespan summed over {} runs",
+            fmt_duration(alone_sum),
+            alone.len()
+        );
+        println!("virtual makespan speedup (pairs alone, summed / tick-4): {makespan_speedup:.2}x");
         println!("wall clock speedup (tick-1 / tick-4): {wall_speedup:.2}x");
         println!(
             "briefcase_migrate ({} folders x {} x {}B, fanout {}, {} hops): legacy {} vs cow {} ({:.2}x)",

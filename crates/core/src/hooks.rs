@@ -10,7 +10,8 @@
 //!   remote). A `meet` addressed to another mobile agent degrades to a
 //!   delivery (the reply would require preemptive scheduling, which the
 //!   deterministic scheduler deliberately avoids); the caller gets `None`.
-//! * `await` — reads the agent's mailbox, filled by earlier `activate`s.
+//! * `await` — waits for mail in the agent's mailbox, filled by
+//!   `activate`s, until a deadline on the kernel clock.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -27,7 +28,7 @@ use tacoma_uri::{AgentAddress, AgentUri};
 use tacoma_vm::{ExecContext, Execution, HostHooks, Run, VirtualMachine};
 
 use crate::event::EventKind;
-use crate::host::{AgentTask, Resumption, Settled, TaxHost};
+use crate::host::{AgentTask, Parked, Settled, TaxHost, Wait};
 use crate::sched::TaskScope;
 use crate::service::{error_reply, ServiceAgent, ServiceEnv};
 use crate::TaxError;
@@ -121,26 +122,6 @@ impl Kernel {
         n
     }
 
-    /// Pumps every host's inbox until no envelope remains anywhere —
-    /// models the other machines' firewall threads making progress while
-    /// an agent blocks in `await`. Agent *tasks* are not run here; only
-    /// message delivery (and the synchronous service work it triggers)
-    /// proceeds.
-    pub fn pump_all(&self) -> usize {
-        let hosts: Vec<TaxHost> = self.directory.read().values().cloned().collect();
-        let mut total = 0;
-        loop {
-            let mut this_pass = 0;
-            for host in &hosts {
-                this_pass += self.pump_inbox(host);
-            }
-            if this_pass == 0 {
-                return total;
-            }
-            total += this_pass;
-        }
-    }
-
     /// Installs an agent on a host: builds its wrapper stack, registers it
     /// with the firewall, delivers any queued mail, and schedules its run.
     /// `hop` is the journal dedup key of the migration that delivered the
@@ -185,15 +166,11 @@ impl Kernel {
         for (token, verdict) in verdicts {
             // A task killed while in flight is gone; its verdict only
             // closed the books on the frame.
-            let Some((mut task, suspension, spawned)) = host.core.in_flight.lock().remove(&token)
-            else {
+            let Some(mut parked) = host.unpark(&Wait::Transfer(token)) else {
                 continue;
             };
-            task.resume = Some(Resumption {
-                suspension,
-                settled: Settled { verdict, spawned },
-            });
-            host.push_task(task);
+            let spawned = parked.spawned.take();
+            host.wake(parked, Settled::Transfer(verdict, spawned));
             queued += 1;
         }
         queued
@@ -223,8 +200,13 @@ impl Kernel {
         }
         let absorbed = effects.absorbed;
         self.send_emissions(host, agent, effects.emit);
-        if !absorbed {
-            host.push_mail(agent, briefcase);
+        if absorbed {
+            return;
+        }
+        // A run parked in `await_bc` takes the mail as its answer.
+        match host.unpark(&Wait::Mail(agent.clone())) {
+            Some(parked) => host.wake(parked, Settled::Mail(Some(briefcase))),
+            None => host.push_mail(agent, briefcase),
         }
     }
 
@@ -303,8 +285,8 @@ impl Kernel {
                 hop,
                 ..
             } => self.install(host, vm, address, briefcase, hop),
-            Decision::Admin { reply, control } => {
-                self.apply_admin(host, reply, control, depth);
+            Decision::Admin { control, .. } => {
+                self.apply_admin(host, control);
                 Ok(())
             }
         }
@@ -380,7 +362,7 @@ impl Kernel {
             principal: requester.clone(),
             depth: depth + 1,
             hop: None,
-            in_flight: None,
+            waiting: None,
             settled: None,
         };
         let mut env = ServiceEnv {
@@ -397,12 +379,11 @@ impl Kernel {
     }
 
     /// Executes one queued agent task on `host`: status check, VM lookup,
-    /// hook wiring, execution, and completion bookkeeping. Runs on the
-    /// global clock under the sequential scheduler and on the batch's
-    /// forked clock inside a tick scope. A run that suspends on an
-    /// in-flight transfer is parked by its ship token until
-    /// [`Kernel::resume_settled`] queues it again; a resumed task carries
-    /// its run on instead of starting one.
+    /// hook wiring, execution, and completion bookkeeping, on the tick
+    /// batch's forked clock. A run that suspends is parked on what it
+    /// waits for — a ship token until [`Kernel::resume_settled`], or its
+    /// mailbox until [`Kernel::deliver_mail`] or the deadline — and a
+    /// resumed task carries its run on instead of starting one.
     pub(crate) fn run_task(&self, host: &TaxHost, mut task: AgentTask) {
         let now = self.now();
 
@@ -463,15 +444,13 @@ impl Kernel {
             principal,
             depth: 0,
             hop: task.hop.clone(),
-            in_flight: None,
+            waiting: None,
             settled: None,
         };
         let result = match (task.resume.take(), vm) {
-            (Some(resumption), _) => {
-                hooks.settled = Some(resumption.settled);
-                resumption
-                    .suspension
-                    .resume(&mut task.briefcase, &mut hooks)
+            (Some((suspension, settled)), _) => {
+                hooks.settled = Some(settled);
+                suspension.resume(&mut task.briefcase, &mut hooks)
             }
             (None, Some(vm)) => {
                 let (trust, natives) = exec_context_for(host);
@@ -483,15 +462,18 @@ impl Kernel {
         let after = self.now();
 
         let execution: Result<Execution, String> = match result {
-            Ok(Run::Suspended(suspension)) => match hooks.in_flight.take() {
-                Some((token, spawned)) => {
-                    host.core
-                        .in_flight
-                        .lock()
-                        .insert(token, (task, suspension, spawned));
+            Ok(Run::Suspended(suspension)) => match hooks.waiting.take() {
+                Some((wait, spawned, deadline)) => {
+                    let parked = Parked {
+                        task,
+                        suspension,
+                        spawned,
+                        deadline,
+                    };
+                    host.core.waiting.lock().insert(wait, parked);
                     return;
                 }
-                None => Err("agent suspended with no transfer in flight".to_owned()),
+                None => Err("agent suspended with nothing to wait for".to_owned()),
             },
             Ok(Run::Done(execution)) => Ok(execution),
             Err(e) => Err(e.to_string()),
@@ -533,15 +515,8 @@ impl Kernel {
         host.drop_agent_state(&task.address);
     }
 
-    /// Applies an admin decision: deliver the reply (if the requester
-    /// asked) and enforce the control action.
-    pub fn apply_admin(
-        &self,
-        host: &TaxHost,
-        _reply: Briefcase,
-        control: Option<tacoma_firewall::ControlAction>,
-        _depth: u32,
-    ) {
+    /// Enforces an admin decision's control action.
+    pub fn apply_admin(&self, host: &TaxHost, control: Option<tacoma_firewall::ControlAction>) {
         if let Some(action) = control {
             match action.kind {
                 ControlKind::Kill => {
@@ -559,17 +534,18 @@ impl Kernel {
                     };
                     host.core.tasks.lock().retain(&mut keep);
                     host.core.parked.lock().retain(&mut keep);
+                    // A run parked in `await_bc` goes the same way, and so
+                    // does one suspended on an in-flight transfer — but its
+                    // inbound hop is already closed: the transfer's begin
+                    // named it as parent. The frame's verdict settles the
+                    // outbound hop.
+                    host.core.waiting.lock().retain(|wait, p| match wait {
+                        Wait::Mail(_) => keep(&p.task),
+                        Wait::Transfer(_) => p.task.address != action.agent,
+                    });
                     for hop in &hops {
                         abort_hop(host, hop.as_deref());
                     }
-                    // A run suspended on an in-flight transfer goes the
-                    // same way. Its inbound hop is already closed: the
-                    // transfer's begin named it as parent. The frame's
-                    // verdict settles the outbound hop.
-                    host.core
-                        .in_flight
-                        .lock()
-                        .retain(|_, (t, ..)| t.address != action.agent);
                     host.drop_agent_state(&action.agent);
                     host.record(
                         self.now(),
@@ -619,10 +595,11 @@ pub struct KernelHooks {
     /// transfers, so a journaled begin for the next hop proves this one
     /// progressed past its send.
     pub(crate) hop: Option<String>,
-    /// The ship token of the transfer a `poll_go`/`poll_spawn` left in
-    /// flight, with the instance a pending `spawn` pre-allocated.
-    pub(crate) in_flight: Option<(u64, Option<String>)>,
-    /// The verdict a resumed run's pending `go`/`spawn` is answered with.
+    /// What a `poll_*` that answered pending left the run waiting for,
+    /// with the instance a pending `spawn` pre-allocated and an
+    /// `await_bc`'s deadline.
+    pub(crate) waiting: Option<(Wait, Option<String>, Option<SimTime>)>,
+    /// The answer a resumed run's pending call is given.
     pub(crate) settled: Option<Settled>,
 }
 
@@ -700,8 +677,8 @@ impl KernelHooks {
             travelling,
             spawned,
         );
-        if self.host.journal().is_some() {
-            let key = hop_key(&message, self.hop.as_deref(), &self.agent);
+        if let Some(&boot) = self.host.core.boot_nonce.get() {
+            let key = hop_key(&message, self.hop.as_deref(), &self.agent, boot);
             message = message.with_hop(key, self.hop.clone());
         }
         let now = self.now();
@@ -786,15 +763,20 @@ enum WrapKind {
 /// parent key chains every hop to its predecessor, so even a `go` back to
 /// a previously visited host under the same briefcase hashes differently.
 /// A root hop has no parent; it mixes in the launch identity instead —
-/// the agent's `name:instance` (Figure 2's URI) — so two independent
-/// launches of a byte-identical agent get distinct keys.
-fn hop_key(message: &Message, parent: Option<&str>, agent: &AgentAddress) -> String {
+/// the host's boot nonce and the agent's `name:instance` (Figure 2's
+/// URI) — so two independent launches of a byte-identical agent get
+/// distinct keys, in one boot or across reboots.
+fn hop_key(message: &Message, parent: Option<&str>, agent: &AgentAddress, boot: u64) -> String {
     let mut hasher = tacoma_security::Hasher::new();
     let launch;
     let origin = match parent {
         Some(parent) => parent,
         None => {
-            launch = format!("launch:{}:{}", agent.name(), agent.instance().as_str());
+            launch = format!(
+                "launch:{boot:016x}:{}:{}",
+                agent.name(),
+                agent.instance().as_str()
+            );
             &launch
         }
     };
@@ -848,13 +830,12 @@ impl HostHooks for KernelHooks {
     }
 
     fn poll_go(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<GoDecision> {
-        if let Some(settled) = self.settled.take() {
-            let result = settled.verdict.map_err(TaxError::from);
-            return Poll::Ready(self.finish_go(uri, result));
+        if let Some(Settled::Transfer(verdict, _)) = self.settled.take() {
+            return Poll::Ready(self.finish_go(uri, verdict.map_err(TaxError::from)));
         }
         match self.transfer(uri, briefcase, false, true) {
             Ok(Some(token)) => {
-                self.in_flight = Some((token, None));
+                self.waiting = Some((Wait::Transfer(token), None, None));
                 Poll::Pending
             }
             Ok(None) => Poll::Ready(self.finish_go(uri, Ok(()))),
@@ -863,15 +844,14 @@ impl HostHooks for KernelHooks {
     }
 
     fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
-        if let Some(settled) = self.settled.take() {
-            let instance = settled.spawned.unwrap_or_default();
-            let result = settled.verdict.map_err(TaxError::from);
-            return Poll::Ready(self.finish_spawn(instance, result));
+        if let Some(Settled::Transfer(verdict, spawned)) = self.settled.take() {
+            let instance = spawned.unwrap_or_default();
+            return Poll::Ready(self.finish_spawn(instance, verdict.map_err(TaxError::from)));
         }
         let (instance, child) = self.spawn_child(briefcase);
         match self.transfer(uri, &child, true, true) {
             Ok(Some(token)) => {
-                self.in_flight = Some((token, Some(instance)));
+                self.waiting = Some((Wait::Transfer(token), Some(instance), None));
                 Poll::Pending
             }
             Ok(None) => Poll::Ready(self.finish_spawn(instance, Ok(()))),
@@ -1023,8 +1003,7 @@ impl HostHooks for KernelHooks {
                 None
             }
             Decision::Admin { reply, control } => {
-                self.kernel
-                    .apply_admin(&self.host, reply.clone(), control, self.depth);
+                self.kernel.apply_admin(&self.host, control);
                 Some(reply)
             }
             Decision::Queued => None,
@@ -1035,21 +1014,11 @@ impl HostHooks for KernelHooks {
         }
     }
 
+    /// The wait of runs that cannot suspend (native programs, the legacy
+    /// tier): only mail already here, or delivered here within the wait.
     fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase> {
-        // Inside a scheduler batch other hosts' inboxes belong to other
-        // batches, so the wait cannot pump them; deferred sends flush at
-        // the tick barrier and arrive next tick via the agent's mailbox.
-        let scoped = TaskScope::current().is_some();
         if let Some(mail) = self.host.pop_mail(&self.agent) {
             return Some(mail);
-        }
-        // While this agent blocks, every host's firewall thread keeps
-        // delivering — in-flight request/reply chains complete.
-        if !scoped {
-            self.kernel.pump_all();
-            if let Some(mail) = self.host.pop_mail(&self.agent) {
-                return Some(mail);
-            }
         }
         // Model the blocking wait: virtual time passes, then one last
         // delivery check.
@@ -1057,10 +1026,20 @@ impl HostHooks for KernelHooks {
             self.kernel
                 .advance(Duration::from_millis(timeout_ms as u64));
         }
-        if !scoped {
-            self.kernel.pump_all();
-        }
         self.host.pop_mail(&self.agent)
+    }
+
+    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
+        if let Some(Settled::Mail(mail)) = self.settled.take() {
+            return Poll::Ready(mail);
+        }
+        if let Some(mail) = self.host.pop_mail(&self.agent) {
+            return Poll::Ready(Some(mail));
+        }
+        // Parked: `deliver_mail` or the deadline wakes the run.
+        let deadline = self.now() + Duration::from_millis(u64::try_from(timeout_ms).unwrap_or(0));
+        self.waiting = Some((Wait::Mail(self.agent.clone()), None, Some(deadline)));
+        Poll::Pending
     }
 
     fn now_ms(&mut self) -> i64 {

@@ -1,7 +1,9 @@
 //! [`TaxHost`]: one machine of Figure 1 — firewall, virtual machines,
 //! service agents, native programs, and the local scheduler state.
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::sync::Arc;
 
 use crossbeam::channel::Receiver;
@@ -25,37 +27,46 @@ use crate::{wrappers, TaxError};
 /// VM `vm`. `hop` carries the journal dedup key of the migration that
 /// delivered the agent, if any; the kernel commits it when the task
 /// reaches a terminal outcome. A task with `resume` carries on a run
-/// that suspended at a `go`/`spawn` instead of starting one.
+/// that suspended at a `go`/`spawn`/`await_bc` instead of starting one:
+/// the continuation, and the answer its pending call is given.
 #[derive(Debug)]
 pub(crate) struct AgentTask {
     pub vm: String,
     pub address: AgentAddress,
     pub briefcase: Briefcase,
     pub hop: Option<String>,
-    pub resume: Option<Resumption>,
+    pub resume: Option<(Suspension, Settled)>,
 }
 
-/// A suspended run whose transfer has been settled: the continuation and
-/// the verdict its pending `go`/`spawn` is answered with.
+/// The answer a woken run's pending call is given, as its hooks report
+/// it.
 #[derive(Debug)]
-pub(crate) struct Resumption {
+pub(crate) enum Settled {
+    /// A `go`/`spawn`'s transfer verdict (`Ok` when the peer acknowledged
+    /// the frame), with the child instance a pending `spawn` allocated.
+    Transfer(Result<(), FirewallError>, Option<String>),
+    /// An `await_bc`'s mail, or none once its deadline passed.
+    Mail(Option<Briefcase>),
+}
+
+/// What a suspended task is parked on, in [`HostCore::waiting`].
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) enum Wait {
+    /// The verdict on the transfer with this ship token.
+    Transfer(u64),
+    /// Mail for this agent.
+    Mail(AgentAddress),
+}
+
+/// A task parked on a [`Wait`], with its continuation.
+pub(crate) struct Parked {
+    pub task: AgentTask,
     pub suspension: Suspension,
-    pub settled: Settled,
-}
-
-/// The settled verdict of an in-flight transfer, as the resumed agent's
-/// hooks report it.
-#[derive(Debug)]
-pub(crate) struct Settled {
-    /// `Ok` when the peer acknowledged the frame.
-    pub verdict: Result<(), FirewallError>,
     /// The child instance a pending `spawn` pre-allocated.
     pub spawned: Option<String>,
+    /// When a parked `await_bc` gives up.
+    pub deadline: Option<SimTime>,
 }
-
-/// A task parked while its transfer is in flight: the task, its
-/// continuation, and the instance a pending `spawn` pre-allocated.
-pub(crate) type InFlightTask = (AgentTask, Suspension, Option<String>);
 
 pub(crate) struct HostCore {
     pub name: HostId,
@@ -66,8 +77,8 @@ pub(crate) struct HostCore {
     pub vms: RwLock<BTreeMap<String, Arc<dyn VirtualMachine>>>,
     pub tasks: Mutex<VecDeque<AgentTask>>,
     pub parked: Mutex<Vec<AgentTask>>,
-    /// Tasks suspended on an in-flight transfer, by ship token.
-    pub in_flight: Mutex<HashMap<u64, InFlightTask>>,
+    /// Tasks suspended on an in-flight transfer or in `await_bc`.
+    pub waiting: Mutex<HashMap<Wait, Parked>>,
     pub mailboxes: Mutex<HashMap<AgentAddress, VecDeque<Briefcase>>>,
     pub wrappers: Mutex<HashMap<AgentAddress, WrapperStack>>,
     pub events: Mutex<Vec<HostEvent>>,
@@ -83,6 +94,10 @@ pub(crate) struct HostCore {
     /// pure simulations have none). Shared with the firewall; the kernel
     /// uses this handle to commit hops when installed tasks finish.
     pub journal: std::sync::OnceLock<Arc<tacoma_journal::Journal>>,
+    /// Drawn when the journal is attached, and mixed into root hop keys:
+    /// a rebooted daemon's instance counter starts over, and its keys
+    /// must not repeat the ones an earlier boot committed.
+    pub boot_nonce: std::sync::OnceLock<u64>,
 }
 
 /// A handle to one simulated machine. Cloning shares the host.
@@ -219,15 +234,35 @@ impl TaxHost {
         self.core.tasks.lock().push_back(task);
     }
 
-    pub(crate) fn pop_task(&self) -> Option<AgentTask> {
-        self.core.tasks.lock().pop_front()
-    }
-
     /// Takes every queued task at once — a tick's batch snapshot. Tasks
     /// queued afterwards (e.g. agents arriving mid-tick) wait for the
     /// next tick.
     pub(crate) fn drain_tasks(&self) -> Vec<AgentTask> {
         self.core.tasks.lock().drain(..).collect()
+    }
+
+    /// Takes the task parked on `wait`, if any.
+    pub(crate) fn unpark(&self, wait: &Wait) -> Option<Parked> {
+        self.core.waiting.lock().remove(wait)
+    }
+
+    /// Queues an unparked task to resume, its pending call answered with
+    /// `settled`.
+    pub(crate) fn wake(&self, mut parked: Parked, settled: Settled) {
+        parked.task.resume = Some((parked.suspension, settled));
+        self.push_task(parked.task);
+    }
+
+    /// The earliest deadline among this host's parked `await_bc`s, with
+    /// its agent; ties go by agent address.
+    pub(crate) fn first_deadline(&self) -> Option<(SimTime, AgentAddress)> {
+        self.core
+            .waiting
+            .lock()
+            .values()
+            .filter_map(|p| Some((p.deadline?, &p.task.address)))
+            .min()
+            .map(|(at, agent)| (at, agent.clone()))
     }
 
     pub(crate) fn push_mail(&self, to: &AgentAddress, briefcase: Briefcase) {
@@ -276,6 +311,9 @@ impl TaxHost {
     /// boot): both the firewall (parking, shipping) and the kernel (hop
     /// completion) journal through the same handle.
     pub fn attach_journal(&self, journal: Arc<tacoma_journal::Journal>) {
+        // The wall clock under this process's random hash keys.
+        let nonce = RandomState::new().hash_one(std::time::SystemTime::now());
+        let _ = self.core.boot_nonce.set(nonce);
         self.with_firewall(|fw| fw.set_journal(Arc::clone(&journal)));
         let _ = self.core.journal.set(journal);
     }
@@ -425,7 +463,7 @@ impl HostBuilder {
                 vms: RwLock::new(vms),
                 tasks: Mutex::new(VecDeque::new()),
                 parked: Mutex::new(Vec::new()),
-                in_flight: Mutex::new(HashMap::new()),
+                waiting: Mutex::new(HashMap::new()),
                 mailboxes: Mutex::new(HashMap::new()),
                 wrappers: Mutex::new(HashMap::new()),
                 events: Mutex::new(Vec::new()),
@@ -435,6 +473,7 @@ impl HostBuilder {
                 allow_unsigned: self.allow_unsigned,
                 fuel: self.fuel,
                 journal: std::sync::OnceLock::new(),
+                boot_nonce: std::sync::OnceLock::new(),
             }),
         };
 

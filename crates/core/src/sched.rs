@@ -4,13 +4,13 @@
 //!
 //! # The tick model
 //!
-//! [`TaxSystem::step`](crate::TaxSystem::step) in tick mode (enabled with
-//! [`SystemBuilder::threads`](crate::SystemBuilder::threads)) is a
-//! bulk-synchronous step:
+//! [`TaxSystem::step`](crate::TaxSystem::step) is a bulk-synchronous
+//! step, drained by [`SystemBuilder::threads`](crate::SystemBuilder::threads)
+//! workers:
 //!
-//! 1. **Pump** — every host's inbox drains in host order, exactly as the
-//!    classic scheduler does (message delivery and the synchronous
-//!    service work it triggers run on the global clock).
+//! 1. **Pump** — every host's inbox drains in host order (message
+//!    delivery and the synchronous service work it triggers run on the
+//!    global clock).
 //! 2. **Execute** — each host's queued agent tasks are snapshotted into
 //!    one *batch* per host. Batches run concurrently on the worker pool;
 //!    tasks within a batch run in FIFO order (one CPU per machine).

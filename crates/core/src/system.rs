@@ -16,7 +16,7 @@ use tacoma_uri::AgentAddress;
 use crate::agent::AgentSpec;
 use crate::event::{EventKind, HostEvent};
 use crate::hooks::Kernel;
-use crate::host::{AgentTask, HostBuilder, TaxHost};
+use crate::host::{AgentTask, HostBuilder, Settled, TaxHost, Wait};
 use crate::sched::{
     batch_seed, DeferredSimTransport, RunOutcome, SystemLog, SystemLogHandle, TaskScope, WorkerPool,
 };
@@ -36,7 +36,7 @@ const MAX_STEPS: usize = 1_000_000;
 pub type StepHook = Box<dyn FnMut(&Network, SimTime) + Send>;
 
 /// Ticks with at most this many queued tasks run inline on the scheduler
-/// thread even in multi-threaded mode. Fanning out a couple of tasks can
+/// thread even with several workers. Fanning out a couple of tasks can
 /// at best overlap one of them, which is less than the cost of boxing the
 /// jobs and crossing the pool's channels twice — the typical shape of a
 /// message ping-pong tick.
@@ -76,7 +76,7 @@ impl SystemBuilder {
             seed: 1,
             trust_all: false,
             transport: None,
-            threads: 0,
+            threads: 1,
             cores_override: None,
         }
     }
@@ -133,22 +133,22 @@ impl SystemBuilder {
         self
     }
 
-    /// Selects the scheduler. `0` (the default) is the classic
-    /// one-task-per-step sequential scheduler; `n >= 1` enables the
-    /// bulk-synchronous tick scheduler with `n` worker threads, which
-    /// drains *every* ready host's task batch each step. A tick run is
-    /// deterministic across worker counts: the same seed produces the
-    /// same event trace with 1 or N threads (see `docs/scheduler.md`).
+    /// Sets how many worker threads the bulk-synchronous tick scheduler
+    /// drains host batches on (default 1; 0 means 1). Every step drains
+    /// *every* ready host's task batch. A run is deterministic across
+    /// worker counts: the same seed produces the same event trace with 1
+    /// or N threads (see `docs/scheduler.md`).
     pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n;
+        self.threads = n.max(1);
         self
     }
 
     /// Overrides the detected core count used to clamp tick fan-out.
     ///
     /// By default the tick scheduler never runs more workers than
-    /// `std::thread::available_parallelism()` reports — oversubscribing a
-    /// small machine makes the tick barrier slower, never faster. Tests
+    /// `std::thread::available_parallelism()` reports at
+    /// [`SystemBuilder::build`] — oversubscribing a small machine makes
+    /// the tick barrier slower, never faster. Tests
     /// (and benchmarks characterizing fan-out overhead) use this to force
     /// the pooled path on machines with few cores. The event trace is
     /// identical either way.
@@ -159,6 +159,13 @@ impl SystemBuilder {
 
     /// Builds the system.
     pub fn build(self) -> TaxSystem {
+        // One worker needs no core count (see `scheduler_cores`).
+        let workers = match self.threads {
+            1 => 1,
+            n => n.min(self.cores_override.unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            })),
+        };
         let mut topology = Topology::new(self.default_link);
         for hb in &self.hosts {
             topology.add_host(hb.name().clone());
@@ -223,8 +230,7 @@ impl SystemBuilder {
             log,
             bus,
             seed: self.seed,
-            threads: self.threads,
-            cores_override: self.cores_override,
+            workers,
             tick: 0,
             pool: None,
             scope_cache: Vec::new(),
@@ -266,8 +272,8 @@ pub struct TaxSystem {
     log: Arc<SystemLog>,
     bus: MessageBus,
     seed: u64,
-    threads: usize,
-    cores_override: Option<usize>,
+    /// The configured worker count, clamped to the cores at build time.
+    workers: usize,
     tick: u64,
     pool: Option<WorkerPool>,
     /// Scopes recycled across ticks: resetting one is equivalent to
@@ -533,7 +539,7 @@ impl TaxSystem {
         let decision = host.with_firewall(|fw| fw.route_outbound(message, now))?;
         match decision {
             tacoma_firewall::Decision::Admin { reply, control } => {
-                self.kernel.apply_admin(&host, reply.clone(), control, 0);
+                self.kernel.apply_admin(&host, control);
                 Ok(reply)
             }
             other => Err(TaxError::BadAgentSpec {
@@ -576,30 +582,11 @@ impl TaxSystem {
         ))
     }
 
-    /// Performs one unit of scheduler work. Returns whether anything
-    /// happened.
-    ///
-    /// In the default sequential mode this drains arrived messages on
-    /// every host, then executes at most one queued agent task. In tick
-    /// mode ([`SystemBuilder::threads`]) it runs one bulk-synchronous
-    /// tick: pump every inbox, execute *every* ready host's task batch
-    /// (concurrently across hosts), then flush deferred sends and advance
-    /// the global clock to the tick's makespan.
-    pub fn step(&mut self) -> bool {
-        self.run_step_hooks();
-        if self.threads == 0 {
-            self.step_sequential()
-        } else {
-            self.step_tick()
-        }
-    }
-
     /// Registers a [`StepHook`] run at the top of every subsequent step.
     ///
     /// Hooks fire on the scheduler thread before the message pump, in
-    /// registration order, in both scheduler modes — mutations they make
-    /// depend only on the global clock sequence, so determinism across
-    /// worker counts is preserved.
+    /// registration order — mutations they make depend only on the global
+    /// clock sequence, so determinism across worker counts is preserved.
     pub fn add_step_hook(&mut self, hook: StepHook) {
         self.step_hooks.push(hook);
     }
@@ -614,50 +601,17 @@ impl TaxSystem {
         }
     }
 
-    fn step_sequential(&mut self) -> bool {
-        let mut worked = false;
-
-        // Phase 1: message delivery, every host, deterministic order.
-        let host_names = self.host_names();
-        for name in &host_names {
-            let Some(host) = self.host(name) else {
-                continue;
-            };
-            if self.kernel.pump_inbox(&host) > 0 {
-                worked = true;
-            }
-        }
-
-        // Phase 2: run one agent task (first host in order with work).
-        for name in &host_names {
-            let Some(host) = self.host(name) else {
-                continue;
-            };
-            if let Some(task) = host.pop_task() {
-                self.kernel.run_task(&host, task);
-                worked = true;
-                break;
-            }
-        }
-        worked
-    }
-
-    /// The worker count actually worth using this tick: the configured
-    /// thread count clamped to the machine's parallelism. Running more
-    /// workers than cores makes the tick barrier slower, never faster —
-    /// every extra worker is pure handoff and contention.
-    fn effective_threads(&self) -> usize {
-        let cores = self.cores_override.unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        });
-        self.threads.min(cores)
-    }
-
-    fn step_tick(&mut self) -> bool {
+    /// Performs one unit of scheduler work — one bulk-synchronous tick —
+    /// and returns whether anything happened: pump every inbox, execute
+    /// *every* ready host's task batch (concurrently across hosts on
+    /// several workers), then flush deferred sends and advance the global
+    /// clock to the tick's makespan.
+    pub fn step(&mut self) -> bool {
+        self.run_step_hooks();
         let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
 
         // Phase 1: message delivery, every host, deterministic order, on
-        // the global clock (exactly the sequential scheduler's pump).
+        // the global clock.
         let mut worked = false;
         for host in &hosts {
             if self.kernel.pump_inbox(host) > 0 {
@@ -707,14 +661,14 @@ impl TaxSystem {
         // batches, more than one usable core, and enough queued work to
         // amortize the handoffs; otherwise run inline on this thread —
         // identical semantics, no pool traffic.
-        let effective = self.effective_threads();
-        let fan_out = batches.len() > 1 && effective > 1 && total_tasks > TICK_INLINE_THRESHOLD;
+        let workers = self.workers;
+        let fan_out = batches.len() > 1 && workers > 1 && total_tasks > TICK_INLINE_THRESHOLD;
         if !fan_out {
             for (host, tasks, scope) in &mut batches {
                 run_batch(&self.kernel, host, std::mem::take(tasks), scope);
             }
         } else {
-            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(effective));
+            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
             let done = pool.done_sender();
             let mut submitted = 0;
             for (host, tasks, scope) in batches.iter_mut().skip(1) {
@@ -768,7 +722,8 @@ impl TaxSystem {
     /// agents resume after [`TaxSystem::pump_transport`] brings their
     /// verdicts. When the scheduler goes quiet it releases every transfer
     /// frame the turn held back, after one journal fsync covers all their
-    /// hop begins (the write-ahead barrier).
+    /// hop begins (the write-ahead barrier). With nothing else to do, it
+    /// resumes the agent parked in `await_bc` with the earliest deadline.
     pub fn run_until_quiet(&mut self) -> RunOutcome {
         self.run_for(MAX_STEPS)
     }
@@ -780,7 +735,7 @@ impl TaxSystem {
         while steps < budget {
             if self.step() {
                 steps += 1;
-            } else if self.release_held() == 0 {
+            } else if self.release_held() == 0 && !self.expire_first_await() {
                 return RunOutcome::Quiesced { steps };
             }
         }
@@ -820,6 +775,24 @@ impl TaxSystem {
             }
         }
         resumed
+    }
+
+    /// Moves the global clock up to the earliest `await_bc` deadline and
+    /// resumes that awaiter with no mail; ties go by host order, then
+    /// agent address. Returns whether an awaiter was parked.
+    fn expire_first_await(&mut self) -> bool {
+        // `min_by_key` keeps the first of equal deadlines: host order.
+        let first = (self.kernel.directory.read().values())
+            .filter_map(|host| Some((host.first_deadline()?, host.clone())))
+            .min_by_key(|((deadline, _), _)| *deadline);
+        let Some(((deadline, agent), host)) = first else {
+            return false;
+        };
+        self.kernel.net.clock().advance_to(deadline);
+        if let Some(parked) = host.unpark(&Wait::Mail(agent)) {
+            host.wake(parked, Settled::Mail(None));
+        }
+        true
     }
 
     /// Settles the sends this system has in flight on a nonblocking
@@ -865,13 +838,14 @@ impl TaxSystem {
         }
     }
 
-    /// Whether no messages or tasks are outstanding.
+    /// Whether no messages, tasks or `await_bc` deadlines are
+    /// outstanding (a transfer in flight waits only for its verdict).
     pub fn is_quiet(&self) -> bool {
         self.kernel
             .directory
             .read()
             .values()
-            .all(|h| h.inbox_is_empty() && h.queued_tasks() == 0)
+            .all(|h| h.inbox_is_empty() && h.queued_tasks() == 0 && h.first_deadline().is_none())
     }
 
     /// All events across hosts, ordered by virtual time — served from the

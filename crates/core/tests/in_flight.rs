@@ -2,7 +2,8 @@
 //! agent's `go`/`spawn` suspends its run instead of blocking the host,
 //! and the verdict resumes it — moved (the run ends), or unreachable
 //! (the script carries on from the call). Kill and stop reach a
-//! suspended agent as they reach a queued one.
+//! suspended agent — in flight or parked in `await_bc` — as they reach a
+//! queued one.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -83,6 +84,15 @@ const TRAVELLER: &str = r#"
     fn main() {
         display("before");
         if (go("tacoma://beta/vm_script")) { display("unreachable"); }
+        display("after");
+    }
+"#;
+
+/// Parks in `await_bc` until its deadline: nobody sends it mail.
+const AWAITER: &str = r#"
+    fn main() {
+        display("before");
+        if (await_bc(500)) { display("mail"); }
         display("after");
     }
 "#;
@@ -208,14 +218,15 @@ fn kill_while_in_flight_ends_the_run_like_a_queued_one() {
 }
 
 /// A killed agent's inbound hop is closed, so a crash replay never runs
-/// the agent again: at the kill while its task is queued, and by its
-/// transfer's begin (which names it as parent) once it is suspended in
-/// flight — even when that transfer then fails.
+/// the agent again: at the kill while its task is queued or parked in
+/// `await_bc`, and by its transfer's begin (which names it as parent)
+/// once it is suspended in flight — even when that transfer then fails.
 #[test]
 fn kill_closes_the_inbound_hop_of_a_queued_or_suspended_agent() {
-    for suspended in [false, true] {
+    for (suspended, code) in [(false, TRAVELLER), (true, TRAVELLER), (true, AWAITER)] {
         let dir = std::env::temp_dir().join(format!(
-            "tacoma-inflight-kill-{suspended}-{}",
+            "tacoma-inflight-kill-{suspended}-{}-{}",
+            code.len(),
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -233,7 +244,7 @@ fn kill_closes_the_inbound_hop_of_a_queued_or_suspended_agent() {
         // journaled first, then the frame is routed.
         let mut briefcase = Briefcase::new();
         briefcase.set_single(folders::AGENT_NAME, "t");
-        briefcase.append(folders::CODE, TRAVELLER);
+        briefcase.append(folders::CODE, code);
         let message = Message::transfer(
             "beta",
             Principal::new("carol").unwrap(),
@@ -251,7 +262,9 @@ fn kill_closes_the_inbound_hop_of_a_queued_or_suspended_agent() {
             .find_map(|(_, e)| matches!(e.kind, EventKind::Installed { .. }).then_some(e.agent))
             .flatten()
             .unwrap();
-        if suspended {
+        if code == AWAITER {
+            assert!(!system.run_for(1).quiesced(), "parked until its deadline");
+        } else if suspended {
             system.run_until_quiet();
             assert_eq!(gate.in_transit(), 1, "suspended at its go");
         }
@@ -261,7 +274,10 @@ fn kill_closes_the_inbound_hop_of_a_queued_or_suspended_agent() {
         system
             .admin("alpha", &admin, "kill", &[&address.to_string()])
             .unwrap();
-        if suspended {
+        if code == AWAITER {
+            system.run_until_quiet();
+            assert_eq!(system.agent_outputs(), ["before"]);
+        } else if suspended {
             settle(&mut system, &gate, false);
             assert_eq!(system.agent_outputs(), ["before"]);
         } else {
@@ -291,26 +307,41 @@ fn a_vm_c_agent_suspends_and_resumes() {
     assert_eq!(system.agent_outputs(), ["before", "unreachable", "after"]);
 }
 
+/// A stop reaches a run suspended in flight or parked in `await_bc`: the
+/// run its verdict or deadline wakes is held until `resume`.
 #[test]
 fn stop_while_in_flight_parks_the_resumed_run_until_resume() {
-    let gate = Arc::new(Gate::default());
-    let mut system = alpha(&gate);
-    let address = system
-        .launch("alpha", AgentSpec::script("t", TRAVELLER))
-        .unwrap();
-    system.run_until_quiet();
-    let admin = Principal::local_system("alpha");
-    system
-        .admin("alpha", &admin, "stop", &[&address.to_string()])
-        .unwrap();
-    settle(&mut system, &gate, false);
-    assert_eq!(system.agent_outputs(), ["before"], "stopped: parked");
+    for (code, ends) in [
+        (TRAVELLER, &["before", "unreachable", "after"][..]),
+        (AWAITER, &["before", "after"][..]),
+    ] {
+        let gate = Arc::new(Gate::default());
+        let mut system = alpha(&gate);
+        let address = system
+            .launch("alpha", AgentSpec::script("t", code))
+            .unwrap();
+        if code == AWAITER {
+            assert!(!system.run_for(1).quiesced(), "parked until its deadline");
+        } else {
+            system.run_until_quiet();
+        }
+        let admin = Principal::local_system("alpha");
+        system
+            .admin("alpha", &admin, "stop", &[&address.to_string()])
+            .unwrap();
+        if code == AWAITER {
+            assert!(system.run_until_quiet().quiesced());
+        } else {
+            settle(&mut system, &gate, false);
+        }
+        assert_eq!(system.agent_outputs(), ["before"], "stopped: parked");
 
-    system
-        .admin("alpha", &admin, "resume", &[&address.to_string()])
-        .unwrap();
-    system.run_until_quiet();
-    assert_eq!(system.agent_outputs(), ["before", "unreachable", "after"]);
+        system
+            .admin("alpha", &admin, "resume", &[&address.to_string()])
+            .unwrap();
+        system.run_until_quiet();
+        assert_eq!(system.agent_outputs(), ends);
+    }
 }
 
 /// Identical launches on a journaling host: every root hop gets its own

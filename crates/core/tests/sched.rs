@@ -59,9 +59,55 @@ fn launch_walkers(system: &mut TaxSystem) {
     }
 }
 
-fn trace(threads: usize, seed: u64, loss: f64) -> Vec<(String, HostEvent)> {
+/// Waits instead of walks: every client asks the compiler service on its
+/// own server for a reply to its `REPLY-TO` address and awaits it, and an
+/// idler beside it awaits mail nobody sends. The request/reply completes
+/// inside one `await`; the idlers' equal deadlines fire one at a time,
+/// in host order.
+fn launch_requesters(system: &mut TaxSystem) {
+    for i in 0..PAIRS {
+        let asker = AgentSpec::script(
+            "asker",
+            format!(
+                r#"
+                fn main() {{
+                    bc_set("CMD", "compile");
+                    bc_set("SOURCE", "fn main() {{ }}");
+                    bc_set("REPLY-TO", "tacoma://client{i}/asker");
+                    activate("tacoma://server{i}/ag_cc");
+                    if (await_bc(2000)) {{
+                        display("reply " + bc_get("STATUS", 0) + " at " + now_ms());
+                    }} else {{
+                        display("no reply at " + now_ms());
+                    }}
+                    exit(0);
+                }}
+                "#
+            ),
+        );
+        let idler = AgentSpec::script(
+            "idler",
+            r#"
+            fn main() {
+                if (await_bc(250)) { display("idler got mail"); }
+                else { display("idler timed out at " + now_ms()); }
+                exit(0);
+            }
+            "#,
+        );
+        system.launch(&format!("client{i}"), asker).unwrap();
+        system.launch(&format!("client{i}"), idler).unwrap();
+    }
+}
+
+fn trace(
+    threads: usize,
+    seed: u64,
+    loss: f64,
+    launch: fn(&mut TaxSystem),
+) -> Vec<(String, HostEvent)> {
     let mut system = fleet(threads, seed, loss);
-    launch_walkers(&mut system);
+    launch(&mut system);
     assert!(system.run_until_quiet().quiesced());
     system.events()
 }
@@ -86,10 +132,40 @@ fn tick_mode_completes_disjoint_fleets() {
 /// same seed.
 #[test]
 fn one_and_four_workers_produce_identical_traces() {
-    let single = trace(1, 42, 0.0);
+    let single = trace(1, 42, 0.0, launch_walkers);
     assert!(!single.is_empty());
     for workers in WORKERS {
-        assert_eq!(single, trace(workers, 42, 0.0), "{workers} workers");
+        assert_eq!(
+            single,
+            trace(workers, 42, 0.0, launch_walkers),
+            "{workers} workers"
+        );
+    }
+}
+
+/// The same contract for agents that wait: a request/reply inside one
+/// `await` and `await` deadlines trace identically at 1, 2, 4 and 8
+/// workers, and every wait ends the way it should.
+#[test]
+fn waits_trace_identically_across_worker_counts() {
+    let mut system = fleet(1, 42, 0.0);
+    launch_requesters(&mut system);
+    assert!(system.run_until_quiet().quiesced());
+    let outputs = system.agent_outputs();
+    let replies = outputs.iter().filter(|l| l.starts_with("reply ok")).count();
+    let timeouts = outputs
+        .iter()
+        .filter(|l| *l == "idler timed out at 250")
+        .count();
+    assert_eq!((replies, timeouts), (PAIRS, PAIRS), "{outputs:?}");
+
+    let single = system.events();
+    for workers in WORKERS {
+        assert_eq!(
+            single,
+            trace(workers, 42, 0.0, launch_requesters),
+            "{workers} workers"
+        );
     }
 }
 
@@ -98,9 +174,11 @@ fn one_and_four_workers_produce_identical_traces() {
 /// which thread happened to run it.
 #[test]
 fn lossy_links_stay_deterministic_across_worker_counts() {
-    let single = trace(1, 9, 0.25);
-    for workers in WORKERS {
-        assert_eq!(single, trace(workers, 9, 0.25), "{workers} workers");
+    for launch in [launch_walkers, launch_requesters] {
+        let single = trace(1, 9, 0.25, launch);
+        for workers in WORKERS {
+            assert_eq!(single, trace(workers, 9, 0.25, launch), "{workers} workers");
+        }
     }
 }
 
@@ -162,9 +240,11 @@ proptest! {
     #[test]
     fn traces_are_worker_count_invariant(seed in any::<u64>(), loss_pct in 0u32..30) {
         let loss = f64::from(loss_pct) / 100.0;
-        let single = trace(1, seed, loss);
-        for workers in WORKERS {
-            prop_assert_eq!(&single, &trace(workers, seed, loss), "{} workers", workers);
+        for launch in [launch_walkers, launch_requesters] {
+            let single = trace(1, seed, loss, launch);
+            for workers in WORKERS {
+                prop_assert_eq!(&single, &trace(workers, seed, loss, launch), "{} workers", workers);
+            }
         }
     }
 }

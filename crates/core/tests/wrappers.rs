@@ -225,6 +225,9 @@ fn group_wrapper_total_order_agrees_across_members() {
     let mut system = system_with(&["h1", "h2", "h3"]);
     let members = "seq@h1,m2@h2,m3@h3";
 
+    // Each member clears the BODY it sent before it awaits: await merges
+    // incoming folders into the briefcase, so a stale BODY would shadow
+    // the delivered one.
     let sender = |name: &str, host: &str, body: &str| {
         AgentSpec::script(
             name,
@@ -233,6 +236,7 @@ fn group_wrapper_total_order_agrees_across_members() {
                 fn main() {{
                     bc_set("BODY", "{body}");
                     activate("group");
+                    bc_clear("BODY");
                     let n = 0;
                     while (n < 2) {{
                         if (await_bc(3000)) {{

@@ -28,8 +28,8 @@ use tacoma_briefcase::Briefcase;
 
 use crate::opt::{BinOp, ExecOp, ExecProgram};
 use crate::vm::{
-    add_values, call_builtin, compare_values, go_result, index_value, pop, pop2, spawn_value,
-    BuiltinResult, MAX_CALL_DEPTH, MAX_VALUE_STACK,
+    add_values, await_value, call_builtin, compare_values, go_result, index_value, pop, pop2,
+    spawn_value, BuiltinResult, MAX_CALL_DEPTH, MAX_VALUE_STACK,
 };
 use crate::{Builtin, HostHooks, Outcome, RuntimeError, Value};
 
@@ -45,8 +45,8 @@ struct ExecFrame {
 }
 
 /// Where a suspended run stopped: the lowered program it runs, the
-/// instruction after the `go`/`spawn` call, and the builtin to poll
-/// again (its arguments stay in the scratch's argument buffer).
+/// instruction after the `go`/`spawn`/`await_bc` call, and the builtin
+/// to poll again (its arguments stay in the scratch's argument buffer).
 #[derive(Debug)]
 struct Suspended {
     exec: Arc<ExecProgram>,
@@ -64,10 +64,11 @@ struct Suspended {
 /// again when it is returned, so reuse never leaks values between
 /// agents.
 ///
-/// A run that stops at a `go` or `spawn` whose verdict is in flight
-/// ([`Outcome::Suspended`]) leaves its whole state here — pc, fuel,
-/// frames, stack and locals: the scratch is then a first-order
-/// continuation, and [`ExecScratch::resume`] carries on from the call.
+/// A run that stops at a `go` or `spawn` whose verdict is in flight, or
+/// at an `await_bc` with no mail yet ([`Outcome::Suspended`]), leaves
+/// its whole state here — pc, fuel, frames, stack and locals: the
+/// scratch is then a first-order continuation, and
+/// [`ExecScratch::resume`] carries on from the call.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     stack: Vec<Value>,
@@ -122,11 +123,11 @@ impl ExecScratch {
         self.fuel
     }
 
-    /// Carries on a suspended run: polls the `go` or `spawn` it stopped
-    /// at again, with the same arguments, and runs on from there on the
-    /// fuel it had left. A host still without a verdict suspends the run
-    /// again. The outcome is the one an uninterrupted run would have
-    /// reached — same trace, briefcase and fuel.
+    /// Carries on a suspended run: polls the `go`, `spawn` or `await_bc`
+    /// it stopped at again, with the same arguments, and runs on from
+    /// there on the fuel it had left. A host still without an answer
+    /// suspends the run again. The outcome is the one an uninterrupted
+    /// run would have reached — same trace, briefcase and fuel.
     ///
     /// # Errors
     ///
@@ -141,7 +142,7 @@ impl ExecScratch {
             return Err(corrupt("no suspended run to resume"));
         };
         let mut fuel = self.fuel;
-        let result = match poll_transfer(suspended.builtin, &self.args, hooks, briefcase) {
+        let result = match poll_builtin(suspended.builtin, &self.args, hooks, briefcase) {
             Poll::Pending => {
                 self.suspended = Some(suspended);
                 return Ok(Outcome::Suspended);
@@ -623,8 +624,8 @@ fn execute<H: HostHooks>(
 /// Shared builtin tail for `CallBuiltin` and `ConstCallBuiltin`:
 /// pops arguments into the reusable buffer and dispatches. Returns
 /// `Some(outcome)` for terminal builtins (`exit`, accepted `go`) and
-/// [`Outcome::Suspended`] for a `go`/`spawn` whose verdict is in flight
-/// (the arguments stay in the buffer for the poll at resume).
+/// [`Outcome::Suspended`] for a `go`/`spawn`/`await_bc` the host cannot
+/// answer yet (the arguments stay in the buffer for the poll at resume).
 fn run_builtin<H: HostHooks>(
     builtin: Builtin,
     argc: u8,
@@ -640,10 +641,12 @@ fn run_builtin<H: HostHooks>(
     args.clear();
     args.extend(stack.drain(stack.len() - argc..));
     let result = match builtin {
-        Builtin::Go | Builtin::Spawn => match poll_transfer(builtin, args, hooks, briefcase) {
-            Poll::Ready(result) => result?,
-            Poll::Pending => return Ok(Some(Outcome::Suspended)),
-        },
+        Builtin::Go | Builtin::Spawn | Builtin::AwaitBc => {
+            match poll_builtin(builtin, args, hooks, briefcase) {
+                Poll::Ready(result) => result?,
+                Poll::Pending => return Ok(Some(Outcome::Suspended)),
+            }
+        }
         _ => call_builtin(hooks, builtin, args, briefcase)?,
     };
     match result {
@@ -655,15 +658,24 @@ fn run_builtin<H: HostHooks>(
     }
 }
 
-/// Asks the host for a `go` or `spawn` verdict it may not have yet — the
-/// fused tier's one suspension point. A settled verdict means exactly
-/// what the legacy tier's synchronous call does.
-fn poll_transfer<H: HostHooks>(
+/// Asks the host for an answer it may not have yet: a `go` or `spawn`
+/// verdict, or mail for an `await_bc` — the fused tier's three
+/// suspension points. A ready answer means exactly what the legacy
+/// tier's synchronous call does.
+fn poll_builtin<H: HostHooks>(
     builtin: Builtin,
     args: &[Value],
     hooks: &mut H,
-    briefcase: &Briefcase,
+    briefcase: &mut Briefcase,
 ) -> Poll<Result<BuiltinResult, RuntimeError>> {
+    if builtin == Builtin::AwaitBc {
+        return match args[0].expect_int("await_bc") {
+            Ok(timeout) => hooks
+                .poll_await(timeout)
+                .map(|incoming| Ok(BuiltinResult::Value(await_value(briefcase, incoming)))),
+            Err(e) => Poll::Ready(Err(e)),
+        };
+    }
     let go = builtin == Builtin::Go;
     let uri = match args[0].expect_str(if go { "go" } else { "spawn" }) {
         Ok(uri) => uri,

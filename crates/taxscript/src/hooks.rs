@@ -42,7 +42,8 @@ pub trait HostHooks {
     /// Returns the reply briefcase, or `None` on failure/timeout.
     fn meet(&mut self, uri: &str, briefcase: &Briefcase) -> Option<Briefcase>;
 
-    /// `await_bc(timeout_ms)` — block for an incoming briefcase.
+    /// `await_bc(timeout_ms)` — block for an incoming briefcase, for at
+    /// most `timeout_ms` of the host's clock.
     fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase>;
 
     /// `now_ms()` — the host's (virtual) clock in milliseconds.
@@ -75,6 +76,15 @@ pub trait HostHooks {
     /// [`HostHooks::spawn`].
     fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
         Poll::Ready(self.spawn(uri, briefcase))
+    }
+
+    /// `await_bc(timeout_ms)` from a VM that can suspend, as
+    /// [`HostHooks::poll_go`] is to `go`. A host with no mail for the
+    /// agent yet answers [`Poll::Pending`]; on resume it answers with the
+    /// mail that woke the run, or `None` once the deadline passed. The
+    /// default answers at once through [`HostHooks::await_bc`].
+    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
+        Poll::Ready(self.await_bc(timeout_ms))
     }
 }
 

@@ -34,9 +34,11 @@ pub enum Outcome {
         to: String,
     },
     /// The run stopped at a `go` or `spawn` whose verdict is still in
-    /// flight ([`HostHooks::poll_go`] answered pending). Only the fused
-    /// tier suspends; the run's [`ExecScratch`] holds the continuation,
-    /// and [`ExecScratch::resume`] carries on from the call.
+    /// flight, or at an `await_bc` with no mail yet: the host's
+    /// [`HostHooks::poll_go`], [`HostHooks::poll_spawn`] or
+    /// [`HostHooks::poll_await`] answered pending. Only the fused tier
+    /// suspends; the run's [`ExecScratch`] holds the continuation, and
+    /// [`ExecScratch::resume`] carries on from the call.
     Suspended,
 }
 
@@ -101,7 +103,7 @@ impl<'p, H: HostHooks> Vm<'p, H> {
 
     /// Like [`Vm::run`], but reusing a caller-provided [`ExecScratch`]
     /// so warm launches skip the stack/locals/frame allocations. A run
-    /// whose hooks answer a `go` or `spawn` with
+    /// whose hooks answer a `go`, `spawn` or `await_bc` with
     /// [`Poll::Pending`](std::task::Poll::Pending) ends
     /// [`Outcome::Suspended`] and continues
     /// through [`ExecScratch::resume`]; [`Vm::run`]'s own scratch would
@@ -383,13 +385,7 @@ pub(crate) fn call_builtin<H: HostHooks>(
         }
         B::AwaitBc => {
             let timeout = args[0].expect_int("await_bc")?;
-            match hooks.await_bc(timeout) {
-                Some(incoming) => {
-                    bc.merge(incoming);
-                    Value::Int(1)
-                }
-                None => Value::Int(0),
-            }
+            await_value(bc, hooks.await_bc(timeout))
         }
         B::BcGet => {
             let folder = args[0].expect_str("bc_get")?;
@@ -527,6 +523,18 @@ pub(crate) fn go_result(decision: GoDecision, uri: &str) -> BuiltinResult {
 /// instance, or nil.
 pub(crate) fn spawn_value(instance: Option<String>) -> Value {
     instance.map_or(Value::Nil, Value::Str)
+}
+
+/// What a settled `await_bc` means to the script: received mail is
+/// merged into the briefcase and reads 1; none reads 0.
+pub(crate) fn await_value(bc: &mut Briefcase, incoming: Option<Briefcase>) -> Value {
+    match incoming {
+        Some(incoming) => {
+            bc.merge(incoming);
+            Value::Int(1)
+        }
+        None => Value::Int(0),
+    }
 }
 
 pub(crate) fn pop(stack: &mut Vec<Value>) -> Result<Value, RuntimeError> {

@@ -49,6 +49,9 @@ enum Stmt {
     GoInHelper,
     /// `display(spawn("…"));` — the child's instance, or nil.
     Spawn,
+    /// `if (await_bc(50)) { … }` — merged mail feeds `bc_len("LOG")`,
+    /// so what an `await` received steers the rest of the run.
+    Await,
     /// `vN = helper(vM);` — exercises Call/Return frames.
     CallHelper(usize, usize),
 }
@@ -170,6 +173,9 @@ fn render_block(stmts: &[Stmt], depth: usize, out: &mut String) {
             Stmt::Go => out.push_str("if (go(\"tacoma://h1/vm_script\")) { display(\"miss\"); }\n"),
             Stmt::GoInHelper => out.push_str("v0 = hop(\"tacoma://h2/vm_script\");\n"),
             Stmt::Spawn => out.push_str("display(spawn(\"tacoma://h3/vm_script\"));\n"),
+            Stmt::Await => out.push_str(
+                "if (await_bc(50)) { display(\"mail \" + bc_len(\"LOG\")); } else { display(\"no mail\"); }\n",
+            ),
             Stmt::CallHelper(dst, src) => out.push_str(&format!("v{dst} = helper(v{src});\n")),
         }
     }
@@ -251,6 +257,7 @@ fn arb_stmt() -> impl Strategy<Value = Stmt> {
         Just(Stmt::Go),
         Just(Stmt::GoInHelper),
         Just(Stmt::Spawn),
+        Just(Stmt::Await),
         ((0..N_INT_VARS), (0..N_INT_VARS)).prop_map(|(d, s)| Stmt::CallHelper(d, s)),
     ];
     leaf.prop_recursive(3, 24, 4, |inner| {
@@ -334,9 +341,10 @@ fn assert_parity(program: &Program, src: &str) {
     }
 }
 
-/// A host that settles every `go` and `spawn` from a verdict script:
-/// bit `i` of `bits` decides the `i`-th transfer (set: moved, or the
-/// child `child-i` spawned; clear: unreachable, or nil).
+/// A host that settles every `go`, `spawn` and `await_bc` from a verdict
+/// script: bit `i` of `bits` decides the `i`-th such call (set: moved,
+/// the child `child-i` spawned, or mail `mail-i` already queued; clear:
+/// unreachable, nil, or an empty mailbox).
 #[derive(Debug, Default)]
 struct Verdicts {
     bits: u64,
@@ -382,7 +390,14 @@ impl HostHooks for Verdicts {
         None
     }
     fn await_bc(&mut self, _timeout_ms: i64) -> Option<Briefcase> {
-        None
+        match self.take() {
+            (true, i) => {
+                let mut mail = Briefcase::new();
+                mail.append("LOG", format!("mail-{i}"));
+                Some(mail)
+            }
+            (false, _) => None,
+        }
     }
     fn now_ms(&mut self) -> i64 {
         0
@@ -392,8 +407,10 @@ impl HostHooks for Verdicts {
     }
 }
 
-/// Leaves every `go` and `spawn` in flight once: the first poll answers
-/// pending, the poll at resume settles it through the inner host.
+/// Leaves every `go`, `spawn` and `await_bc` unanswered once: the first
+/// poll answers pending, the poll at resume answers through the inner
+/// host — a transfer's verdict, or an `await_bc`'s mail (the wake) or
+/// none (the deadline).
 #[derive(Debug)]
 struct Deferring {
     inner: Verdicts,
@@ -448,14 +465,26 @@ impl HostHooks for Deferring {
             Poll::Ready(self.inner.spawn(uri, bc))
         }
     }
+    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
+        if self.defer() {
+            Poll::Pending
+        } else {
+            Poll::Ready(self.inner.await_bc(timeout_ms))
+        }
+    }
 }
 
-/// The fused tier run straight through against `Verdicts(bits)`.
-/// Returns the number of transfers it asked for too.
-fn run_uninterrupted(program: &Program, bits: u64) -> (Observed, u64, usize) {
+/// One tier run straight through against `Verdicts(bits)`: every
+/// `await_bc` finds its mail already queued, or the mailbox empty.
+/// Returns the number of transfers and awaits it asked for too.
+fn run_uninterrupted(program: &Program, bits: u64, legacy: bool) -> (Observed, u64, usize) {
     let mut bc = seeded_briefcase();
     let mut vm = Vm::new(program, Verdicts::new(bits));
-    let result = vm.run(&mut bc);
+    let result = if legacy {
+        vm.run_legacy(&mut bc)
+    } else {
+        vm.run(&mut bc)
+    };
     let used = DEFAULT_FUEL - vm.fuel_remaining();
     let hooks = vm.into_hooks();
     let observed = Observed {
@@ -466,9 +495,9 @@ fn run_uninterrupted(program: &Program, bits: u64) -> (Observed, u64, usize) {
     (observed, used, hooks.next as usize)
 }
 
-/// The same run with every transfer left in flight once: it suspends at
-/// each `go`/`spawn` and is resumed from its scratch. Returns the number
-/// of suspensions too.
+/// The fused run with every transfer left in flight and every mailbox
+/// empty once: it suspends at each `go`/`spawn`/`await_bc` and is
+/// resumed from its scratch. Returns the number of suspensions too.
 fn run_suspending(program: &Program, bits: u64) -> (Observed, u64, usize) {
     let mut bc = seeded_briefcase();
     let hooks = Deferring {
@@ -498,20 +527,30 @@ fn run_suspending(program: &Program, bits: u64) -> (Observed, u64, usize) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A run that suspends at every `go` and `spawn` and is resumed with
-    /// the verdict equals the uninterrupted run: outcome, display trace,
-    /// briefcase bytes and fuel. The verdict script covers both answers —
-    /// moved (the run ends there) and unreachable (the script carries on
-    /// from the call) — and both for `spawn`.
+    /// A run that suspends at every `go`, `spawn` and `await_bc` and is
+    /// resumed with the answer equals the uninterrupted run on either
+    /// tier: outcome, display trace, briefcase bytes and fuel. The
+    /// verdict script covers both answers — moved (the run ends there)
+    /// and unreachable (the script carries on from the call), both for
+    /// `spawn` — and both for `await_bc`: woken with mail equals a legacy
+    /// run with that mail already queued, resumed at the deadline with
+    /// none equals a run against an empty mailbox.
     #[test]
     fn suspended_run_matches_uninterrupted(src in arb_program(), bits in any::<u64>()) {
         let program = compile_source(&src).expect("generated source compiles");
-        let (straight, used_straight, transfers) = run_uninterrupted(&program, bits);
+        let (straight, used_straight, calls) = run_uninterrupted(&program, bits, false);
+        let (legacy, used_legacy, _) = run_uninterrupted(&program, bits, true);
         let (resumed, used_resumed, suspensions) = run_suspending(&program, bits);
         prop_assert_eq!(&straight, &resumed, "suspension changed the run of:\n{}", src);
-        prop_assert_eq!(straight.briefcase.encode(), resumed.briefcase.encode());
+        prop_assert_eq!(&legacy, &resumed, "suspension diverged from legacy on:\n{}", src);
+        prop_assert_eq!(legacy.briefcase.encode(), resumed.briefcase.encode());
         prop_assert_eq!(used_straight, used_resumed, "fuel diverged on:\n{}", src);
-        prop_assert_eq!(transfers, suspensions, "every transfer suspends once");
+        // As in `fused_matches_legacy`: equal totals on every run that
+        // terminates; a fault may leave the fused tier one block ahead.
+        if legacy.result.is_ok() {
+            prop_assert_eq!(used_legacy, used_resumed, "legacy fuel diverged on:\n{}", src);
+        }
+        prop_assert_eq!(calls, suspensions, "every transfer and await suspends once");
     }
 
     /// With generous fuel both tiers agree on outcome, display trace,

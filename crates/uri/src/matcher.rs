@@ -14,8 +14,9 @@ use crate::{AgentUri, Instance};
 
 /// The complete, concrete identity of a *registered* agent: unlike an
 /// [`AgentUri`] (which is a pattern), an address always carries principal,
-/// name, and instance.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// name, and instance. Addresses order by principal, then name, then
+/// instance.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AgentAddress {
     principal: String,
     name: String,

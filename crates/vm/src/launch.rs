@@ -1,6 +1,6 @@
 //! One launch of a TaxScript program on a pooled scratch, and the
 //! [`Suspension`] a launch leaves when its agent's `go` or `spawn` is
-//! still in flight.
+//! still in flight, or its `await_bc` has no mail yet.
 
 use std::sync::Arc;
 use std::task::Poll;
@@ -15,13 +15,14 @@ use crate::{Execution, HostHooks, LaunchCaches, VmError};
 pub enum Run {
     /// The agent ended: finished, exited or moved.
     Done(Execution),
-    /// The agent stopped at a `go` or `spawn` whose verdict is in flight.
+    /// The agent stopped at a `go` or `spawn` whose verdict is in flight,
+    /// or at an `await_bc` with no mail yet.
     Suspended(Suspension),
 }
 
 impl Run {
-    /// The execution of a launch whose hooks answer `go`/`spawn` at once
-    /// (what [`VirtualMachine::execute`] requires).
+    /// The execution of a launch whose hooks answer `go`/`spawn`/
+    /// `await_bc` at once (what [`VirtualMachine::execute`] requires).
     ///
     /// # Panics
     ///
@@ -38,7 +39,8 @@ impl Run {
     }
 }
 
-/// An agent run parked at a `go` or `spawn` whose verdict is in flight.
+/// An agent run parked at a `go` or `spawn` whose verdict is in flight,
+/// or at an `await_bc` with no mail yet.
 /// The scratch it keeps checked out of its host's pool is the
 /// continuation: pc, fuel, frames, stack and locals. Dropping a
 /// suspension abandons the run (a killed agent); its scratch is then
@@ -52,9 +54,9 @@ pub struct Suspension {
 }
 
 impl Suspension {
-    /// Carries the run on once the host has the verdict: the pending
-    /// `go`/`spawn` is polled again through `hooks`, with the same
-    /// arguments, and the agent runs on from there.
+    /// Carries the run on once the host has the answer: the pending
+    /// `go`/`spawn`/`await_bc` is polled again through `hooks`, with the
+    /// same arguments, and the agent runs on from there.
     ///
     /// # Errors
     ///
@@ -156,6 +158,9 @@ impl HostHooks for HooksProxy<'_> {
     }
     fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
         self.hooks.poll_spawn(uri, briefcase)
+    }
+    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
+        self.hooks.poll_await(timeout_ms)
     }
 }
 

@@ -99,8 +99,8 @@ pub trait VirtualMachine: Send + Sync {
     /// # Panics
     ///
     /// The built-in VMs run this as [`VirtualMachine::launch`] and panic
-    /// if the run suspends: hooks whose `poll_go`/`poll_spawn` can answer
-    /// pending must launch instead.
+    /// if the run suspends: hooks whose `poll_go`/`poll_spawn`/`poll_await`
+    /// can answer pending must launch instead.
     fn execute(
         &self,
         briefcase: &mut Briefcase,
@@ -108,11 +108,12 @@ pub trait VirtualMachine: Send + Sync {
         ctx: &ExecContext<'_>,
     ) -> Result<Execution, VmError>;
 
-    /// Like [`VirtualMachine::execute`], but an agent whose `go` or
-    /// `spawn` the hooks answer pending ([`HostHooks::poll_go`]) stops
-    /// there, and the [`Suspension`] carries it on once the verdict is
-    /// in. The default runs [`VirtualMachine::execute`], so a VM that
-    /// keeps it must ask its hooks' synchronous `go`/`spawn`.
+    /// Like [`VirtualMachine::execute`], but an agent whose `go`, `spawn`
+    /// or `await_bc` the hooks answer pending ([`HostHooks::poll_go`],
+    /// [`HostHooks::poll_await`]) stops there, and the [`Suspension`]
+    /// carries it on once the answer is in. The default runs
+    /// [`VirtualMachine::execute`], so a VM that keeps it must ask its
+    /// hooks' synchronous `go`/`spawn`/`await_bc`.
     ///
     /// # Errors
     ///

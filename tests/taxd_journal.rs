@@ -696,3 +696,66 @@ fn parked_mail_survives_crash_and_is_reparked() {
 
     let _ = fs::remove_dir_all(&gamma_journal);
 }
+
+/// A rebooted sender that relaunches the same script starts its instance
+/// counter over, so it relaunches the first boot's `name:instance`. Its
+/// root hop keys must still be fresh: the receiver keeps the journal that
+/// committed the first boot's hops, and a repeated key would make its
+/// door suppress the second agent as a duplicate.
+#[test]
+fn relaunch_after_sender_reboot_is_not_deduplicated() {
+    let script = script_file("relaunch", HELLO);
+    let alpha_journal = journal_dir("relaunch_alpha");
+    let beta_journal = journal_dir("relaunch_beta");
+    let (alpha_port, beta_port) = free_ports();
+    let alpha_addr = format!("127.0.0.1:{alpha_port}");
+    let beta_addr = format!("127.0.0.1:{beta_port}");
+    let launch = || {
+        vec![
+            "--launch".into(),
+            script.to_string_lossy().into_owned(),
+            "--itinerary".into(),
+            "beta,alpha".into(),
+        ]
+    };
+
+    let beta = spawn_daemon(&daemon_args(
+        "beta",
+        &beta_addr,
+        Some(("alpha", &alpha_addr)),
+        &beta_journal,
+        6000,
+        vec![],
+    ));
+    let mut alpha_logs = Vec::new();
+    for _boot in 0..2 {
+        let alpha = spawn_daemon(&daemon_args(
+            "alpha",
+            &alpha_addr,
+            Some(("beta", &beta_addr)),
+            &alpha_journal,
+            1500,
+            launch(),
+        ));
+        alpha_logs.push(alpha.finish());
+    }
+    let beta_log = beta.finish();
+    let _ = fs::remove_file(&script);
+
+    for log in &alpha_logs {
+        assert_eq!(
+            displays(log),
+            ["visiting alpha", "visiting alpha", "done"],
+            "{log}"
+        );
+    }
+    assert_eq!(
+        displays(&beta_log),
+        ["visiting beta", "visiting beta"],
+        "{beta_log}"
+    );
+    assert_eq!(stats_field(&beta_log, "hop-dedup"), 0, "{beta_log}");
+
+    let _ = fs::remove_dir_all(&alpha_journal);
+    let _ = fs::remove_dir_all(&beta_journal);
+}
