@@ -164,34 +164,24 @@ fn corrupt(detail: &'static str) -> RuntimeError {
     RuntimeError::CorruptProgram { detail }
 }
 
-/// Loads local `slot` of the current frame, with the legacy
-/// interpreter's "bad local slot" fault for out-of-range slots.
+/// Slot `slot` of the current frame, with the legacy interpreter's "bad
+/// local slot" fault past the frame's end. The innermost frame owns the
+/// tail of the locals arena from `base` on — its wire locals, then its
+/// temps — so the arena's own bound is the frame's.
 #[inline]
-fn slot_ref(
-    locals: &[Value],
-    base: usize,
-    n_locals: u16,
-    slot: u16,
-) -> Result<&Value, RuntimeError> {
-    if slot >= n_locals {
-        return Err(corrupt("bad local slot"));
-    }
-    Ok(&locals[base + slot as usize])
+fn slot_ref(locals: &[Value], base: usize, slot: u16) -> Result<&Value, RuntimeError> {
+    locals
+        .get(base + usize::from(slot))
+        .ok_or(corrupt("bad local slot"))
 }
 
-/// Local `slot` of the current frame as a place to store into, with the
+/// Slot `slot` of the current frame as a place to store into, with the
 /// same fault.
 #[inline]
-fn slot_mut(
-    locals: &mut [Value],
-    base: usize,
-    n_locals: u16,
-    slot: u16,
-) -> Result<&mut Value, RuntimeError> {
-    if slot >= n_locals {
-        return Err(corrupt("bad local slot"));
-    }
-    Ok(&mut locals[base + slot as usize])
+fn slot_mut(locals: &mut [Value], base: usize, slot: u16) -> Result<&mut Value, RuntimeError> {
+    locals
+        .get_mut(base + usize::from(slot))
+        .ok_or(corrupt("bad local slot"))
 }
 
 /// Constant `idx` of the lowered pool.
@@ -368,7 +358,7 @@ pub(crate) fn run_fused<H: HostHooks>(
     let Some(main) = exec.fns.get(main_idx) else {
         return Err(corrupt("bad call target"));
     };
-    scratch.locals.resize(main.n_locals as usize, Value::Nil);
+    scratch.locals.resize(main.frame_len(), Value::Nil);
     scratch.frames.push(ExecFrame {
         fn_idx: main_idx as u32,
         ret_pc: 0,
@@ -442,12 +432,12 @@ fn execute<H: HostHooks>(
             ExecOp::True => stack.push(Value::Bool(true)),
             ExecOp::False => stack.push(Value::Bool(false)),
             ExecOp::Load(slot) => {
-                let v = slot_ref(locals, locals_base, cur.n_locals, slot)?.clone();
+                let v = slot_ref(locals, locals_base, slot)?.clone();
                 stack.push(v);
             }
             ExecOp::Store(slot) => {
                 let v = pop(stack)?;
-                *slot_mut(locals, locals_base, cur.n_locals, slot)? = v;
+                *slot_mut(locals, locals_base, slot)? = v;
             }
             ExecOp::Pop => {
                 pop(stack)?;
@@ -478,7 +468,7 @@ fn execute<H: HostHooks>(
                 binop_into!(op, a, &b, a);
             }
             ExecOp::BinSL { op, slot } => {
-                let b = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                let b = slot_ref(locals, locals_base, slot)?;
                 let a = top(stack)?;
                 binop_into!(op, a, b, a);
             }
@@ -488,20 +478,18 @@ fn execute<H: HostHooks>(
                 binop_into!(op, a, b, a);
             }
             ExecOp::BinLL { op, a, b } => {
-                let n = cur.n_locals;
-                let a = slot_ref(locals, locals_base, n, a)?;
-                let b = slot_ref(locals, locals_base, n, b)?;
+                let a = slot_ref(locals, locals_base, a)?;
+                let b = slot_ref(locals, locals_base, b)?;
                 binop_push(op, a, b, stack)?;
             }
             ExecOp::BinLK { op, slot, cidx } => {
-                let a = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                let a = slot_ref(locals, locals_base, slot)?;
                 binop_push(op, a, konst(&exec.consts, cidx)?, stack)?;
             }
             ExecOp::BinLLStore { op, a, b, dst } => {
-                let n = cur.n_locals;
-                let a = slot_ref(locals, locals_base, n, a)?;
-                let b = slot_ref(locals, locals_base, n, b)?;
-                binop_into!(op, a, b, slot_mut(locals, locals_base, n, dst)?);
+                let a = slot_ref(locals, locals_base, a)?;
+                let b = slot_ref(locals, locals_base, b)?;
+                binop_into!(op, a, b, slot_mut(locals, locals_base, dst)?);
             }
             ExecOp::BinLKStore {
                 op,
@@ -509,10 +497,9 @@ fn execute<H: HostHooks>(
                 cidx,
                 dst,
             } => {
-                let n = cur.n_locals;
-                let a = slot_ref(locals, locals_base, n, slot)?;
+                let a = slot_ref(locals, locals_base, slot)?;
                 let b = konst(&exec.consts, cidx)?;
-                binop_into!(op, a, b, slot_mut(locals, locals_base, n, dst)?);
+                binop_into!(op, a, b, slot_mut(locals, locals_base, dst)?);
             }
             ExecOp::BinLKJf {
                 op,
@@ -520,7 +507,7 @@ fn execute<H: HostHooks>(
                 cidx,
                 target,
             } => {
-                let a = slot_ref(locals, locals_base, cur.n_locals, slot)?;
+                let a = slot_ref(locals, locals_base, slot)?;
                 let b = konst(&exec.consts, cidx)?;
                 let truthy = match int_binop(op, a, b) {
                     Some(r) => r.truthy(),
@@ -568,10 +555,10 @@ fn execute<H: HostHooks>(
                     return Err(corrupt("call underflow"));
                 }
                 let new_base = locals.len();
-                locals.resize(new_base + callee_fn.n_locals as usize, Value::Nil);
+                locals.resize(new_base + callee_fn.frame_len(), Value::Nil);
                 let split = stack.len() - argc;
                 for (slot, arg) in stack.drain(split..).enumerate() {
-                    if slot < callee_fn.n_locals as usize {
+                    if slot < usize::from(callee_fn.n_locals) {
                         locals[new_base + slot] = arg;
                     }
                 }

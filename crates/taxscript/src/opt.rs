@@ -7,20 +7,26 @@
 //! [`Program::exec`](crate::Program), and performs three rewrites:
 //!
 //! 1. **Constant folding** — `Const a; Const b; <op>` with statically
-//!    known operands collapses to a single push (or `True`/`False` for
+//!    known operands collapses to one constant (or `True`/`False` for
 //!    comparisons) wherever the operator cannot fault. A zero divisor or
 //!    a type error is left in place so it faults at run time exactly
 //!    like the legacy interpreter.
-//! 2. **Operand addressing** — every binary operator lowers to one of a
-//!    small family of [`BinOp`] forms that read their operands where
-//!    they live: a local, a constant, or the stack top. `Load; Const;
-//!    op` becomes `BinLK`, `Load; Load; op` `BinLL`, `Load; op` and
-//!    `Const; op` rewrite the stack top in place (`BinSL`, `BinSK`), as
-//!    does a bare operator (`Bin`) after popping its right operand,
-//!    and a trailing `Store` or `JumpIfFalse` folds into the two-operand
-//!    forms (`BinLLStore`, `BinLKStore`, `BinLKJf`). `Const+CallBuiltin`
-//!    also becomes one `ExecOp`. None of this is keyed to an operator:
-//!    every form takes every `BinOp`.
+//! 2. **Operand addressing with temps in the frame** — within a block,
+//!    lowering simulates the wire value stack ([`FnLowering`]): `Load`s
+//!    of locals and `Const`s emit nothing, and the operator that
+//!    consumes them reads them where they live, through one of a small
+//!    family of [`BinOp`] forms named for their operands — `L` a frame
+//!    slot, `K` a constant, `S` the stack top. An operator writes its
+//!    result where its consumer wants it: the local a following `Store`
+//!    names (`BinLLStore`, `BinLKStore`), the branch of a following
+//!    `JumpIfFalse` (`BinLKJf`), an expression temporary — a frame slot
+//!    past the wire locals — when another operator consumes it, or the
+//!    stack (`BinLL`, `BinLK`). Operands already on the stack keep the
+//!    in-place forms (`BinSL`, `BinSK`, `Bin`). Every other op, and the
+//!    block's end, pushes whatever is still deferred first, so the stack
+//!    holds what the legacy tier's holds at every fence, call, builtin
+//!    and return. `Const+CallBuiltin` also becomes one `ExecOp`. None of
+//!    this is keyed to an operator: every form takes every `BinOp`.
 //! 3. **Basic-block fuel accounting** — every block begins with an
 //!    [`ExecOp::Fence`] carrying the block's *wire* instruction count.
 //!    The dispatcher charges the whole block at entry instead of
@@ -28,9 +34,8 @@
 //!    the number of wire ops it replaced and totals agree with the
 //!    legacy interpreter at every block boundary.
 //!
-//! Fusion never crosses a block boundary: a window is only fused when
-//! none of its interior instructions is a jump target, so every wire
-//! jump target maps 1:1 onto a lowered block entry.
+//! Nothing is carried across a block boundary, so every wire jump
+//! target maps 1:1 onto a lowered block entry.
 
 use std::collections::BTreeSet;
 
@@ -65,7 +70,7 @@ impl BinOp {
     /// The operator a wire op applies, if it is a binary operator —
     /// exactly the ops [`mirror`] lowers to [`ExecOp::Bin`].
     fn of(op: Op) -> Option<BinOp> {
-        match mirror(op, 0) {
+        match mirror(op, 0, 0) {
             ExecOp::Bin(op) => Some(op),
             _ => None,
         }
@@ -77,10 +82,10 @@ impl BinOp {
 /// variants carry several operands, so `ExecOp` is allowed to be wider
 /// than `Op` — 16 bytes instead of 8 (asserted by `exec_ops_are_small`).
 ///
-/// The `Bin*` forms name where their operands come from: `L` a local
-/// slot, `K` a constant, `S` the stack top (`a` is the left operand).
-/// The `S` forms overwrite the top in place rather than popping and
-/// pushing.
+/// The `Bin*` forms name where their operands come from: `L` a frame
+/// slot (a wire local or an expression temporary), `K` a constant, `S`
+/// the stack top (`a` is the left operand). The `S` forms overwrite the
+/// top in place rather than popping and pushing.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ExecOp {
     /// Block prologue: charge `cost` fuel (the wire instruction count of
@@ -100,48 +105,47 @@ pub(crate) enum ExecOp {
     Dup,
     Neg,
     Not,
-    /// A bare wire operator (1 wire op): pop `b`, then top ∘= `b`.
+    /// Both operands on the stack: pop `b`, then top ∘= `b`.
     Bin(BinOp),
-    /// `Load slot; op` (2 wire ops): top ∘= local.
+    /// top ∘= slot.
     BinSL {
         op: BinOp,
         slot: u16,
     },
-    /// `Const cidx; op` (2 wire ops): top ∘= constant.
+    /// top ∘= constant.
     BinSK {
         op: BinOp,
         cidx: u32,
     },
-    /// `Load a; Load b; op` (3 wire ops): push `a ∘ b`.
+    /// Push slot `a` ∘ slot `b`.
     BinLL {
         op: BinOp,
         a: u16,
         b: u16,
     },
-    /// `Load slot; Const cidx; op` (3 wire ops): push local ∘ constant.
+    /// Push slot ∘ constant.
     BinLK {
         op: BinOp,
         slot: u16,
         cidx: u32,
     },
-    /// `Load a; Load b; op; Store dst` (4 wire ops).
+    /// `dst = a ∘ b`, all frame slots — e.g. `c = a + b`, or one step
+    /// of a chain through temps.
     BinLLStore {
         op: BinOp,
         a: u16,
         b: u16,
         dst: u16,
     },
-    /// `Load slot; Const cidx; op; Store dst` (4 wire ops) — e.g. the
-    /// `i = i + 1` counter bump.
+    /// `dst = slot ∘ constant` — e.g. the `i = i + 1` counter bump.
     BinLKStore {
         op: BinOp,
         slot: u16,
         cidx: u32,
         dst: u16,
     },
-    /// `Load slot; Const cidx; op; JumpIfFalse target` (4 wire ops) —
-    /// e.g. the `while (i < n)` loop header. Jumps when the result is
-    /// falsy.
+    /// Branch on slot ∘ constant — e.g. the `while (i < n)` loop header.
+    /// Jumps when the result is falsy.
     BinLKJf {
         op: BinOp,
         slot: u16,
@@ -175,7 +179,19 @@ pub(crate) enum ExecOp {
 #[derive(Debug)]
 pub(crate) struct ExecFn {
     pub(crate) code: Vec<ExecOp>,
+    /// The wire function's local slots; `Call` copies arguments into
+    /// these only.
     pub(crate) n_locals: u16,
+    /// Expression temporaries: frame slots `n_locals..n_locals +
+    /// n_temps`, which no wire op can name.
+    pub(crate) n_temps: u16,
+}
+
+impl ExecFn {
+    /// The slots one frame of this function takes in the locals arena.
+    pub(crate) fn frame_len(&self) -> usize {
+        usize::from(self.n_locals) + usize::from(self.n_temps)
+    }
 }
 
 /// A lowered program: the constant pool pre-converted to [`Value`]s
@@ -275,29 +291,32 @@ fn lower_fn(
     }
     let starts: Vec<usize> = starts.iter().copied().collect();
 
-    // Pass 2: emit, fusing within blocks; `map[wire_pc] -> lowered pc`.
-    let mut code: Vec<ExecOp> = Vec::with_capacity(len + starts.len());
+    // Pass 2: emit block by block; `map[start]` is the lowered pc of the
+    // block's Fence, so a jump to the block start charges the block.
+    let mut lowering = FnLowering {
+        n_locals: f.n_locals,
+        n_wire_consts,
+        consts,
+        code: Vec::with_capacity(len + starts.len()),
+        deferred: Vec::new(),
+        n_temps: 0,
+    };
     let mut map = vec![0u32; len + 1];
     for w in starts.windows(2) {
         let (start, end) = (w[0], w[1]);
         let cost = (end - start) as u32;
         *max_block_cost = (*max_block_cost).max(cost);
-        let fence_at = code.len() as u32;
-        code.push(ExecOp::Fence(cost));
+        map[start] = lowering.code.len() as u32;
+        lowering.code.push(ExecOp::Fence(cost));
         let mut pc = start;
         while pc < end {
-            let at = code.len() as u32;
-            let (op, used) = fuse_at(&f.code[pc..end], n_wire_consts, consts);
-            code.push(op);
-            for k in 0..used {
-                map[pc + k] = at;
-            }
-            pc += used;
+            pc += lowering.step(&f.code[pc..end]);
         }
-        // A jump to the block start must land on the Fence (charging the
-        // block), not on its first instruction.
-        map[start] = fence_at;
+        lowering.flush();
     }
+    let FnLowering {
+        mut code, n_temps, ..
+    } = lowering;
     map[len] = code.len() as u32;
 
     // Pass 3: retarget jumps into the lowered index space. In-range
@@ -322,106 +341,261 @@ fn lower_fn(
     ExecFn {
         code,
         n_locals: f.n_locals,
+        n_temps,
     }
 }
 
-/// Where an operand-addressed form reads an operand: a local slot or an
-/// in-range wire constant.
-#[derive(Clone, Copy)]
+/// The slot a wire `Load` or `Store` past the function's locals lowers
+/// to. A frame never reaches it — temps are handed out below it — so it
+/// faults "bad local slot" like the wire slot does in the legacy
+/// interpreter, and a bad wire slot can never alias a temp.
+const BAD_SLOT: u16 = u16::MAX;
+
+/// A value the wire program has pushed but the lowered code has not:
+/// where an operator finds it instead of on the value stack.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Operand {
-    Local(u16),
+    /// Frame slot `slot`: an in-range wire local, or (at `n_locals` and
+    /// up) a temp holding an operator's result. A local is read where it
+    /// is consumed, and nothing writes it before then: a `Store` flushes
+    /// first, and an operator does not store into a local that is still
+    /// deferred. `producer` is the lowered pc of a temp's operator when
+    /// nothing was deferred below it: flushing the temp then turns that
+    /// operator into its pushing form instead of loading the temp.
+    Slot { slot: u16, producer: Option<usize> },
+    /// An in-range constant of the lowered pool.
     Konst(u32),
 }
 
-/// Tries each fusion window (longest first) at the head of `w`, which
-/// never extends past the current block. Returns the lowered op and how
-/// many wire ops it consumed.
-fn fuse_at(w: &[Op], n_wire_consts: usize, consts: &mut Vec<Value>) -> (ExecOp, usize) {
-    // An out-of-range `Const` is no operand: its window is not fused and
-    // it lowers through `mirror` to `BadConst`.
-    let operand = |i: usize| match w.get(i) {
-        Some(&Op::Load(slot)) => Some(Operand::Local(slot)),
-        Some(&Op::Const(c)) if (c as usize) < n_wire_consts => Some(Operand::Konst(c.into())),
-        _ => None,
-    };
-    let bin = |i: usize| w.get(i).copied().and_then(BinOp::of);
+/// Where a two-operand form writes its result: a frame slot (a local or
+/// a temp), a branch, or the stack.
+#[derive(Clone, Copy)]
+enum Dest {
+    Slot(u16),
+    Branch(u32),
+    Push,
+}
 
-    if let (Some(Operand::Konst(i)), Some(Operand::Konst(j)), Some(op)) =
-        (operand(0), operand(1), bin(2))
-    {
-        if let Some(folded) = fold_consts(i, j, op, consts) {
-            return (folded, 3);
+/// One function's lowering state. Within a block, `deferred` simulates
+/// the top of the wire value stack: the values pushed by `Load`s,
+/// `Const`s and operators that the lowered code keeps in slots or the
+/// constant pool. Everything below them is on the real stack, so a value
+/// on the real stack is never above a deferred one. The block ends with
+/// a flush, and so does every op but a `Load`, a `Const` and an
+/// operator: the real stack then holds exactly what the wire program's
+/// does.
+struct FnLowering<'a> {
+    n_locals: u16,
+    n_wire_consts: usize,
+    consts: &'a mut Vec<Value>,
+    code: Vec<ExecOp>,
+    deferred: Vec<Operand>,
+    n_temps: u16,
+}
+
+impl FnLowering<'_> {
+    /// The operand a wire `Load` or `Const` defers, if it can: a bad
+    /// slot or constant index is no operand, and lowers through
+    /// [`mirror`] to an op that faults where the wire op does.
+    fn operand(&self, op: Op) -> Option<Operand> {
+        match op {
+            Op::Load(slot) if slot < self.n_locals => Some(Operand::Slot {
+                slot,
+                producer: None,
+            }),
+            Op::Const(c) if usize::from(c) < self.n_wire_consts => Some(Operand::Konst(c.into())),
+            _ => None,
         }
     }
-    if let (Some(Operand::Local(a)), Some(b), Some(op)) = (operand(0), operand(1), bin(2)) {
-        return match (b, w.get(3)) {
-            (Operand::Local(b), Some(&Op::Store(dst))) => (ExecOp::BinLLStore { op, a, b, dst }, 4),
-            (Operand::Konst(cidx), Some(&Op::Store(dst))) => (
-                ExecOp::BinLKStore {
-                    op,
-                    slot: a,
-                    cidx,
-                    dst,
-                },
-                4,
-            ),
-            (Operand::Konst(cidx), Some(&Op::JumpIfFalse(target))) => (
-                ExecOp::BinLKJf {
-                    op,
-                    slot: a,
-                    cidx,
-                    target,
-                },
-                4,
-            ),
-            (Operand::Local(b), _) => (ExecOp::BinLL { op, a, b }, 3),
-            (Operand::Konst(cidx), _) => (ExecOp::BinLK { op, slot: a, cidx }, 3),
-        };
-    }
-    if let (Some(b), Some(op)) = (operand(0), bin(1)) {
-        let fused = match b {
-            Operand::Local(slot) => ExecOp::BinSL { op, slot },
-            Operand::Konst(cidx) => ExecOp::BinSK { op, cidx },
-        };
-        return (fused, 2);
-    }
-    if let (Some(Operand::Konst(cidx)), Some(&Op::CallBuiltin { builtin, argc })) =
-        (operand(0), w.get(1))
-    {
-        return (
-            ExecOp::ConstCallBuiltin {
+
+    /// Lowers the head of `w` (which never extends past the current
+    /// block) and returns how many wire ops it consumed.
+    fn step(&mut self, w: &[Op]) -> usize {
+        let op = w[0];
+        if let Some(operand) = self.operand(op) {
+            self.deferred.push(operand);
+            return 1;
+        }
+        if let Some(bin) = BinOp::of(op) {
+            return self.binary(bin, w.get(1).copied());
+        }
+        if let (&Op::CallBuiltin { builtin, argc }, Some(&Operand::Konst(cidx))) =
+            (&op, self.deferred.last())
+        {
+            self.deferred.pop();
+            self.flush();
+            self.code.push(ExecOp::ConstCallBuiltin {
                 cidx,
                 builtin,
                 argc,
-            },
-            2,
-        );
+            });
+            return 1;
+        }
+        self.flush();
+        self.code
+            .push(mirror(op, self.n_locals, self.n_wire_consts));
+        1
     }
-    (mirror(w[0], n_wire_consts), 1)
+
+    /// Lowers a wire operator, given the wire op after it in the block.
+    fn binary(&mut self, op: BinOp, next: Option<Op>) -> usize {
+        // `None` is a value on the stack; nothing deferred is below one.
+        let b = self.deferred.pop();
+        let a = self.deferred.pop();
+        for operand in [a, b].into_iter().flatten() {
+            self.keep(operand);
+        }
+        if let (Some(Operand::Konst(i)), Some(Operand::Konst(j))) = (a, b) {
+            match fold_consts(i, j, op, self.consts) {
+                Some(Value::Bool(t)) => {
+                    self.flush();
+                    self.code.push(if t { ExecOp::True } else { ExecOp::False });
+                    return 1;
+                }
+                Some(v) => {
+                    let cidx = intern(self.consts, v);
+                    self.deferred.push(Operand::Konst(cidx));
+                    return 1;
+                }
+                None => {}
+            }
+        }
+        let a = match a {
+            Some(Operand::Slot { slot, .. }) => slot,
+            // No form reads a constant on the left: push it, then take
+            // the stack form.
+            Some(Operand::Konst(i)) => {
+                self.flush();
+                self.code.push(ExecOp::Const(i));
+                return self.on_stack(op, b);
+            }
+            None => return self.on_stack(op, b),
+        };
+        let b = b.expect("a value on the stack is below every deferred one");
+        let dest = match next {
+            Some(Op::Store(d)) if d < self.n_locals && !self.is_deferred(d) => Dest::Slot(d),
+            Some(Op::JumpIfFalse(t)) if matches!(b, Operand::Konst(_)) => Dest::Branch(t),
+            // More of the expression follows: keep the value in a temp.
+            Some(next) if BinOp::of(next).is_some() || self.operand(next).is_some() => {
+                match u16::try_from(usize::from(self.n_locals) + self.deferred.len()) {
+                    Ok(slot) if slot < BAD_SLOT => Dest::Slot(slot),
+                    _ => Dest::Push,
+                }
+            }
+            _ => Dest::Push,
+        };
+        if !matches!(dest, Dest::Slot(_)) {
+            self.flush();
+        }
+        let at = self.code.len();
+        self.code.push(match (dest, b) {
+            (Dest::Slot(dst), Operand::Konst(cidx)) => ExecOp::BinLKStore {
+                op,
+                slot: a,
+                cidx,
+                dst,
+            },
+            (Dest::Slot(dst), Operand::Slot { slot: b, .. }) => {
+                ExecOp::BinLLStore { op, a, b, dst }
+            }
+            (Dest::Branch(target), Operand::Konst(cidx)) => ExecOp::BinLKJf {
+                op,
+                slot: a,
+                cidx,
+                target,
+            },
+            (_, Operand::Konst(cidx)) => ExecOp::BinLK { op, slot: a, cidx },
+            (_, Operand::Slot { slot: b, .. }) => ExecOp::BinLL { op, a, b },
+        });
+        match dest {
+            Dest::Slot(slot) if slot >= self.n_locals => {
+                let producer = self.deferred.is_empty().then_some(at);
+                self.deferred.push(Operand::Slot { slot, producer });
+                1
+            }
+            Dest::Slot(_) | Dest::Branch(_) => 2,
+            Dest::Push => 1,
+        }
+    }
+
+    /// Lowers an operator whose left operand is on the stack: it
+    /// rewrites the top in place.
+    fn on_stack(&mut self, op: BinOp, b: Option<Operand>) -> usize {
+        self.code.push(match b {
+            None => ExecOp::Bin(op),
+            Some(Operand::Konst(cidx)) => ExecOp::BinSK { op, cidx },
+            Some(Operand::Slot { slot, .. }) => ExecOp::BinSL { op, slot },
+        });
+        1
+    }
+
+    /// Whether a load of local `slot` is deferred.
+    fn is_deferred(&self, slot: u16) -> bool {
+        self.deferred
+            .iter()
+            .any(|o| matches!(*o, Operand::Slot { slot: s, .. } if s == slot))
+    }
+
+    /// Counts `operand`'s temp in the frame: a temp takes a slot only
+    /// once something reads it.
+    fn keep(&mut self, operand: Operand) {
+        if let Operand::Slot { slot, .. } = operand {
+            if slot >= self.n_locals {
+                self.n_temps = self.n_temps.max(slot - self.n_locals + 1);
+            }
+        }
+    }
+
+    /// Pushes every deferred value, bottom first. A temp whose operator
+    /// had nothing deferred below it is pushed by that operator instead:
+    /// nothing has touched the real stack since it ran.
+    fn flush(&mut self) {
+        let mut deferred = std::mem::take(&mut self.deferred);
+        for operand in deferred.drain(..) {
+            let op = match operand {
+                Operand::Slot {
+                    producer: Some(at), ..
+                } => {
+                    self.code[at] = pushing(self.code[at]);
+                    continue;
+                }
+                Operand::Slot { slot, .. } => ExecOp::Load(slot),
+                Operand::Konst(cidx) => ExecOp::Const(cidx),
+            };
+            self.keep(operand);
+            self.code.push(op);
+        }
+        self.deferred = deferred;
+    }
 }
 
-/// Folds `Const i; Const j; op` (both wire constants) when the legacy
-/// interpreter could not fault on it — exactly when the kernel returns
-/// `Ok`. A zero divisor or a type error is left to run time.
-fn fold_consts(i: u32, j: u32, op: BinOp, consts: &mut Vec<Value>) -> Option<ExecOp> {
-    match binop(op, &consts[i as usize], &consts[j as usize]).ok()? {
-        Value::Bool(true) => Some(ExecOp::True),
-        Value::Bool(false) => Some(ExecOp::False),
-        v => Some(push_const(consts, v)),
+/// The pushing form of a two-operand store.
+fn pushing(op: ExecOp) -> ExecOp {
+    match op {
+        ExecOp::BinLLStore { op, a, b, .. } => ExecOp::BinLL { op, a, b },
+        ExecOp::BinLKStore { op, slot, cidx, .. } => ExecOp::BinLK { op, slot, cidx },
+        other => other,
     }
+}
+
+/// Folds `Const i; Const j; op` when the legacy interpreter could not
+/// fault on it — exactly when the kernel returns `Ok`. A zero divisor or
+/// a type error is left to run time.
+fn fold_consts(i: u32, j: u32, op: BinOp, consts: &[Value]) -> Option<Value> {
+    binop(op, &consts[i as usize], &consts[j as usize]).ok()
 }
 
 /// Interns `v` in the lowered constant pool, reusing an equal entry.
-fn push_const(consts: &mut Vec<Value>, v: Value) -> ExecOp {
+fn intern(consts: &mut Vec<Value>, v: Value) -> u32 {
     if let Some(i) = consts.iter().position(|c| *c == v) {
-        return ExecOp::Const(i as u32);
+        return i as u32;
     }
     consts.push(v);
-    ExecOp::Const((consts.len() - 1) as u32)
+    (consts.len() - 1) as u32
 }
 
-/// 1:1 lowering for everything outside a fusion window.
-fn mirror(op: Op, n_wire_consts: usize) -> ExecOp {
+/// 1:1 lowering for every op the operand forms do not absorb.
+fn mirror(op: Op, n_locals: u16, n_wire_consts: usize) -> ExecOp {
     match op {
         // Wire constant indices are validated at decode, but programs
         // built in memory can carry bad ones. The lowered pool is the
@@ -433,6 +607,8 @@ fn mirror(op: Op, n_wire_consts: usize) -> ExecOp {
         Op::Nil => ExecOp::Nil,
         Op::True => ExecOp::True,
         Op::False => ExecOp::False,
+        Op::Load(s) if s >= n_locals => ExecOp::Load(BAD_SLOT),
+        Op::Store(s) if s >= n_locals => ExecOp::Store(BAD_SLOT),
         Op::Load(s) => ExecOp::Load(s),
         Op::Store(s) => ExecOp::Store(s),
         Op::Pop => ExecOp::Pop,
@@ -539,8 +715,11 @@ mod tests {
     #[test]
     fn every_operand_form_takes_every_operator() {
         for (sym, op) in OPERATORS {
+            // A call's result is on the stack, so only an operand that
+            // is one reaches the stack forms.
             let found = forms(&format!(
-                "fn main() {{
+                "fn id(x) {{ return x; }}
+                fn main() {{
                     let a = 1; let b = 2; let c = 0;
                     c = a {sym} b;
                     c = a {sym} 3;
@@ -549,6 +728,9 @@ mod tests {
                     display((a {sym} b) {sym} a);
                     display((a {sym} b) {sym} 3);
                     display((a {sym} b) {sym} (a {sym} b));
+                    display(id(a) {sym} b);
+                    display(id(a) {sym} 3);
+                    display(id(a) {sym} id(b));
                     while (a {sym} 3) {{ }}
                 }}"
             ));
@@ -569,35 +751,142 @@ mod tests {
     }
 
     #[test]
-    fn checksum_statement_lowers_to_four_ops() {
+    fn checksum_statement_lowers_to_three_store_forms() {
         // `sum = (sum * 31 + k) % 1000003;` is 8 wire ops: Load, Const,
-        // Mul, Load, Add, Const, Mod, Store. It lowers to BinLK, BinSL,
-        // BinSK and Store — nothing in the lowering knows this shape.
-        let non_fence = |src: &str| {
-            let (exec, main) = lowered_main(src);
-            exec.fns[main]
-                .code
+        // Mul, Load, Add, Const, Mod, Store. Its intermediate values stay
+        // in one temp (T0, the first slot past the wire locals), so it
+        // lowers to three stores and no stack form — nothing in the
+        // lowering knows this shape.
+        let prelude = "let sum = 0; let k = 0;";
+        let (exec, main) = lowered_main(&format!(
+            "fn main() {{ {prelude} sum = (sum * 31 + k) % 1000003; }}"
+        ));
+        let (without, _) = lowered_main(&format!("fn main() {{ {prelude} }}"));
+        let (f, bare) = (&exec.fns[main], &without.fns[main]);
+        let non_fence = |f: &ExecFn| {
+            f.code
                 .iter()
                 .filter(|op| !matches!(op, ExecOp::Fence(_)))
                 .count()
         };
-        let prelude = "let sum = 0; let k = 0;";
-        let with = non_fence(&format!(
-            "fn main() {{ {prelude} sum = (sum * 31 + k) % 1000003; }}"
-        ));
-        let without = non_fence(&format!("fn main() {{ {prelude} }}"));
-        assert!(with - without <= 4, "{} ExecOps", with - without);
-        let found = forms(&format!(
-            "fn main() {{ {prelude} sum = (sum * 31 + k) % 1000003; }}"
-        ));
+        assert_eq!(non_fence(f) - non_fence(bare), 3, "{:?}", f.code);
+        assert_eq!((f.n_locals, f.n_temps), (2, 1));
+        let (sum, k, t0) = (0, 1, 2);
+        let chain: Vec<(BinOp, u16, u16)> = f
+            .code
+            .iter()
+            .filter_map(|op| match *op {
+                ExecOp::BinLKStore { op, slot, dst, .. } => Some((op, slot, dst)),
+                ExecOp::BinLLStore { op, a, b, dst } => {
+                    assert_eq!(b, k, "{:?}", f.code);
+                    Some((op, a, dst))
+                }
+                _ => None,
+            })
+            .collect();
         assert_eq!(
-            found,
+            chain,
             [
-                ("BinLK", BinOp::Mul),
-                ("BinSL", BinOp::Add),
-                ("BinSK", BinOp::Mod)
+                (BinOp::Mul, sum, t0),
+                (BinOp::Add, t0, t0),
+                (BinOp::Mod, t0, sum)
+            ],
+            "{:?}",
+            f.code
+        );
+        assert!(
+            !f.code.iter().any(|op| matches!(
+                op,
+                ExecOp::Bin(_) | ExecOp::BinSL { .. } | ExecOp::BinSK { .. }
+            )),
+            "{:?}",
+            f.code
+        );
+    }
+
+    #[test]
+    fn temps_are_handed_out_by_depth() {
+        let (exec, main) =
+            lowered_main("fn main() { let a = 1; let b = 2; let c = 3; let d = 4; let x = 0; x = (a * b) + (c * d); }");
+        let f = &exec.fns[main];
+        assert_eq!(f.n_temps, 2, "{:?}", f.code);
+        assert_eq!(
+            forms("fn main() { let a = 1; let b = 2; let c = 3; let d = 4; let x = 0; x = (a * b) + (c * d); }"),
+            [
+                ("BinLLStore", BinOp::Mul),
+                ("BinLLStore", BinOp::Mul),
+                ("BinLLStore", BinOp::Add)
             ]
         );
+    }
+
+    #[test]
+    fn an_expression_without_an_operator_consumer_lowers_as_before() {
+        // A value a call or builtin consumes is pushed by its operator,
+        // as it was before temps: `f(a * b, c)` and `display(...)`.
+        let src = "fn f(x, y) { return x; }
+            fn main() { let a = 1; let b = 2; let c = 3; f(a * b, c); display(a * b, c); }";
+        let (exec, main) = lowered_main(src);
+        let f = &exec.fns[main];
+        assert_eq!(f.n_temps, 0, "{:?}", f.code);
+        assert_eq!(
+            forms(src),
+            [("BinLL", BinOp::Mul), ("BinLL", BinOp::Mul)],
+            "{:?}",
+            f.code
+        );
+    }
+
+    #[test]
+    fn a_store_never_overwrites_a_deferred_local() {
+        // The wire stack form of `d + (d = a + b)`: the first `Load d`
+        // must read `d` before the inner `Store d` writes it.
+        let mut p = compile_source("fn main() { let d = 1; let a = 2; let b = 3; }").unwrap();
+        let main = p.main_index();
+        let (d, a, b) = (0, 1, 2);
+        p.functions_mut()[main].code = vec![
+            Op::Load(d),
+            Op::Load(a),
+            Op::Load(b),
+            Op::Add,
+            Op::Store(d),
+            Op::Load(d),
+            Op::Add,
+            Op::Return,
+        ];
+        let exec = ExecProgram::lower(&p);
+        let code = &exec.fns[main].code;
+        let store_at = code
+            .iter()
+            .position(|op| matches!(op, ExecOp::Store(s) if *s == d))
+            .unwrap_or_else(|| panic!("no plain Store of d in {code:?}"));
+        let first_load = code
+            .iter()
+            .position(|op| matches!(op, ExecOp::Load(s) if *s == d))
+            .unwrap_or_else(|| panic!("no Load of d in {code:?}"));
+        assert!(first_load < store_at, "{code:?}");
+    }
+
+    #[test]
+    fn bad_wire_slots_lower_past_every_frame() {
+        // Slot `n_locals` is where the function's first temp lives; a
+        // wire op naming it must not reach the temp.
+        let mut p =
+            compile_source("fn main() { let sum = 0; let k = 0; sum = (sum * 31 + k) % 7; }")
+                .unwrap();
+        let main = p.main_index();
+        let n = p.functions()[main].n_locals;
+        let code = &mut p.functions_mut()[main].code;
+        code.insert(0, Op::Load(n));
+        code.insert(1, Op::Pop);
+        code.insert(2, Op::Const(0));
+        code.insert(3, Op::Store(n));
+        let exec = ExecProgram::lower(&p);
+        let f = &exec.fns[main];
+        assert_eq!(f.n_temps, 1, "{:?}", f.code);
+        assert!(f.frame_len() < usize::from(BAD_SLOT));
+        assert!(f.code.contains(&ExecOp::Load(BAD_SLOT)), "{:?}", f.code);
+        assert!(f.code.contains(&ExecOp::Store(BAD_SLOT)), "{:?}", f.code);
     }
 
     #[test]

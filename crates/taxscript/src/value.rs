@@ -68,7 +68,12 @@ impl Value {
         match e.as_str() {
             Ok(s) => Value::Str(s.to_owned()),
             Err(_) => {
-                let hex: String = e.data().iter().map(|b| format!("{b:02x}")).collect();
+                const DIGITS: &[u8; 16] = b"0123456789abcdef";
+                let mut hex = String::with_capacity(e.data().len() * 2);
+                for &b in e.data() {
+                    hex.push(char::from(DIGITS[usize::from(b >> 4)]));
+                    hex.push(char::from(DIGITS[usize::from(b & 0xf)]));
+                }
                 Value::Str(hex)
             }
         }
@@ -176,6 +181,15 @@ mod tests {
     fn binary_elements_surface_as_hex() {
         let e = Element::from(vec![0xff, 0xfe]);
         assert_eq!(Value::from_element(&e), Value::Str("fffe".into()));
+    }
+
+    #[test]
+    fn large_binary_elements_render_like_per_byte_formatting() {
+        // 32 KiB of every byte value, non-UTF-8 from its first byte.
+        let data: Vec<u8> = (0..32 * 1024).map(|i| 0xff - (i % 256) as u8).collect();
+        let expected: String = data.iter().map(|b| format!("{b:02x}")).collect();
+        let e = Element::from(data);
+        assert_eq!(Value::from_element(&e), Value::Str(expected));
     }
 
     #[test]

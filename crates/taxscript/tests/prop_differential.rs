@@ -16,7 +16,7 @@ use std::task::Poll;
 use proptest::prelude::*;
 use tacoma_briefcase::Briefcase;
 use tacoma_taxscript::{
-    compile_source, ExecScratch, GoDecision, HostHooks, NullHooks, Op, Outcome, Program,
+    compile_source, Builtin, ExecScratch, GoDecision, HostHooks, NullHooks, Op, Outcome, Program,
     RuntimeError, Vm, DEFAULT_FUEL,
 };
 
@@ -799,5 +799,187 @@ fn bad_constant_in_a_fusable_window_faults_on_both_tiers() {
             );
             assert_parity(&broken, &format!("{src}\n(pc {pc} -> Const({bad}))"));
         }
+    }
+}
+
+/// Expression temporaries live in frame slots past the wire locals. A
+/// wire `Load` or `Store` of slot `n_locals` — where the function's first
+/// temp lives — still faults "bad local slot" on both tiers.
+#[test]
+fn a_bad_slot_never_reaches_a_temp() {
+    let src = r#"fn main() {
+        let sum = 5; let k = 3;
+        display("start");
+        sum = (sum * 31 + k) % 1000003;
+        display(sum);
+    }"#;
+    let program = compile_source(src).unwrap();
+    let main = program.main_index();
+    let n = program.functions()[main].n_locals;
+    for (at, planted) in [
+        (0, vec![Op::Load(n), Op::Pop]),
+        (0, vec![Op::Const(0), Op::Store(n)]),
+        (8, vec![Op::Load(n), Op::Pop]),
+    ] {
+        let mut broken = program.clone();
+        let code = &mut broken.functions_mut()[main].code;
+        code.splice(at..at, planted.iter().copied());
+        let (legacy, _) = run_tier(&broken, DEFAULT_FUEL, true);
+        assert_eq!(
+            legacy.result,
+            Err(RuntimeError::CorruptProgram {
+                detail: "bad local slot"
+            }),
+            "{planted:?} at {at}"
+        );
+        assert_parity(&broken, &format!("{src}\n({planted:?} at {at})"));
+    }
+}
+
+/// Operator chains whose intermediate values sit in temps: a store target
+/// read inside its own expression, two temps at once, a zero divisor at
+/// the end of a chain, and a recursive function whose frames each hold
+/// a temp.
+#[test]
+fn operator_chains_through_temps_keep_parity() {
+    for src in [
+        "fn main() { let a = 3; let b = 4; a = b + a * 2; display(a); }",
+        "fn main() { let a = 2; let b = 3; let c = 5; let d = 7; let x = 0;
+            x = (a * b) + (c * d); display(x); }",
+        "fn main() { let v = 9; let z = 0; display(\"before\"); v = (v + 1) / z; display(v); }",
+        "fn f(x) { if (x == 0) { return 0; } return (x * 2 + f(x - 1)) % 7; }
+         fn main() { display(f(6)); display(f(20)); }",
+    ] {
+        let program = compile_source(src).unwrap();
+        assert_parity(&program, src);
+        let (legacy, _) = run_tier(&program, DEFAULT_FUEL, true);
+        if src.contains("/ z") {
+            assert_eq!(legacy.result, Err(RuntimeError::DivisionByZero), "{src}");
+        } else {
+            assert_eq!(legacy.result, Ok(Outcome::Finished), "{src}");
+        }
+    }
+}
+
+/// The wire locals of [`arb_wire_main`]'s `main`; slot `WIRE_LOCALS` is
+/// out of range, where the first expression temporary lives.
+const WIRE_LOCALS: u16 = 2;
+
+/// A `main` of raw wire ops rather than compiled source: locals seeded
+/// with ints and a string, then `body` (loads and stores of every slot
+/// and one past the end, constants in and out of range, every operator,
+/// stack shuffles and forward branches, in any order the strategy picks),
+/// then each local displayed. Compiled code never stores into a local an
+/// unfinished expression has loaded, nor underflows the stack; this does.
+fn arb_wire_main() -> impl Strategy<Value = Program> {
+    const BINARY: [Op; 11] = [
+        Op::Add,
+        Op::Sub,
+        Op::Mul,
+        Op::Div,
+        Op::Mod,
+        Op::Eq,
+        Op::Ne,
+        Op::Lt,
+        Op::Le,
+        Op::Gt,
+        Op::Ge,
+    ];
+    let base = compile_source(
+        r#"fn main() { let a = 0; let b = 1; let c = 7; let d = "s"; display(d); }"#,
+    )
+    .expect("seed source compiles");
+    let n_consts = base.constants().len() as u16;
+    // Weighted by the pick's range: loads, constants, operators,
+    // stores, then the rest once each. One slot or constant index in
+    // sixteen is out of range.
+    let op = (0u16..22, 0u16..64).prop_map(move |(pick, n)| {
+        let slot = if n % 16 == 0 {
+            WIRE_LOCALS
+        } else {
+            n % WIRE_LOCALS
+        };
+        let konst = if n % 16 == 0 { n_consts } else { n % n_consts };
+        match pick {
+            0..=4 => Op::Load(slot),
+            5..=7 => Op::Const(konst),
+            8..=11 => BINARY[usize::from(n) % BINARY.len()],
+            12..=14 => Op::Store(slot),
+            15 => Op::Dup,
+            16 => Op::Pop,
+            17 => Op::Neg,
+            18 => Op::Not,
+            19 => Op::Nil,
+            20 => Op::JumpIfFalse(1 + u32::from(n % 5)),
+            _ => Op::Jump(1 + u32::from(n % 5)),
+        }
+    });
+    prop::collection::vec(op, 1..32).prop_map(move |picked| {
+        // Mostly no underflow on the straight-line path: an op that
+        // would pop more than is there becomes a load.
+        let mut depth = 0usize;
+        let mut body = Vec::with_capacity(picked.len());
+        for op in picked {
+            let (pops, pushes) = match op {
+                Op::Load(_) | Op::Const(_) | Op::Nil => (0, 1),
+                Op::Dup => (1, 2),
+                Op::Store(_) | Op::Pop | Op::JumpIfFalse(_) => (1, 0),
+                Op::Neg | Op::Not => (1, 1),
+                Op::Jump(_) => (0, 0),
+                _ => (2, 1),
+            };
+            if pops > depth {
+                body.push(Op::Load(depth as u16 % WIRE_LOCALS));
+                depth += 1;
+            } else {
+                body.push(op);
+                depth = depth - pops + pushes;
+            }
+        }
+        let mut program = base.clone();
+        let main = program.main_index();
+        let mut code = Vec::new();
+        for slot in 0..WIRE_LOCALS {
+            code.extend([Op::Const(slot + 1), Op::Store(slot)]);
+        }
+        let start = code.len() as u32;
+        let end = start + body.len() as u32;
+        for (i, op) in body.into_iter().enumerate() {
+            // Branches jump forward by `skip`, at most to the tail.
+            let to = |skip: u32| (start + i as u32 + skip).min(end);
+            code.push(match op {
+                Op::JumpIfFalse(skip) => Op::JumpIfFalse(to(skip)),
+                Op::Jump(skip) => Op::Jump(to(skip)),
+                op => op,
+            });
+        }
+        for slot in 0..WIRE_LOCALS {
+            code.extend([
+                Op::Load(slot),
+                Op::CallBuiltin {
+                    builtin: Builtin::Display,
+                    argc: 1,
+                },
+                Op::Pop,
+            ]);
+        }
+        code.extend([Op::Nil, Op::Return]);
+        let f = &mut program.functions_mut()[main];
+        f.n_locals = WIRE_LOCALS;
+        f.code = code;
+        program
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8192))]
+
+    /// Raw wire blocks — stores into locals an operator chain has loaded,
+    /// underflows, bad slots and constants beside temps — run the same on
+    /// both tiers: outcome, fault text, display trace and fuel.
+    #[test]
+    fn wire_blocks_match_legacy(program in arb_wire_main()) {
+        let listing = format!("{:?}", program.functions()[program.main_index()].code);
+        assert_parity(&program, &listing);
     }
 }
