@@ -1,7 +1,7 @@
 //! Shared workload for the briefcase-migration benchmarks: a synthetic
 //! agent state plus a faithful simulation of the pre-CoW representation.
 //!
-//! The `exp_e9` bench's `briefcase_migrate` section compares one *hop* of
+//! `exp_layers`' `briefcase_migrate` row (E9) compares one *hop* of
 //! a clone-heavy itinerary two ways:
 //!
 //! * **legacy** — how migration cost looked before the copy-on-write

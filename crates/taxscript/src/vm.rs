@@ -135,7 +135,8 @@ impl<'p, H: HostHooks> Vm<'p, H> {
 
     /// The legacy per-instruction interpreter, kept as the reference
     /// tier: the `prop_differential` suite proves the fused dispatcher
-    /// matches it and `exp_e13` measures the speedup against it.
+    /// matches it and `exp_layers`' E13 section measures the speedup
+    /// against it.
     ///
     /// # Errors
     ///

@@ -29,9 +29,9 @@ pub struct FleetPair {
 }
 
 /// The host sets a fleet run deploys over. Historically the harness
-/// hard-coded `client{i}`/`server{i}` names; scenario-driven experiments
-/// (exp_e11) hand it arbitrary generated host sets instead, so exp_e9 and
-/// exp_e11 share this one harness.
+/// hard-coded `client{i}`/`server{i}` names; scenario-driven tours (the
+/// E11 tests in `tacoma-scenario`) hand it arbitrary generated host sets
+/// instead, so they and `exp_layers`' E9 fleet share this one harness.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FleetPlan {
     pairs: Vec<FleetPair>,

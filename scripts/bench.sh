@@ -1,52 +1,22 @@
 #!/usr/bin/env sh
-# Regenerates the checked-in benchmark JSON — BENCH_6.json (parallel-fleet
-# scheduler, briefcase CoW migration, firewall admission cache),
-# BENCH_7.json (durable-journal park/ship pipeline), BENCH_8.json
-# (hostile-network scenarios: track determinism, itinerary planner,
-# local-vs-remote tier gap), BENCH_9.json (sharded reactor
-# transport: pipelined acks vs stop-and-wait, bounded backpressure,
-# peer scale), and BENCH_10.json (TaxScript compile tier: fused
-# dispatch vs the legacy interpreter, cold vs warm launches).
+# Runs the layer benchmarks (exp_layers: E9 parallel fleet, CoW migration
+# and admission cache; E10 durable journal; E12 reactor transport; E13
+# TaxScript compile tier) on one harness.
 #
-#   scripts/bench.sh           full run, writes BENCH_6.json through
-#                              BENCH_10.json at the repo root
-#   scripts/bench.sh --smoke   small workload, prints JSON, writes nothing,
-#                              and enforces the perf gates via --check
-#                              (the CI smoke mode)
+#   scripts/bench.sh           full run, writes BENCH_LAYERS.json at the
+#                              repo root
+#   scripts/bench.sh --smoke   small workloads, prints the report, writes
+#                              nothing, and enforces every gate via
+#                              --check (the CI smoke mode)
 set -eu
 
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--smoke" ]; then
-    echo "==> bench (smoke): exp_e9_parallel_fleet --check"
-    cargo run -q --release -p tacoma-bench --bin exp_e9_parallel_fleet -- --json --smoke --check
-    echo "==> bench (smoke): exp_e10_durable_journal --check"
-    cargo run -q --release -p tacoma-bench --bin exp_e10_durable_journal -- --json --smoke --check
-    echo "==> bench (smoke): exp_e11_scenario_matrix --check"
-    cargo run -q --release -p tacoma-bench --bin exp_e11_scenario_matrix -- --json --smoke --check
-    echo "==> bench (smoke): exp_e12_reactor_transport --check (256-peer variant)"
-    cargo run -q --release -p tacoma-bench --bin exp_e12_reactor_transport -- --json --smoke --check
-    echo "==> bench (smoke): exp_e13_vm_dispatch --check"
-    cargo run -q --release -p tacoma-bench --bin exp_e13_vm_dispatch -- --json --smoke --check
+    echo "==> bench (smoke): exp_layers --smoke --check"
+    cargo run -q --release -p tacoma-bench --bin exp_layers -- --smoke --check
 else
-    echo "==> bench: exp_e9_parallel_fleet -> BENCH_6.json"
-    cargo run -q --release -p tacoma-bench --bin exp_e9_parallel_fleet -- --json \
-        > BENCH_6.json
-    cat BENCH_6.json
-    echo "==> bench: exp_e10_durable_journal -> BENCH_7.json"
-    cargo run -q --release -p tacoma-bench --bin exp_e10_durable_journal -- --json \
-        > BENCH_7.json
-    cat BENCH_7.json
-    echo "==> bench: exp_e11_scenario_matrix -> BENCH_8.json"
-    cargo run -q --release -p tacoma-bench --bin exp_e11_scenario_matrix -- --json \
-        > BENCH_8.json
-    cat BENCH_8.json
-    echo "==> bench: exp_e12_reactor_transport -> BENCH_9.json"
-    cargo run -q --release -p tacoma-bench --bin exp_e12_reactor_transport -- --json \
-        > BENCH_9.json
-    cat BENCH_9.json
-    echo "==> bench: exp_e13_vm_dispatch -> BENCH_10.json"
-    cargo run -q --release -p tacoma-bench --bin exp_e13_vm_dispatch -- --json \
-        > BENCH_10.json
-    cat BENCH_10.json
+    echo "==> bench: exp_layers -> BENCH_LAYERS.json"
+    cargo run -q --release -p tacoma-bench --bin exp_layers -- --json > BENCH_LAYERS.json
+    cat BENCH_LAYERS.json
 fi
