@@ -1,10 +1,9 @@
 //! **The layer benchmarks E9, E10, E12 and E13**, one report section
 //! each, on the harness in `tacoma_bench::harness`.
 //!
-//! * **E9**: a mobilized-Webbot fleet under the tick scheduler at 1, 2
-//!   and 4 workers, timing only the run to quiescence (paper scale in
-//!   full mode: 8 pairs × 917 pages; the scheduler never runs more
-//!   workers than there are cores), against its pairs run alone; the CoW
+//! * **E9**: a mobilized-Webbot fleet under the tick scheduler, timing
+//!   only the run to quiescence (paper scale in full mode: 8 pairs × 917
+//!   pages), its virtual makespan against its pairs run alone; the CoW
 //!   briefcase hop vs the deep-clone model; cold vs warm admission.
 //! * **E10**: the journal's tax on the park → deliver → ship cycle a
 //!   journaling `taxd` runs per hop, on four sender threads sharing one
@@ -73,8 +72,8 @@ fn bytecode_briefcase(wire: &[u8]) -> Briefcase {
 
 /// One fleet run with only the scheduler's run to quiescence inside the
 /// timer: wall seconds and the virtual makespan.
-fn execute_fleet(params: &FleetParams, threads: usize) -> (f64, Duration) {
-    let mut system = build_fleet(params, threads);
+fn execute_fleet(params: &FleetParams) -> (f64, Duration) {
+    let mut system = build_fleet(params);
     for pair in params.plan.pairs() {
         let mut config = WebbotConfig::scan_site(&pair.server);
         config.max_depth = params.max_depth;
@@ -118,27 +117,19 @@ fn e9_parallel_fleet(report: &mut Report, smoke: bool) {
         total_bytes,
         ..FleetParams::default()
     };
-    let [tick1, tick2, tick4] = interleave([
-        &mut || execute_fleet(&params, 1),
-        &mut || execute_fleet(&params, 2),
-        &mut || execute_fleet(&params, 4),
-    ]);
+    let [runs] = interleave([&mut || execute_fleet(&params)]);
+    let makespan = runs[0].1;
+    let same = runs.iter().all(|run| run.1 == makespan);
+    report.require(same, "fleet virtual makespan differs between reps");
     let mut out = Json::obj();
     out.put("pairs", pairs);
     out.put("pages_per_server", pages);
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    out.put("cores", cores);
-    for (threads, runs) in [(1, &tick1), (2, &tick2), (4, &tick4)] {
-        let mut put = |key: &str, value: f64| out.put(&format!("{key}.tick_{threads}"), value);
-        put("execute_wall_ms", median(&walls(runs)) * 1e3);
-        let speedup = median_ratio(&walls(&tick1), &walls(runs));
-        put("wall_clock_speedup", speedup);
-        put("virtual_makespan_ms", runs[0].1.as_secs_f64() * 1e3);
-    }
-    let alone = |i| run_fleet(&params.pair_alone(i), 1).virtual_makespan;
+    out.put("execute_wall_ms", median(&walls(&runs)) * 1e3);
+    out.put("virtual_makespan_ms", makespan.as_secs_f64() * 1e3);
+    let alone = |i| run_fleet(&params.pair_alone(i)).virtual_makespan;
     let alone: Duration = (0..pairs).map(alone).sum();
     out.put("pair_alone_makespan_sum_ms", alone.as_secs_f64() * 1e3);
-    let speedup = alone.as_secs_f64() / tick4[0].1.as_secs_f64();
+    let speedup = alone.as_secs_f64() / makespan.as_secs_f64();
     out.put("virtual_makespan_speedup", speedup);
 
     let (folders, elements, element_bytes, hops) = if smoke {

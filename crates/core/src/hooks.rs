@@ -62,18 +62,18 @@ impl Kernel {
     /// a [`TaskScope`] is installed on this thread, the global clock
     /// otherwise.
     pub fn now(&self) -> SimTime {
-        match TaskScope::current() {
+        TaskScope::with_current(|scope| match scope {
             Some(scope) => scope.clock.now(),
             None => self.net.clock().now(),
-        }
+        })
     }
 
     /// Advances virtual time on whichever clock [`Kernel::now`] reads.
     pub fn advance(&self, by: Duration) {
-        match TaskScope::current() {
+        TaskScope::with_current(|scope| match scope {
             Some(scope) => scope.clock.advance(by),
             None => self.net.clock().advance(by),
-        };
+        });
     }
 
     /// Charges a transfer of `bytes` between two hosts to whichever
@@ -84,13 +84,13 @@ impl Kernel {
         to: &HostId,
         bytes: u64,
     ) -> Result<tacoma_simnet::TransferOutcome, tacoma_simnet::NetError> {
-        match TaskScope::current() {
+        TaskScope::with_current(|scope| match scope {
             Some(scope) => {
                 self.net
-                    .transfer_with(from, to, bytes, &scope.clock, &mut scope.rng.lock())
+                    .transfer_with(from, to, bytes, &scope.clock, &mut scope.rng.borrow_mut())
             }
             None => self.net.transfer(from, to, bytes),
-        }
+        })
     }
 
     /// Routes one wire-encoded message on `host` — the one landing path

@@ -1,36 +1,34 @@
-//! The parallel tick scheduler's machinery: per-batch execution scopes,
-//! the merged system event log, the worker pool, and the deferred simnet
-//! transport.
+//! The tick scheduler's machinery: per-batch execution scopes, the
+//! merged system event log, and the simnet transport.
 //!
 //! # The tick model
 //!
 //! [`TaxSystem::step`](crate::TaxSystem::step) is a bulk-synchronous
-//! step, drained by [`SystemBuilder::threads`](crate::SystemBuilder::threads)
-//! workers:
+//! step on the calling thread:
 //!
 //! 1. **Pump** — every host's inbox drains in host order (message
 //!    delivery and the synchronous service work it triggers run on the
 //!    global clock).
 //! 2. **Execute** — each host's queued agent tasks are snapshotted into
-//!    one *batch* per host. Batches run concurrently on the worker pool;
-//!    tasks within a batch run in FIFO order (one CPU per machine).
-//!    Every batch executes inside a [`TaskScope`]: a private virtual
-//!    clock forked from the global clock at tick start, a loss RNG seeded
-//!    from `(system seed, host, tick)`, and a buffer of deferred sends.
-//! 3. **Barrier** — deferred envelopes flush to the message bus in host
-//!    order, and the global clock advances to the *maximum* of the
-//!    batches' final clocks (parallel work overlaps in virtual time, so
-//!    the tick's virtual cost is its makespan, not its sum).
+//!    one *batch* per host, and the batches run one after another in
+//!    host order; tasks within a batch run in FIFO order (one CPU per
+//!    machine). Every batch executes inside a [`TaskScope`]: a private
+//!    virtual clock forked from the global clock at tick start and a loss
+//!    RNG seeded from `(system seed, host, tick)`. Its sends land in the
+//!    receivers' inboxes, which nothing reads before the next tick's
+//!    pump, so no batch sees another batch's tick.
+//! 3. **Barrier** — the global clock advances to the *maximum* of the
+//!    batches' final clocks (the hosts are separate machines, so their
+//!    batches overlap in virtual time and the tick costs its makespan,
+//!    not its sum).
 //!
-//! Because a batch's clock, RNG, and send buffer are all derived from
-//! per-tick state that does not depend on how many worker threads drain
-//! the batch queue, a run with one worker and a run with N workers
-//! produce identical event traces. See `docs/scheduler.md` for the exact
-//! determinism contract.
+//! A batch's clock and RNG depend only on per-tick state, never on the
+//! batches run before it, so the same seed always produces the same event
+//! trace. See `docs/scheduler.md` for the exact determinism contract.
 
 use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -45,67 +43,52 @@ use crate::event::{EventKind, HostEvent};
 // Task scopes
 // ---------------------------------------------------------------------------
 
-/// The execution context of one host batch during a parallel tick: a
-/// forked clock, a deterministic loss RNG, and the tick's deferred sends.
+/// The execution context of one host batch during a tick: a forked
+/// clock and a deterministic loss RNG.
 ///
 /// Installed thread-locally while the batch runs; every kernel primitive
-/// that touches virtual time, loss randomness, or the simnet bus checks
-/// [`TaskScope::current`] first.
+/// that touches virtual time, loss randomness, or the simnet bus borrows
+/// it through [`TaskScope::with_current`] first.
 pub(crate) struct TaskScope {
     /// Private virtual clock, forked from the global clock at tick start.
     pub clock: SimClock,
     /// Loss RNG seeded from `(system seed, host index, tick)`.
-    pub rng: Mutex<StdRng>,
-    /// Envelopes charged during the batch, delivered at the barrier.
-    pub sends: Mutex<Vec<Envelope>>,
+    pub rng: RefCell<StdRng>,
 }
 
 thread_local! {
-    static CURRENT_SCOPE: RefCell<Option<Arc<TaskScope>>> = const { RefCell::new(None) };
+    static CURRENT_SCOPE: RefCell<Option<Rc<TaskScope>>> = const { RefCell::new(None) };
 }
 
 impl TaskScope {
     /// A scope starting at `start` with the given RNG seed.
-    pub fn new(start: SimTime, rng_seed: u64) -> Arc<TaskScope> {
-        Arc::new(TaskScope {
+    pub fn new(start: SimTime, rng_seed: u64) -> Rc<TaskScope> {
+        Rc::new(TaskScope {
             clock: SimClock::starting_at(start),
-            rng: Mutex::new(StdRng::seed_from_u64(rng_seed)),
-            sends: Mutex::new(Vec::new()),
+            rng: RefCell::new(StdRng::seed_from_u64(rng_seed)),
         })
     }
 
-    /// Re-arms an already allocated scope for a new batch: clock forked
-    /// from `start`, RNG reseeded, sends cleared (capacity kept).
-    ///
-    /// A reset scope is indistinguishable from a fresh [`TaskScope::new`],
-    /// so the scheduler reuses scope allocations (and their send-buffer
-    /// capacity) across ticks without affecting the deterministic trace.
-    pub fn reset(&self, start: SimTime, rng_seed: u64) {
-        self.clock.reset();
-        self.clock.advance_to(start);
-        *self.rng.lock() = StdRng::seed_from_u64(rng_seed);
-        self.sends.lock().clear();
-    }
-
-    /// The scope installed on this thread, if a batch is executing.
-    pub fn current() -> Option<Arc<TaskScope>> {
-        CURRENT_SCOPE.with(|c| c.borrow().clone())
+    /// Runs `f` on the scope installed on this thread (`None` outside a
+    /// batch), borrowed in place.
+    pub fn with_current<R>(f: impl FnOnce(Option<&TaskScope>) -> R) -> R {
+        CURRENT_SCOPE.with_borrow(|scope| f(scope.as_deref()))
     }
 
     /// Installs `scope` on this thread until the guard drops.
-    pub fn enter(scope: Arc<TaskScope>) -> ScopeGuard {
-        CURRENT_SCOPE.with(|c| *c.borrow_mut() = Some(scope));
+    pub fn enter(scope: Rc<TaskScope>) -> ScopeGuard {
+        CURRENT_SCOPE.set(Some(scope));
         ScopeGuard
     }
 }
 
 /// Clears the thread's scope on drop (including on unwind, so a panicking
-/// batch cannot leak its scope into the next job on the worker).
+/// batch cannot leak its scope into the next batch).
 pub(crate) struct ScopeGuard;
 
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
-        CURRENT_SCOPE.with(|c| *c.borrow_mut() = None);
+        CURRENT_SCOPE.set(None);
     }
 }
 
@@ -235,82 +218,6 @@ pub(crate) struct SystemLogHandle {
 }
 
 // ---------------------------------------------------------------------------
-// The worker pool
-// ---------------------------------------------------------------------------
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A persistent pool of scheduler workers draining a shared injector
-/// channel — whichever worker is free steals the next host batch, so a
-/// tick's wall time tracks its largest batch rather than its batch count.
-pub(crate) struct WorkerPool {
-    injector: Option<crossbeam::channel::Sender<Job>>,
-    workers: Vec<JoinHandle<()>>,
-    /// Persistent completion channel, reused across ticks instead of
-    /// allocating a fresh channel per tick. Exactly `n` completions are
-    /// consumed per `n` submissions, so the channel is empty between
-    /// ticks.
-    done_tx: crossbeam::channel::Sender<()>,
-    done_rx: crossbeam::channel::Receiver<()>,
-}
-
-impl WorkerPool {
-    /// Spawns `size` workers.
-    pub fn new(size: usize) -> WorkerPool {
-        let (tx, rx) = crossbeam::channel::unbounded::<Job>();
-        let (done_tx, done_rx) = crossbeam::channel::unbounded::<()>();
-        let workers = (0..size)
-            .map(|i| {
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("tax-sched-{i}"))
-                    .spawn(move || {
-                        while let Ok(job) = rx.recv() {
-                            job();
-                        }
-                    })
-                    .expect("spawn scheduler worker")
-            })
-            .collect();
-        WorkerPool {
-            injector: Some(tx),
-            workers,
-            done_tx,
-            done_rx,
-        }
-    }
-
-    /// Queues one batch job.
-    pub fn submit(&self, job: Job) {
-        if let Some(tx) = &self.injector {
-            let _ = tx.send(job);
-        }
-    }
-
-    /// A sender jobs use to signal completion to [`WorkerPool::wait`].
-    pub fn done_sender(&self) -> crossbeam::channel::Sender<()> {
-        self.done_tx.clone()
-    }
-
-    /// Blocks until `n` completion signals have arrived.
-    pub fn wait(&self, n: usize) {
-        for _ in 0..n {
-            let _ = self.done_rx.recv();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the injector ends every worker's recv loop.
-        self.injector = None;
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Run outcome
 // ---------------------------------------------------------------------------
 
@@ -346,33 +253,34 @@ impl RunOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// Deferred simnet transport
+// Simnet transport
 // ---------------------------------------------------------------------------
 
-/// The default outbound transport: the simnet bus, with sends deferred to
-/// the tick barrier while a [`TaskScope`] is active.
+/// The default outbound transport: the simnet bus, charged to the
+/// executing batch's clock and loss RNG while a [`TaskScope`] is active.
 ///
-/// Outside a scope it charges the transfer to the global clock and
-/// delivers immediately. Inside a scope the transfer is charged to the
-/// batch's clock and loss RNG, and the resulting envelope is buffered so
-/// the barrier can hand envelopes to the bus in deterministic host order.
-pub(crate) struct DeferredSimTransport {
+/// Outside a scope it charges the transfer to the global clock. Either
+/// way the envelope goes straight into the receiver's inbox: inboxes are
+/// read only by the next tick's pump, and batches run in host order, so
+/// every inbox fills in host order and no batch sees another batch's
+/// sends within its tick.
+pub(crate) struct SimTransport {
     bus: MessageBus,
     net: Arc<Network>,
     counters: TransportCounters,
 }
 
-impl DeferredSimTransport {
+impl SimTransport {
     /// A transport over the given bus and network.
-    pub fn new(bus: MessageBus, net: Arc<Network>) -> DeferredSimTransport {
-        DeferredSimTransport {
+    pub fn new(bus: MessageBus, net: Arc<Network>) -> SimTransport {
+        SimTransport {
             bus,
             net,
             counters: TransportCounters::new(),
         }
     }
 
-    fn send_deferred(
+    fn send_scoped(
         &self,
         scope: &TaskScope,
         from: &HostId,
@@ -392,23 +300,22 @@ impl DeferredSimTransport {
             to,
             payload.len() as u64,
             &scope.clock,
-            &mut scope.rng.lock(),
+            &mut scope.rng.borrow_mut(),
         )?;
-        scope.sends.lock().push(Envelope {
+        self.bus.deliver(Envelope {
             from: from.clone(),
             to: to.clone(),
             payload,
             departed: outcome.departed,
             arrived: outcome.arrived,
             cost: outcome.cost,
-        });
-        Ok(())
+        })
     }
 }
 
-impl std::fmt::Debug for DeferredSimTransport {
+impl std::fmt::Debug for SimTransport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DeferredSimTransport")
+        f.write_str("SimTransport")
     }
 }
 
@@ -419,7 +326,7 @@ fn host_id(name: &str) -> Result<HostId, TransportError> {
     })
 }
 
-impl Transport for DeferredSimTransport {
+impl Transport for SimTransport {
     fn send(
         &self,
         from: &str,
@@ -429,10 +336,10 @@ impl Transport for DeferredSimTransport {
     ) -> Result<(), TransportError> {
         let from = host_id(from)?;
         let to = host_id(to_host)?;
-        let result = match TaskScope::current() {
-            Some(scope) => self.send_deferred(&scope, &from, &to, payload),
+        let result = TaskScope::with_current(|scope| match scope {
+            Some(scope) => self.send_scoped(scope, &from, &to, payload),
             None => self.bus.send(&from, &to, Bytes::copy_from_slice(payload)),
-        };
+        });
         match result {
             Ok(()) => {
                 self.counters.add_sent(payload.len() as u64);
@@ -460,17 +367,17 @@ mod tests {
 
     #[test]
     fn scope_is_thread_local_and_guard_clears() {
-        assert!(TaskScope::current().is_none());
-        let scope = TaskScope::new(SimTime::ZERO, 7);
+        let installed = || TaskScope::with_current(|scope| scope.is_some());
+        assert!(!installed());
         {
-            let _guard = TaskScope::enter(Arc::clone(&scope));
-            assert!(TaskScope::current().is_some());
+            let _guard = TaskScope::enter(TaskScope::new(SimTime::ZERO, 7));
+            assert!(installed());
             // Another thread sees no scope.
-            std::thread::spawn(|| assert!(TaskScope::current().is_none()))
+            std::thread::spawn(move || assert!(!installed()))
                 .join()
                 .unwrap();
         }
-        assert!(TaskScope::current().is_none());
+        assert!(!installed());
     }
 
     #[test]
@@ -518,12 +425,12 @@ mod tests {
         assert!(log.snapshot().is_empty());
     }
 
-    fn sim_transport() -> (DeferredSimTransport, MessageBus) {
+    fn sim_transport() -> (SimTransport, MessageBus) {
         let mut topology = tacoma_simnet::Topology::new(tacoma_simnet::LinkSpec::lan_100mbit());
         topology.add_hosts([HostId::new("a").unwrap(), HostId::new("b").unwrap()]);
         let net = Arc::new(Network::new(topology, 3));
         let bus = MessageBus::new(Arc::clone(&net));
-        (DeferredSimTransport::new(bus.clone(), net), bus)
+        (SimTransport::new(bus.clone(), net), bus)
     }
 
     #[test]
@@ -542,22 +449,5 @@ mod tests {
         let err = transport.send("a", "b", 4711, &[0; 8]).unwrap_err();
         assert!(matches!(err, TransportError::Unreachable { .. }));
         assert_eq!(transport.stats().retry_timeouts, 1);
-    }
-
-    #[test]
-    fn worker_pool_runs_jobs_and_drains_on_drop() {
-        let pool = WorkerPool::new(2);
-        let (tx, rx) = crossbeam::channel::unbounded();
-        for i in 0..8u32 {
-            let tx = tx.clone();
-            pool.submit(Box::new(move || {
-                let _ = tx.send(i);
-            }));
-        }
-        drop(tx);
-        let mut got: Vec<u32> = (0..8).map(|_| rx.recv().unwrap()).collect();
-        got.sort_unstable();
-        assert_eq!(got, (0..8).collect::<Vec<_>>());
-        drop(pool);
     }
 }

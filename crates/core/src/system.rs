@@ -2,6 +2,7 @@
 //! scheduler.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,9 +18,7 @@ use crate::agent::AgentSpec;
 use crate::event::{EventKind, HostEvent};
 use crate::hooks::Kernel;
 use crate::host::{AgentTask, HostBuilder, Settled, TaxHost, Wait};
-use crate::sched::{
-    batch_seed, DeferredSimTransport, RunOutcome, SystemLog, SystemLogHandle, TaskScope, WorkerPool,
-};
+use crate::sched::{batch_seed, RunOutcome, SimTransport, SystemLog, SystemLogHandle, TaskScope};
 use crate::TaxError;
 
 /// Hard cap on scheduler steps per [`TaxSystem::run_until_quiet`] call —
@@ -32,15 +31,8 @@ const MAX_STEPS: usize = 1_000_000;
 /// This is the attachment point for scenario event tracks: a hook applies
 /// every due topology mutation (churn, partitions, link degradation)
 /// between ticks, so within a tick all hosts see one consistent topology
-/// and the trace stays worker-count invariant.
+/// and the same seed replays the same trace.
 pub type StepHook = Box<dyn FnMut(&Network, SimTime) + Send>;
-
-/// Ticks with at most this many queued tasks run inline on the scheduler
-/// thread even with several workers. Fanning out a couple of tasks can
-/// at best overlap one of them, which is less than the cost of boxing the
-/// jobs and crossing the pool's channels twice — the typical shape of a
-/// message ping-pong tick.
-const TICK_INLINE_THRESHOLD: usize = 2;
 
 /// Builds a [`TaxSystem`].
 pub struct SystemBuilder {
@@ -50,8 +42,6 @@ pub struct SystemBuilder {
     seed: u64,
     trust_all: bool,
     transport: Option<Arc<dyn tacoma_transport::Transport>>,
-    threads: usize,
-    cores_override: Option<usize>,
 }
 
 impl std::fmt::Debug for SystemBuilder {
@@ -76,8 +66,6 @@ impl SystemBuilder {
             seed: 1,
             trust_all: false,
             transport: None,
-            threads: 1,
-            cores_override: None,
         }
     }
 
@@ -133,39 +121,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Sets how many worker threads the bulk-synchronous tick scheduler
-    /// drains host batches on (default 1; 0 means 1). Every step drains
-    /// *every* ready host's task batch. A run is deterministic across
-    /// worker counts: the same seed produces the same event trace with 1
-    /// or N threads (see `docs/scheduler.md`).
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = n.max(1);
-        self
-    }
-
-    /// Overrides the detected core count used to clamp tick fan-out.
-    ///
-    /// By default the tick scheduler never runs more workers than
-    /// `std::thread::available_parallelism()` reports at
-    /// [`SystemBuilder::build`] — oversubscribing a small machine makes
-    /// the tick barrier slower, never faster. Tests
-    /// (and benchmarks characterizing fan-out overhead) use this to force
-    /// the pooled path on machines with few cores. The event trace is
-    /// identical either way.
-    pub fn scheduler_cores(mut self, cores: usize) -> Self {
-        self.cores_override = Some(cores.max(1));
-        self
-    }
-
     /// Builds the system.
     pub fn build(self) -> TaxSystem {
-        // One worker needs no core count (see `scheduler_cores`).
-        let workers = match self.threads {
-            1 => 1,
-            n => n.min(self.cores_override.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            })),
-        };
         let mut topology = Topology::new(self.default_link);
         for hb in &self.hosts {
             topology.add_host(hb.name().clone());
@@ -219,7 +176,7 @@ impl SystemBuilder {
         let directory = Arc::new(RwLock::new(hosts));
         let transport = self
             .transport
-            .unwrap_or_else(|| Arc::new(DeferredSimTransport::new(bus.clone(), Arc::clone(&net))));
+            .unwrap_or_else(|| Arc::new(SimTransport::new(bus, Arc::clone(&net))));
         TaxSystem {
             kernel: Kernel {
                 directory,
@@ -228,12 +185,8 @@ impl SystemBuilder {
             },
             keyrings,
             log,
-            bus,
             seed: self.seed,
-            workers,
             tick: 0,
-            pool: None,
-            scope_cache: Vec::new(),
             step_hooks: Vec::new(),
         }
     }
@@ -270,15 +223,8 @@ pub struct TaxSystem {
     kernel: Kernel,
     keyrings: BTreeMap<String, Keyring>,
     log: Arc<SystemLog>,
-    bus: MessageBus,
     seed: u64,
-    /// The configured worker count, clamped to the cores at build time.
-    workers: usize,
     tick: u64,
-    pool: Option<WorkerPool>,
-    /// Scopes recycled across ticks: resetting one is equivalent to
-    /// allocating fresh, but keeps the send-buffer capacity warm.
-    scope_cache: Vec<Arc<TaskScope>>,
     step_hooks: Vec<StepHook>,
 }
 
@@ -584,9 +530,9 @@ impl TaxSystem {
 
     /// Registers a [`StepHook`] run at the top of every subsequent step.
     ///
-    /// Hooks fire on the scheduler thread before the message pump, in
-    /// registration order — mutations they make depend only on the global
-    /// clock sequence, so determinism across worker counts is preserved.
+    /// Hooks fire before the message pump, in registration order —
+    /// mutations they make depend only on the global clock sequence, so
+    /// the same seed still replays the same trace.
     pub fn add_step_hook(&mut self, hook: StepHook) {
         self.step_hooks.push(hook);
     }
@@ -603,9 +549,9 @@ impl TaxSystem {
 
     /// Performs one unit of scheduler work — one bulk-synchronous tick —
     /// and returns whether anything happened: pump every inbox, execute
-    /// *every* ready host's task batch (concurrently across hosts on
-    /// several workers), then flush deferred sends and advance the global
-    /// clock to the tick's makespan.
+    /// *every* ready host's task batch in host order, each on its own
+    /// clock forked from the tick's start, then advance the global clock
+    /// to the tick's makespan.
     pub fn step(&mut self) -> bool {
         self.run_step_hooks();
         let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
@@ -619,97 +565,35 @@ impl TaxSystem {
             }
         }
 
-        // Phase 2: snapshot one task batch per host. The host is the unit
-        // of parallelism — its tasks run FIFO on its own forked clock.
-        // Scopes are recycled from previous ticks; a reset scope is
-        // indistinguishable from a fresh one, so recycling cannot affect
-        // the trace.
+        // Phase 2: snapshot one task batch per host before any runs (a
+        // task a batch queues elsewhere waits for the next tick), then run
+        // the batches in host order. The host is the unit of overlap: its
+        // tasks run FIFO on a clock forked from `now`, with an RNG seeded
+        // from (seed, host, tick).
         let now = self.kernel.net.clock().now();
         let tick = self.tick;
         self.tick += 1;
-        let mut scope_pool = std::mem::take(&mut self.scope_cache);
-        let mut total_tasks = 0;
-        let mut batches: Vec<(TaxHost, Vec<AgentTask>, Arc<TaskScope>)> = Vec::new();
-        for (idx, host) in hosts.iter().enumerate() {
-            let tasks = host.drain_tasks();
-            if tasks.is_empty() {
-                continue;
-            }
-            total_tasks += tasks.len();
-            let seed = batch_seed(self.seed, idx as u64, tick);
-            let scope = loop {
-                match scope_pool.pop() {
-                    // A straggling worker may still hold a transient
-                    // reference from last tick's closure; such a scope is
-                    // discarded rather than raced on.
-                    Some(s) if Arc::strong_count(&s) == 1 => {
-                        s.reset(now, seed);
-                        break s;
-                    }
-                    Some(_) => continue,
-                    None => break TaskScope::new(now, seed),
-                }
-            };
-            batches.push((host.clone(), tasks, scope));
-        }
-        if batches.is_empty() {
-            self.scope_cache = scope_pool;
-            return worked;
+        let batches: Vec<(u64, &TaxHost, Vec<AgentTask>)> = (0u64..)
+            .zip(&hosts)
+            .map(|(idx, host)| (idx, host, host.drain_tasks()))
+            .filter(|(_, _, tasks)| !tasks.is_empty())
+            .collect();
+        let mut makespan = None;
+        for (idx, host, tasks) in batches {
+            let scope = TaskScope::new(now, batch_seed(self.seed, idx, tick));
+            run_batch(&self.kernel, host, tasks, &scope);
+            makespan = makespan.max(Some(scope.clock.now()));
         }
 
-        // Execute. Fan out only when it can actually help: several
-        // batches, more than one usable core, and enough queued work to
-        // amortize the handoffs; otherwise run inline on this thread —
-        // identical semantics, no pool traffic.
-        let workers = self.workers;
-        let fan_out = batches.len() > 1 && workers > 1 && total_tasks > TICK_INLINE_THRESHOLD;
-        if !fan_out {
-            for (host, tasks, scope) in &mut batches {
-                run_batch(&self.kernel, host, std::mem::take(tasks), scope);
+        // Phase 3 (barrier): the hosts' batches overlap in virtual time,
+        // so the tick costs its slowest batch, not the sum of them.
+        match makespan {
+            Some(makespan) => {
+                self.kernel.net.clock().advance_to(makespan);
+                true
             }
-        } else {
-            let pool = self.pool.get_or_insert_with(|| WorkerPool::new(workers));
-            let done = pool.done_sender();
-            let mut submitted = 0;
-            for (host, tasks, scope) in batches.iter_mut().skip(1) {
-                let kernel = self.kernel.clone();
-                let host = host.clone();
-                let tasks = std::mem::take(tasks);
-                let scope = Arc::clone(scope);
-                let done = done.clone();
-                pool.submit(Box::new(move || {
-                    run_batch(&kernel, &host, tasks, &scope);
-                    let _ = done.send(());
-                }));
-                submitted += 1;
-            }
-            // The scheduler thread runs the first batch itself instead of
-            // blocking at the barrier: one fewer handoff, one more busy
-            // core.
-            {
-                let (host, tasks, scope) = &mut batches[0];
-                run_batch(&self.kernel, host, std::mem::take(tasks), scope);
-            }
-            pool.wait(submitted);
+            None => worked,
         }
-
-        // Phase 3 (barrier): flush deferred envelopes in host order, then
-        // advance the global clock to the slowest batch's finish time —
-        // concurrent batches overlap in virtual time, so the tick costs
-        // its makespan, not the sum of its batches.
-        let mut makespan = now;
-        for (_, _, scope) in &batches {
-            makespan = makespan.max(scope.clock.now());
-            for envelope in scope.sends.lock().drain(..) {
-                let _ = self.bus.deliver(envelope);
-            }
-        }
-        self.kernel.net.clock().advance_to(makespan);
-
-        // Recycle scopes (and their send-buffer capacity) for next tick.
-        scope_pool.extend(batches.into_iter().map(|(_, _, scope)| scope));
-        self.scope_cache = scope_pool;
-        true
     }
 
     /// Runs the scheduler until no work remains (or a million steps, as a
@@ -874,10 +758,10 @@ impl TaxSystem {
 
 /// Executes one host's task batch inside its scope. A panicking task
 /// abandons the rest of its batch (and is recorded as a scheduler event)
-/// but never takes down the worker or the tick.
-fn run_batch(kernel: &Kernel, host: &TaxHost, tasks: Vec<AgentTask>, scope: &Arc<TaskScope>) {
+/// but never takes down the tick or the caller.
+fn run_batch(kernel: &Kernel, host: &TaxHost, tasks: Vec<AgentTask>, scope: &Rc<TaskScope>) {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _guard = TaskScope::enter(Arc::clone(scope));
+        let _guard = TaskScope::enter(Rc::clone(scope));
         for task in tasks {
             kernel.run_task(host, task);
         }

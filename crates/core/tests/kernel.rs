@@ -606,7 +606,7 @@ fn extra_script_vms_are_addressable() {
 /// Cache and pool warmth is telemetry, never trace: a system whose
 /// launch caches were primed with an agent's code records the same events
 /// for it as a cold one. (A warmth string in `ExecutionTrace` made the
-/// worker-count determinism suites depend on test order.)
+/// determinism suites depend on test order.)
 #[test]
 fn cold_and_warm_launches_record_identical_events() {
     /// Runs `spec` from alpha on a fresh system after `prime` has run on

@@ -1,61 +1,65 @@
-//! The tick scheduler: identical event traces across worker counts, run
-//! outcomes, and step-budget exhaustion.
-//!
-//! Every fleet pins [`SystemBuilder::scheduler_cores`] to its worker
-//! count, so `threads` workers really run on any machine: the scheduler
-//! would otherwise clamp fan-out to the runner's cores, and on a 1-vCPU
-//! runner every multi-worker comparison would test the inline path
-//! against itself.
+//! The tick scheduler: a run is a pure function of its seed, a host's
+//! batch never sees another batch's tick, a panicking batch is contained,
+//! plus run outcomes and step-budget exhaustion.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use tacoma_core::{
-    AgentSpec, EventKind, HostEvent, LinkSpec, RunOutcome, SystemBuilder, TaxSystem,
+    AgentSpec, Briefcase, EventKind, HostEvent, LinkSpec, RunOutcome, ServiceAgent, ServiceEnv,
+    SystemBuilder, TaxSystem,
 };
 
 const PAIRS: usize = 4;
 
-/// The worker counts every multi-worker comparison runs at.
-const WORKERS: [usize; 3] = [2, 4, 8];
-
-/// A fleet of disjoint client/server pairs — the shape the parallel
-/// scheduler exists for: every pair's agent works its own two hosts.
-fn fleet(threads: usize, seed: u64, loss: f64) -> TaxSystem {
+/// Disjoint client/server pairs `pairs` — the shape the tick scheduler
+/// overlaps in virtual time: every pair's agent works its own two hosts.
+fn pairs_system(pairs: impl IntoIterator<Item = usize>, seed: u64, loss: f64) -> TaxSystem {
     let mut b = SystemBuilder::new()
         .seed(seed)
-        .threads(threads)
-        .scheduler_cores(threads)
         .default_link(LinkSpec::lan_100mbit().with_loss(loss));
-    for i in 0..PAIRS {
+    for i in pairs {
         b = b.host(&format!("client{i}")).unwrap();
         b = b.host(&format!("server{i}")).unwrap();
     }
     b.trust_all().build()
 }
 
+/// All `PAIRS` pairs on one system.
+fn fleet(seed: u64, loss: f64) -> TaxSystem {
+    pairs_system(0..PAIRS, seed, loss)
+}
+
+/// Launches pair `i`'s walker: client → server → client → server →
+/// client.
+fn launch_walker(system: &mut TaxSystem, i: usize) {
+    let spec = AgentSpec::script(
+        "walker",
+        r#"
+        fn main() {
+            display("visiting " + host_name());
+            bc_append("SEEN", host_name());
+            let next = bc_remove("HOSTS", 0);
+            if (next == nil) {
+                display("done " + str(bc_len("SEEN")));
+                exit(0);
+            }
+            go(next);
+        }
+        "#,
+    )
+    .itinerary([
+        format!("tacoma://server{i}/vm_script"),
+        format!("tacoma://client{i}/vm_script"),
+        format!("tacoma://server{i}/vm_script"),
+        format!("tacoma://client{i}/vm_script"),
+    ]);
+    system.launch(&format!("client{i}"), spec).unwrap();
+}
+
 fn launch_walkers(system: &mut TaxSystem) {
     for i in 0..PAIRS {
-        let spec = AgentSpec::script(
-            "walker",
-            r#"
-            fn main() {
-                display("visiting " + host_name());
-                bc_append("SEEN", host_name());
-                let next = bc_remove("HOSTS", 0);
-                if (next == nil) {
-                    display("done " + str(bc_len("SEEN")));
-                    exit(0);
-                }
-                go(next);
-            }
-            "#,
-        )
-        .itinerary([
-            format!("tacoma://server{i}/vm_script"),
-            format!("tacoma://client{i}/vm_script"),
-            format!("tacoma://server{i}/vm_script"),
-            format!("tacoma://client{i}/vm_script"),
-        ]);
-        system.launch(&format!("client{i}"), spec).unwrap();
+        launch_walker(system, i);
     }
 }
 
@@ -100,13 +104,8 @@ fn launch_requesters(system: &mut TaxSystem) {
     }
 }
 
-fn trace(
-    threads: usize,
-    seed: u64,
-    loss: f64,
-    launch: fn(&mut TaxSystem),
-) -> Vec<(String, HostEvent)> {
-    let mut system = fleet(threads, seed, loss);
+fn trace(seed: u64, loss: f64, launch: fn(&mut TaxSystem)) -> Vec<(String, HostEvent)> {
+    let mut system = fleet(seed, loss);
     launch(&mut system);
     assert!(system.run_until_quiet().quiesced());
     system.events()
@@ -114,7 +113,7 @@ fn trace(
 
 #[test]
 fn tick_mode_completes_disjoint_fleets() {
-    let mut system = fleet(4, 7, 0.0);
+    let mut system = fleet(7, 0.0);
     launch_walkers(&mut system);
     let outcome = system.run_until_quiet();
     assert!(outcome.quiesced());
@@ -127,28 +126,42 @@ fn tick_mode_completes_disjoint_fleets() {
     assert!(done.iter().all(|l| l == "done 5"), "{done:?}");
 }
 
-/// The determinism contract: with the tick scheduler, one worker and
-/// many workers (2, 4 and 8) produce byte-identical event traces for the
-/// same seed.
+/// The determinism contract: the same seed, run twice, produces
+/// byte-identical event traces.
 #[test]
 fn one_and_four_workers_produce_identical_traces() {
-    let single = trace(1, 42, 0.0, launch_walkers);
-    assert!(!single.is_empty());
-    for workers in WORKERS {
-        assert_eq!(
-            single,
-            trace(workers, 42, 0.0, launch_walkers),
-            "{workers} workers"
-        );
+    let first = trace(42, 0.0, launch_walkers);
+    assert!(!first.is_empty());
+    assert_eq!(first, trace(42, 0.0, launch_walkers));
+}
+
+/// No batch sees another batch's tick: in a lossless fleet, the events on
+/// pair `i`'s two hosts are exactly those of pair `i` run alone. A send
+/// charged to the global clock instead of its batch's forked clock, or a
+/// batch started from a clock another batch advanced, would shift them.
+#[test]
+fn pair_in_fleet_matches_pair_alone() {
+    let events = trace(42, 0.0, launch_walkers);
+    for i in 0..PAIRS {
+        let hosts = [format!("client{i}"), format!("server{i}")];
+        let in_fleet: Vec<_> = (events.iter())
+            .filter(|(host, _)| hosts.contains(host))
+            .cloned()
+            .collect();
+        let mut alone = pairs_system([i], 42, 0.0);
+        launch_walker(&mut alone, i);
+        assert!(alone.run_until_quiet().quiesced());
+        assert!(!in_fleet.is_empty());
+        assert_eq!(in_fleet, alone.events(), "pair {i}");
     }
 }
 
 /// The same contract for agents that wait: a request/reply inside one
-/// `await` and `await` deadlines trace identically at 1, 2, 4 and 8
-/// workers, and every wait ends the way it should.
+/// `await` and `await` deadlines trace identically on a second run, and
+/// every wait ends the way it should.
 #[test]
 fn waits_trace_identically_across_worker_counts() {
-    let mut system = fleet(1, 42, 0.0);
+    let mut system = fleet(42, 0.0);
     launch_requesters(&mut system);
     assert!(system.run_until_quiet().quiesced());
     let outputs = system.agent_outputs();
@@ -158,33 +171,98 @@ fn waits_trace_identically_across_worker_counts() {
         .filter(|l| *l == "idler timed out at 250")
         .count();
     assert_eq!((replies, timeouts), (PAIRS, PAIRS), "{outputs:?}");
-
-    let single = system.events();
-    for workers in WORKERS {
-        assert_eq!(
-            single,
-            trace(workers, 42, 0.0, launch_requesters),
-            "{workers} workers"
-        );
-    }
+    assert_eq!(system.events(), trace(42, 0.0, launch_requesters));
 }
 
-/// Worker-count independence holds on lossy links too — every batch's
-/// loss randomness comes from its (seed, host, tick) stream, not from
-/// which thread happened to run it.
+/// Determinism holds on lossy links too — every batch's loss randomness
+/// comes from its (seed, host, tick) stream, so two runs with the same
+/// seed lose the same messages.
 #[test]
 fn lossy_links_stay_deterministic_across_worker_counts() {
     for launch in [launch_walkers, launch_requesters] {
-        let single = trace(1, 9, 0.25, launch);
-        for workers in WORKERS {
-            assert_eq!(single, trace(workers, 9, 0.25, launch), "{workers} workers");
-        }
+        assert_eq!(trace(9, 0.25, launch), trace(9, 0.25, launch));
     }
+}
+
+/// A service whose handler panics — a bug the batch must contain.
+struct Panicky;
+
+impl ServiceAgent for Panicky {
+    fn name(&self) -> &str {
+        "ag_panicky"
+    }
+
+    fn handle(&self, _request: &mut Briefcase, _env: &mut ServiceEnv<'_>) -> Briefcase {
+        panic!("ag_panicky always panics");
+    }
+}
+
+/// A panic in one host's batch abandons that batch only: the tick runs
+/// the other hosts' batches, the system still quiesces, and the host
+/// runs later launches normally.
+#[test]
+fn panicking_batch_is_contained_to_its_host() {
+    let mut system = SystemBuilder::new()
+        .host("alpha")
+        .unwrap()
+        .host("beta")
+        .unwrap()
+        .host("gamma")
+        .unwrap()
+        .trust_all()
+        .build();
+    system.host("alpha").unwrap().add_service(Arc::new(Panicky));
+    let meets = AgentSpec::script(
+        "meets",
+        r#"
+        fn main() {
+            meet("ag_panicky");
+            display("survived the meet");
+            exit(0);
+        }
+        "#,
+    );
+    let walker = AgentSpec::script(
+        "walker",
+        r#"
+        fn main() {
+            let next = bc_remove("HOSTS", 0);
+            if (next == nil) {
+                display("walker done on " + host_name());
+                exit(0);
+            }
+            go(next);
+        }
+        "#,
+    )
+    .itinerary(["tacoma://gamma/vm_script", "tacoma://beta/vm_script"]);
+    system.launch("alpha", meets).unwrap();
+    system.launch("beta", walker).unwrap();
+    // Both launches are queued, so the first step runs alpha's batch and
+    // then beta's in one tick.
+    assert!(system.step());
+
+    assert!(system.run_until_quiet().quiesced());
+    let panicked: Vec<_> = (system.events().into_iter())
+        .filter(|(_, e)| {
+            matches!(&e.kind, EventKind::Scheduler(note) if note.contains("host batch panicked"))
+        })
+        .map(|(host, _)| host)
+        .collect();
+    assert_eq!(panicked, vec!["alpha".to_owned()]);
+    assert_eq!(system.agent_outputs(), vec!["walker done on beta"]);
+
+    let after = AgentSpec::script("after", r#"fn main() { display("alpha runs"); exit(0); }"#);
+    system.launch("alpha", after).unwrap();
+    assert!(system.run_until_quiet().quiesced());
+    let outputs = system.agent_outputs();
+    assert_eq!(outputs.len(), 2, "{outputs:?}");
+    assert!(outputs.contains(&"alpha runs".to_owned()), "{outputs:?}");
 }
 
 #[test]
 fn run_until_quiet_reports_quiescence() {
-    let mut system = fleet(0, 1, 0.0);
+    let mut system = fleet(1, 0.0);
     launch_walkers(&mut system);
     let outcome = system.run_until_quiet();
     assert!(outcome.quiesced());
@@ -236,15 +314,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// For arbitrary seeds and loss rates, the tick scheduler's trace is
-    /// a pure function of the seed — never of the worker count.
+    /// a pure function of the seed: a second run replays it exactly.
     #[test]
     fn traces_are_worker_count_invariant(seed in any::<u64>(), loss_pct in 0u32..30) {
         let loss = f64::from(loss_pct) / 100.0;
         for launch in [launch_walkers, launch_requesters] {
-            let single = trace(1, seed, loss, launch);
-            for workers in WORKERS {
-                prop_assert_eq!(&single, &trace(workers, seed, loss, launch), "{} workers", workers);
-            }
+            prop_assert_eq!(trace(seed, loss, launch), trace(seed, loss, launch));
         }
     }
 }

@@ -14,7 +14,7 @@
 //!   `serde` is an offline no-op stand-in).
 //! * [`track`] / [`system`] — replaying the event track against a live
 //!   network from a scheduler step hook, so hostility unfolds in virtual
-//!   time, deterministically across worker counts.
+//!   time and the same seed replays the same trace.
 //! * [`plan`] — a makespan-minimizing itinerary planner (nearest-neighbor
 //!   seed + 2-opt refinement) for multi-hop webbot tours, with the
 //!   paper-order baseline ([`plan::naive_order`]) it is benchmarked

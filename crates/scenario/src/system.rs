@@ -4,8 +4,8 @@
 //! topology matches the scenario's time-zero state; [`install_track`]
 //! hooks the scenario's event track into the scheduler so crashes,
 //! partitions, and link degradations fire at their scheduled virtual
-//! times — at the top of each BSP step, before the message pump, keeping
-//! runs deterministic across worker counts.
+//! times — at the top of each BSP step, before the message pump, so the
+//! same scenario always replays the same trace.
 
 use tacoma_core::{StepHook, SystemBuilder, TaxSystem};
 
@@ -13,14 +13,13 @@ use crate::model::Scenario;
 use crate::track::{ScenarioTrack, TrackHandle};
 
 /// Builds a TAX system from the scenario: its hosts, its link matrix, its
-/// seed, `threads` scheduler workers, and trust-everyone security (the
-/// scenario layer studies networks, not policy).
-pub fn build_system(scenario: &Scenario, threads: usize) -> TaxSystem {
+/// seed, and trust-everyone security (the scenario layer studies
+/// networks, not policy).
+pub fn build_system(scenario: &Scenario) -> TaxSystem {
     let mut builder = SystemBuilder::new()
         .default_link(scenario.default_tier.spec())
         .seed(scenario.seed)
-        .trust_all()
-        .threads(threads);
+        .trust_all();
     for host in &scenario.hosts {
         builder = builder
             .host(host)
@@ -54,7 +53,7 @@ mod tests {
     #[test]
     fn build_system_materializes_generated_topology() {
         let scenario = crate::gen::generate(&ScenarioSpec::new(3, 16));
-        let system = build_system(&scenario, 1);
+        let system = build_system(&scenario);
         assert_eq!(system.host_names().len(), 16);
         let net = system.network();
         for link in &scenario.links {
@@ -75,7 +74,7 @@ mod tests {
             },
         }];
         scenario.default_tier = LinkTier::Lan100;
-        let mut system = build_system(&scenario, 1);
+        let mut system = build_system(&scenario);
         let handle = install_track(&mut system, &scenario);
         assert_eq!(handle.applied(), 0);
         system.step();

@@ -5,8 +5,8 @@
 //! [`ScenarioTrack::apply_due`] applies every event whose time has
 //! arrived; hooked into the scheduler via a step hook (see
 //! [`crate::system::install_track`]) it fires at the top of every BSP
-//! step, before the message pump, so event application is deterministic
-//! with respect to the virtual clock regardless of worker count.
+//! step, before the message pump, so event application depends only on
+//! the virtual clock: within a tick every host sees one topology.
 
 use std::sync::Arc;
 

@@ -1,12 +1,11 @@
-//! Tours over generated scenarios, replayed under 1- and 4-worker
-//! schedulers.
+//! Tours over generated scenarios, each replayed twice.
 //!
 //! The smoke case is 16 hosts with one scheduled partition that severs
 //! the tour's home from its first stop at virtual time zero, so the tour
 //! must account that hop as *unreachable* (distinct from random link
 //! loss) and carry on. Because the event track fires from a BSP step
-//! hook, the full event trace must be identical whatever the worker
-//! count.
+//! hook, two runs of the same scenario must leave the same full event
+//! trace.
 //!
 //! The paper-scale cases pin the E11 claims at their exact virtual
 //! values: the 120-host churn run's determinism row, the planner's real
@@ -34,18 +33,17 @@ struct TourRun {
     trace: Vec<(String, HostEvent)>,
 }
 
-/// Deploys sites and webbot programs over a scenario system with
-/// `threads` scheduler workers, runs one tour from `home` through
-/// `order` (reporting to `replicas` too), and collects its outcome.
+/// Deploys sites and webbot programs over a scenario system, runs one
+/// tour from `home` through `order` (reporting to `replicas` too), and
+/// collects its outcome.
 fn run_tour(
     scenario: &Scenario,
-    threads: usize,
     home: &str,
     order: &[String],
     replicas: &[String],
     (pages, total_bytes): (usize, u64),
 ) -> TourRun {
-    let mut system = build_system(scenario, threads);
+    let mut system = build_system(scenario);
     let track = install_track(&mut system, scenario);
 
     let params = FleetParams {
@@ -99,10 +97,10 @@ fn smoke_scenario() -> Scenario {
     scenario
 }
 
-/// The smoke tour with `threads` scheduler workers.
-fn run(threads: usize) -> TourRun {
+/// The smoke tour.
+fn run() -> TourRun {
     let order = [CUT_STOP.to_owned(), "h003".to_owned(), "h005".to_owned()];
-    let run = run_tour(&smoke_scenario(), threads, HOME, &order, &[], (4, 20_000));
+    let run = run_tour(&smoke_scenario(), HOME, &order, &[], (4, 20_000));
     assert_eq!(run.track_applied, 1, "the single partition event must fire");
     run
 }
@@ -113,7 +111,7 @@ fn partitioned_stop_is_unreachable_not_lost() {
         stamps,
         net_unreachable,
         ..
-    } = run(1);
+    } = run();
     assert_eq!(stamps.unreachable, vec![CUT_STOP.to_owned()]);
     assert_eq!(stamps.visited.len(), 2, "the two reachable stops scan");
     assert!(
@@ -125,12 +123,12 @@ fn partitioned_stop_is_unreachable_not_lost() {
 
 #[test]
 fn trace_is_identical_across_worker_counts() {
-    let one = run(1);
-    let four = run(4);
-    assert_eq!(one.trace, four.trace, "1- vs 4-worker traces diverged");
-    assert_eq!(one.stamps.visited, four.stamps.visited);
-    assert_eq!(one.stamps.unreachable, four.stamps.unreachable);
-    assert_eq!(one.net_unreachable, four.net_unreachable);
+    let first = run();
+    let second = run();
+    assert_eq!(first.trace, second.trace, "two runs' traces diverged");
+    assert_eq!(first.stamps.visited, second.stamps.visited);
+    assert_eq!(first.stamps.unreachable, second.stamps.unreachable);
+    assert_eq!(first.net_unreachable, second.net_unreachable);
 }
 
 /// Picks `k` tour stops spread across the host rank order (so the tour
@@ -144,10 +142,10 @@ fn spread_stops(scenario: &Scenario, home: &str, k: usize) -> Vec<String> {
 }
 
 /// E11's determinism row: a generated 120-host churn/partition scenario
-/// with one mid-ranked stop down from t = 0, toured (reporting to two
-/// replicas through the §4 group wrapper) under 1 and 4 workers.
+/// with one mid-ranked stop down from t = 0, toured twice (reporting to
+/// two replicas through the §4 group wrapper).
 #[test]
-fn churn_tour_at_120_hosts_is_worker_count_invariant_and_counts_the_dead_stop() {
+fn churn_tour_at_120_hosts_is_reproducible_and_counts_the_dead_stop() {
     let hosts = 120;
     let mut scenario = generate(&ScenarioSpec::new(811, hosts));
     let dead = scenario.hosts[hosts / 2].clone();
@@ -163,8 +161,8 @@ fn churn_tour_at_120_hosts_is_worker_count_invariant_and_counts_the_dead_stop() 
     order.push(dead.clone());
     let replicas = [scenario.hosts[1].clone(), scenario.hosts[2].clone()];
 
-    let one = run_tour(&scenario, 1, &home, &order, &replicas, (20, 120_000));
-    let four = run_tour(&scenario, 4, &home, &order, &replicas, (20, 120_000));
+    let one = run_tour(&scenario, &home, &order, &replicas, (20, 120_000));
+    let two = run_tour(&scenario, &home, &order, &replicas, (20, 120_000));
 
     assert_eq!(scenario.events.len(), 24);
     assert_eq!(one.track_applied, 3);
@@ -177,7 +175,7 @@ fn churn_tour_at_120_hosts_is_worker_count_invariant_and_counts_the_dead_stop() 
         one.net_unreachable, 1,
         "churn counts as unreachable, not loss"
     );
-    assert!(one.trace == four.trace, "1- vs 4-worker traces diverged");
+    assert!(one.trace == two.trace, "two runs' traces diverged");
 }
 
 /// Naive (request order) vs planned (nearest neighbour + 2-opt) visit
@@ -212,7 +210,7 @@ fn naive_vs_planned(hosts: usize) -> ((f64, f64), (i64, i64)) {
         .collect();
 
     let tour = |order: &[String]| {
-        let run = run_tour(&scenario, 4, &home, order, &[], (20, 120_000));
+        let run = run_tour(&scenario, &home, order, &[], (20, 120_000));
         assert_eq!(run.stamps.visited.len(), 8, "every stop scans");
         run.stamps.makespan_ms()
     };

@@ -1,6 +1,6 @@
 //! A fleet of §5 case studies side by side: `K` disjoint client/server
 //! pairs, each running its own mobilized Webbot scan — the workload the
-//! parallel tick scheduler exists for.
+//! tick scheduler's overlap in virtual time exists for.
 //!
 //! Run one after another, the pairs' scans would take the *sum* of their
 //! makespans. Under the tick scheduler each pair's work runs in its own
@@ -173,13 +173,10 @@ pub fn server_name(i: usize) -> String {
 
 /// Builds the fleet deployment: `pairs` clients, `pairs` servers (each
 /// with its own generated site), Webbot programs installed everywhere.
-/// `threads` is the tick scheduler's worker count, exactly as
-/// [`SystemBuilder::threads`] takes it.
-pub fn build_fleet(params: &FleetParams, threads: usize) -> TaxSystem {
+pub fn build_fleet(params: &FleetParams) -> TaxSystem {
     let mut builder = SystemBuilder::new()
         .default_link(params.link)
         .seed(params.seed)
-        .threads(threads)
         .trust_all();
     for host in params.plan.hosts() {
         builder = builder.host(&host).expect("valid host name");
@@ -230,8 +227,8 @@ pub fn install_fleet_sites(system: &TaxSystem, params: &FleetParams) {
 ///
 /// Panics if any launch fails or a pair's report never comes home —
 /// both indicate a broken deployment, not a measurable outcome.
-pub fn run_fleet(params: &FleetParams, threads: usize) -> FleetOutcome {
-    let mut system = build_fleet(params, threads);
+pub fn run_fleet(params: &FleetParams) -> FleetOutcome {
+    let mut system = build_fleet(params);
     for pair in params.plan.pairs() {
         let mut config = WebbotConfig::scan_site(&pair.server);
         config.max_depth = params.max_depth;
@@ -312,9 +309,9 @@ mod tests {
     #[test]
     fn parallel_fleet_halves_virtual_makespan() {
         let params = small();
-        let parallel = run_fleet(&params, 4);
+        let parallel = run_fleet(&params);
         let alone: Vec<FleetOutcome> = (0..params.plan.len())
-            .map(|i| run_fleet(&params.pair_alone(i), 1))
+            .map(|i| run_fleet(&params.pair_alone(i)))
             .collect();
 
         assert_eq!(parallel.reports.len(), 4);
@@ -349,23 +346,23 @@ mod tests {
             seed: 5,
             ..FleetParams::default()
         };
-        let outcome = run_fleet(&params, 2);
+        let outcome = run_fleet(&params);
         assert_eq!(outcome.reports.len(), 2);
         for report in &outcome.reports {
             assert!(report.pages_scanned > 0);
         }
     }
 
-    /// The determinism contract on the real workload: one worker and four
-    /// workers produce identical traces (and therefore identical
+    /// The determinism contract on the real workload: two runs of the
+    /// same fleet produce identical traces (and therefore identical
     /// makespans and reports).
     #[test]
     fn fleet_traces_are_worker_count_invariant() {
         let params = small();
-        let single = run_fleet(&params, 1);
-        let multi = run_fleet(&params, 4);
-        assert_eq!(single.virtual_makespan, multi.virtual_makespan);
-        assert_eq!(single.reports, multi.reports);
-        assert_eq!(single.trace, multi.trace);
+        let first = run_fleet(&params);
+        let second = run_fleet(&params);
+        assert_eq!(first.virtual_makespan, second.virtual_makespan);
+        assert_eq!(first.reports, second.reports);
+        assert_eq!(first.trace, second.trace);
     }
 }

@@ -262,7 +262,7 @@ mod tests {
             link: tacoma_core::LinkSpec::lan_100mbit(),
             server_work_ns: tacoma_web::DEFAULT_SERVER_WORK_NS,
         };
-        let system = crate::fleet::build_fleet(&params, 0);
+        let system = crate::fleet::build_fleet(&params);
         (system, params)
     }
 
