@@ -29,7 +29,7 @@ use tacoma_vm::{ExecContext, Execution, HostHooks, Run, VirtualMachine};
 
 use crate::event::EventKind;
 use crate::host::{AgentTask, Parked, Settled, TaxHost, Wait};
-use crate::sched::TaskScope;
+use crate::sched::{charge_transfer, TaskScope};
 use crate::service::{error_reply, ServiceAgent, ServiceEnv};
 use crate::TaxError;
 
@@ -74,23 +74,6 @@ impl Kernel {
             Some(scope) => scope.clock.advance(by),
             None => self.net.clock().advance(by),
         });
-    }
-
-    /// Charges a transfer of `bytes` between two hosts to whichever
-    /// clock and loss RNG the executing context owns.
-    pub fn charge_transfer(
-        &self,
-        from: &HostId,
-        to: &HostId,
-        bytes: u64,
-    ) -> Result<tacoma_simnet::TransferOutcome, tacoma_simnet::NetError> {
-        TaskScope::with_current(|scope| match scope {
-            Some(scope) => {
-                self.net
-                    .transfer_with(from, to, bytes, &scope.clock, &mut scope.rng.borrow_mut())
-            }
-            None => self.net.transfer(from, to, bytes),
-        })
     }
 
     /// Routes one wire-encoded message on `host` — the one landing path
@@ -515,6 +498,29 @@ impl Kernel {
         host.drop_agent_state(&task.address);
     }
 
+    /// Ends a task whose run panicked as a fault: a `Faulted` event, its
+    /// hop aborted (a replay must not run the panic again), the agent
+    /// unregistered and its mailbox and wrappers dropped.
+    pub(crate) fn end_panicked(
+        &self,
+        host: &TaxHost,
+        agent: &AgentAddress,
+        hop: Option<&str>,
+        panic: &(dyn std::any::Any + Send),
+    ) {
+        let why = (panic.downcast_ref::<&str>().copied())
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string payload");
+        host.record(
+            self.now(),
+            Some(agent.clone()),
+            EventKind::Faulted(format!("panicked: {why}")),
+        );
+        abort_hop(host, hop);
+        host.with_firewall(|fw| fw.unregister_agent(agent));
+        host.drop_agent_state(agent);
+    }
+
     /// Enforces an admin decision's control action.
     pub fn apply_admin(&self, host: &TaxHost, control: Option<tacoma_firewall::ControlAction>) {
         if let Some(action) = control {
@@ -922,14 +928,13 @@ impl HostHooks for KernelHooks {
             // Local service: loopback-cost RPC.
             Decision::DeliverLocal { vm, agent, message } if vm == "service" => {
                 let self_id = self.host.host_id().clone();
-                let _ = self.kernel.charge_transfer(&self_id, &self_id, request_len);
+                let net = &self.kernel.net;
+                let _ = charge_transfer(net, &self_id, &self_id, request_len);
                 let reply = self
                     .kernel
                     .call_service_on(&self.host, &agent, message, self.depth)
                     .ok()?;
-                let _ = self
-                    .kernel
-                    .charge_transfer(&self_id, &self_id, reply.encoded_len() as u64);
+                let _ = charge_transfer(net, &self_id, &self_id, reply.encoded_len() as u64);
                 Some(reply)
             }
             // Remote target: ship the request; if it lands on a service,
@@ -959,9 +964,8 @@ impl HostHooks for KernelHooks {
                     return None;
                 };
                 let remote_id = HostId::new(&remote).ok()?;
-                self.kernel
-                    .charge_transfer(self.host.host_id(), &remote_id, request_len)
-                    .ok()?;
+                let net = &self.kernel.net;
+                charge_transfer(net, self.host.host_id(), &remote_id, request_len).ok()?;
                 let inbound =
                     remote_host.with_firewall(|fw| fw.route_inbound(message, self.kernel.now()));
                 match inbound {
@@ -970,13 +974,8 @@ impl HostHooks for KernelHooks {
                             .kernel
                             .call_service_on(&remote_host, &agent, message, self.depth)
                             .ok()?;
-                        self.kernel
-                            .charge_transfer(
-                                &remote_id,
-                                self.host.host_id(),
-                                reply.encoded_len() as u64,
-                            )
-                            .ok()?;
+                        let reply_len = reply.encoded_len() as u64;
+                        charge_transfer(net, &remote_id, self.host.host_id(), reply_len).ok()?;
                         Some(reply)
                     }
                     Ok(other) => {

@@ -17,7 +17,6 @@ use tacoma_uri::{AgentAddress, DEFAULT_PORT};
 use tacoma_vm::{Architecture, NativeRegistry, Suspension, VirtualMachine, VmBin, VmC, VmScript};
 
 use crate::event::{EventKind, HostEvent};
-use crate::sched::SystemLogHandle;
 use crate::service::ServiceAgent;
 use crate::services::{AgCabinet, AgCc, AgExec, AgFs, AgLog};
 use crate::wrapper::{WrapperFactory, WrapperStack};
@@ -84,10 +83,6 @@ pub(crate) struct HostCore {
     pub events: Mutex<Vec<HostEvent>>,
     pub inbox: Mutex<Option<Receiver<Envelope>>>,
     pub factory: RwLock<WrapperFactory>,
-    /// The host's slot in the merged system log, attached once at
-    /// `SystemBuilder::build`. Hosts built standalone (unit tests) have
-    /// none and log only locally.
-    pub log: std::sync::OnceLock<SystemLogHandle>,
     pub allow_unsigned: bool,
     pub fuel: u64,
     /// The host's durable journal, attached once at daemon boot (hosts in
@@ -127,9 +122,8 @@ impl TaxHost {
         f(&mut self.core.firewall.write())
     }
 
-    /// Runs `f` with the host's firewall locked for reading — the fast
-    /// path for status checks and rights lookups, which concurrent
-    /// scheduler batches take without serializing on each other.
+    /// Runs `f` with the host's firewall locked for reading, for status
+    /// checks and rights lookups that change nothing.
     pub fn with_firewall_read<R>(&self, f: impl FnOnce(&Firewall) -> R) -> R {
         f(&self.core.firewall.read())
     }
@@ -191,9 +185,6 @@ impl TaxHost {
     /// Clears the event log (between experiment repetitions).
     pub fn clear_events(&self) {
         self.core.events.lock().clear();
-        if let Some(handle) = self.core.log.get() {
-            handle.log.clear_host(handle.host_idx);
-        }
     }
 
     /// All `display` output recorded on this host, in order.
@@ -221,13 +212,7 @@ impl TaxHost {
     }
 
     pub(crate) fn record(&self, at: SimTime, agent: Option<AgentAddress>, kind: EventKind) {
-        let event = HostEvent { at, agent, kind };
-        if let Some(handle) = self.core.log.get() {
-            handle
-                .log
-                .record(handle.host_idx, self.core.name.as_str(), event.clone());
-        }
-        self.core.events.lock().push(event);
+        self.core.events.lock().push(HostEvent { at, agent, kind });
     }
 
     pub(crate) fn push_task(&self, task: AgentTask) {
@@ -239,6 +224,15 @@ impl TaxHost {
     /// next tick.
     pub(crate) fn drain_tasks(&self) -> Vec<AgentTask> {
         self.core.tasks.lock().drain(..).collect()
+    }
+
+    /// Puts tasks a batch never started back at the front of the queue,
+    /// in their order, ahead of any queued since.
+    pub(crate) fn requeue_front(&self, tasks: impl DoubleEndedIterator<Item = AgentTask>) {
+        let mut queue = self.core.tasks.lock();
+        for task in tasks.rev() {
+            queue.push_front(task);
+        }
     }
 
     /// Takes the task parked on `wait`, if any.
@@ -469,7 +463,6 @@ impl HostBuilder {
                 events: Mutex::new(Vec::new()),
                 inbox: Mutex::new(None),
                 factory: RwLock::new(wrappers::standard_factory()),
-                log: std::sync::OnceLock::new(),
                 allow_unsigned: self.allow_unsigned,
                 fuel: self.fuel,
                 journal: std::sync::OnceLock::new(),

@@ -1,5 +1,5 @@
-//! The tick scheduler's machinery: per-batch execution scopes, the
-//! merged system event log, and the simnet transport.
+//! The tick scheduler's machinery: per-batch execution scopes, the one
+//! transfer charge, and the simnet transport.
 //!
 //! # The tick model
 //!
@@ -31,13 +31,12 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tacoma_simnet::{Envelope, HostId, MessageBus, NetError, Network, SimClock, SimTime};
+use tacoma_simnet::{
+    Envelope, HostId, MessageBus, NetError, Network, SimClock, SimTime, TransferOutcome,
+};
 use tacoma_transport::{Transport, TransportCounters, TransportError, TransportStats};
-
-use crate::event::{EventKind, HostEvent};
 
 // ---------------------------------------------------------------------------
 // Task scopes
@@ -105,119 +104,6 @@ pub(crate) fn batch_seed(seed: u64, host_idx: u64, tick: u64) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The merged system log
-// ---------------------------------------------------------------------------
-
-/// One entry in the merged log: where it happened plus the event.
-struct LogEntry {
-    at: SimTime,
-    host_idx: u32,
-    host: String,
-    event: HostEvent,
-}
-
-struct LogInner {
-    entries: Vec<LogEntry>,
-    sorted: bool,
-}
-
-/// The system-wide event log, maintained incrementally as hosts record.
-///
-/// Entries are appended in recording order and lazily stable-sorted by
-/// `(virtual time, host index)` — which reproduces exactly the order the
-/// classic `events()` produced by concatenating per-host logs in host
-/// order and stable-sorting by time, without re-cloning and re-sorting
-/// every log on every call.
-pub(crate) struct SystemLog {
-    inner: Mutex<LogInner>,
-}
-
-impl SystemLog {
-    pub fn new() -> SystemLog {
-        SystemLog {
-            inner: Mutex::new(LogInner {
-                entries: Vec::new(),
-                sorted: true,
-            }),
-        }
-    }
-
-    /// Appends one event recorded on the host with index `host_idx`.
-    pub fn record(&self, host_idx: u32, host: &str, event: HostEvent) {
-        let mut inner = self.inner.lock();
-        // Appending in timestamp order (the overwhelmingly common case)
-        // keeps the log sorted without paying for a sort later.
-        let in_order = inner
-            .entries
-            .last()
-            .is_none_or(|last| (last.at, last.host_idx) <= (event.at, host_idx));
-        inner.sorted = inner.sorted && in_order;
-        inner.entries.push(LogEntry {
-            at: event.at,
-            host_idx,
-            host: host.to_owned(),
-            event,
-        });
-    }
-
-    /// Drops every entry recorded on the host with index `host_idx`
-    /// (mirrors [`TaxHost::clear_events`](crate::TaxHost::clear_events)).
-    pub fn clear_host(&self, host_idx: u32) {
-        self.inner.lock().entries.retain(|e| e.host_idx != host_idx);
-    }
-
-    fn ensure_sorted(inner: &mut LogInner) {
-        if !inner.sorted {
-            // Stable: entries with equal (time, host) keep recording
-            // order, which is each host's per-event sequence.
-            inner.entries.sort_by_key(|e| (e.at, e.host_idx));
-            inner.sorted = true;
-        }
-    }
-
-    /// The whole log in `(time, host index, per-host sequence)` order.
-    pub fn snapshot(&self) -> Vec<(String, HostEvent)> {
-        let mut inner = self.inner.lock();
-        SystemLog::ensure_sorted(&mut inner);
-        inner
-            .entries
-            .iter()
-            .map(|e| (e.host.clone(), e.event.clone()))
-            .collect()
-    }
-
-    /// Takes the whole log, in [`SystemLog::snapshot`] order, leaving it
-    /// empty.
-    pub fn drain(&self) -> Vec<(String, HostEvent)> {
-        let mut inner = self.inner.lock();
-        SystemLog::ensure_sorted(&mut inner);
-        inner.entries.drain(..).map(|e| (e.host, e.event)).collect()
-    }
-
-    /// Every `display` line, in log order, without cloning other events.
-    pub fn displays(&self) -> Vec<String> {
-        let mut inner = self.inner.lock();
-        SystemLog::ensure_sorted(&mut inner);
-        inner
-            .entries
-            .iter()
-            .filter_map(|e| match &e.event.kind {
-                EventKind::Display(text) => Some(text.clone()),
-                _ => None,
-            })
-            .collect()
-    }
-}
-
-/// A host's handle into the merged log: the log plus the host's index in
-/// directory (host-name) order.
-#[derive(Clone)]
-pub(crate) struct SystemLogHandle {
-    pub log: Arc<SystemLog>,
-    pub host_idx: u32,
-}
-
-// ---------------------------------------------------------------------------
 // Run outcome
 // ---------------------------------------------------------------------------
 
@@ -256,14 +142,32 @@ impl RunOutcome {
 // Simnet transport
 // ---------------------------------------------------------------------------
 
-/// The default outbound transport: the simnet bus, charged to the
-/// executing batch's clock and loss RNG while a [`TaskScope`] is active.
+/// Charges a transfer of `bytes` between two hosts to the executing
+/// batch's clock and loss RNG while a [`TaskScope`] is installed, and to
+/// the global clock and the network's own RNG otherwise.
+pub(crate) fn charge_transfer(
+    net: &Network,
+    from: &HostId,
+    to: &HostId,
+    bytes: u64,
+) -> Result<TransferOutcome, NetError> {
+    TaskScope::with_current(|scope| match scope {
+        Some(scope) => {
+            net.transfer_with(from, to, bytes, &scope.clock, &mut scope.rng.borrow_mut())
+        }
+        None => net.transfer(from, to, bytes),
+    })
+}
+
+/// The default outbound transport: the simnet bus, each send charged by
+/// [`charge_transfer`].
 ///
-/// Outside a scope it charges the transfer to the global clock. Either
-/// way the envelope goes straight into the receiver's inbox: inboxes are
+/// The envelope goes straight into the receiver's inbox: inboxes are
 /// read only by the next tick's pump, and batches run in host order, so
 /// every inbox fills in host order and no batch sees another batch's
-/// sends within its tick.
+/// sends within its tick. It has no pipelined path, so the firewall
+/// ships over it with the blocking `send`.
+#[derive(Debug)]
 pub(crate) struct SimTransport {
     bus: MessageBus,
     net: Arc<Network>,
@@ -280,42 +184,21 @@ impl SimTransport {
         }
     }
 
-    fn send_scoped(
-        &self,
-        scope: &TaskScope,
-        from: &HostId,
-        to: &HostId,
-        payload: &[u8],
-    ) -> Result<(), NetError> {
-        // Mirror MessageBus::send: a missing destination must not consume
-        // virtual time.
-        if !self.bus.has_endpoint(to) {
-            return Err(NetError::NoEndpoint { host: to.clone() });
+    fn send_envelope(&self, from: HostId, to: HostId, payload: &[u8]) -> Result<(), NetError> {
+        // A missing destination must not consume virtual time.
+        if !self.bus.has_endpoint(&to) {
+            return Err(NetError::NoEndpoint { host: to });
         }
-        // Single copy into the refcounted envelope buffer; `to_vec().into()`
-        // would copy twice (Vec, then Arc storage).
-        let payload = Bytes::copy_from_slice(payload);
-        let outcome = self.net.transfer_with(
+        let outcome = charge_transfer(&self.net, &from, &to, payload.len() as u64)?;
+        self.bus.deliver(Envelope {
             from,
             to,
-            payload.len() as u64,
-            &scope.clock,
-            &mut scope.rng.borrow_mut(),
-        )?;
-        self.bus.deliver(Envelope {
-            from: from.clone(),
-            to: to.clone(),
-            payload,
+            // One copy into the refcounted envelope buffer.
+            payload: Bytes::copy_from_slice(payload),
             departed: outcome.departed,
             arrived: outcome.arrived,
             cost: outcome.cost,
         })
-    }
-}
-
-impl std::fmt::Debug for SimTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SimTransport")
     }
 }
 
@@ -334,13 +217,7 @@ impl Transport for SimTransport {
         _to_port: u16,
         payload: &[u8],
     ) -> Result<(), TransportError> {
-        let from = host_id(from)?;
-        let to = host_id(to_host)?;
-        let result = TaskScope::with_current(|scope| match scope {
-            Some(scope) => self.send_scoped(scope, &from, &to, payload),
-            None => self.bus.send(&from, &to, Bytes::copy_from_slice(payload)),
-        });
-        match result {
+        match self.send_envelope(host_id(from)?, host_id(to_host)?, payload) {
             Ok(()) => {
                 self.counters.add_sent(payload.len() as u64);
                 Ok(())
@@ -389,65 +266,38 @@ mod tests {
         assert_eq!(base, batch_seed(1, 0, 1));
     }
 
-    #[test]
-    fn system_log_orders_like_the_classic_merge() {
-        let log = SystemLog::new();
-        let ev = |at: u64| HostEvent {
-            at: SimTime::from_nanos(at),
-            agent: None,
-            kind: EventKind::Display(format!("t{at}")),
-        };
-        // Interleaved recording, including a late out-of-order entry.
-        log.record(1, "beta", ev(10));
-        log.record(0, "alpha", ev(10));
-        log.record(0, "alpha", ev(20));
-        log.record(1, "beta", ev(5));
-        let order: Vec<(String, u64)> = log
-            .snapshot()
-            .into_iter()
-            .map(|(h, e)| (h, e.at.as_nanos()))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                ("beta".to_owned(), 5),
-                ("alpha".to_owned(), 10),
-                ("beta".to_owned(), 10),
-                ("alpha".to_owned(), 20),
-            ]
-        );
-        log.clear_host(1);
-        assert_eq!(log.snapshot().len(), 2);
-        assert_eq!(log.displays(), vec!["t10", "t20"]);
-        // Draining hands back exactly the snapshot and leaves nothing.
-        let snapshot = log.snapshot();
-        assert_eq!(log.drain(), snapshot);
-        assert!(log.snapshot().is_empty());
-    }
-
-    fn sim_transport() -> (SimTransport, MessageBus) {
+    fn sim_transport() -> (SimTransport, MessageBus, Arc<Network>) {
         let mut topology = tacoma_simnet::Topology::new(tacoma_simnet::LinkSpec::lan_100mbit());
         topology.add_hosts([HostId::new("a").unwrap(), HostId::new("b").unwrap()]);
         let net = Arc::new(Network::new(topology, 3));
-        let bus = MessageBus::new(Arc::clone(&net));
-        (SimTransport::new(bus.clone(), net), bus)
+        let bus = MessageBus::new();
+        (SimTransport::new(bus.clone(), Arc::clone(&net)), bus, net)
     }
 
     #[test]
     fn sim_transport_delivers_and_counts() {
-        let (transport, bus) = sim_transport();
-        let rx = bus.register(HostId::new("b").unwrap());
-        transport.send("a", "b", 4711, &[1, 2, 3]).unwrap();
-        assert_eq!(rx.try_recv().unwrap().payload, vec![1, 2, 3]);
+        let (transport, bus, net) = sim_transport();
+        let (a, b) = (HostId::new("a").unwrap(), HostId::new("b").unwrap());
+        let rx = bus.register(b.clone());
+        transport.send("a", "b", 4711, &[7; 1234]).unwrap();
+        let envelope = rx.try_recv().unwrap();
+        assert_eq!((envelope.from, envelope.payload.len()), (a.clone(), 1234));
+        // Outside a batch the transfer is charged to the global clock.
+        assert!(envelope.arrived > envelope.departed);
+        assert_eq!(net.clock().now(), envelope.arrived);
+        assert_eq!(net.stats().pair(&a, &b).bytes, 1234);
         let stats = transport.stats();
-        assert_eq!((stats.frames_sent, stats.bytes_sent), (1, 3));
+        assert_eq!((stats.frames_sent, stats.bytes_sent), (1, 1234));
     }
 
     #[test]
     fn sim_transport_reports_a_missing_endpoint_as_unreachable() {
-        let (transport, _bus) = sim_transport();
+        let (transport, _bus, net) = sim_transport();
         let err = transport.send("a", "b", 4711, &[0; 8]).unwrap_err();
         assert!(matches!(err, TransportError::Unreachable { .. }));
         assert_eq!(transport.stats().retry_timeouts, 1);
+        // A missing endpoint charges no virtual time.
+        assert_eq!(net.stats().total_messages(), 0);
+        assert_eq!(net.clock().now(), SimTime::ZERO);
     }
 }

@@ -2,6 +2,7 @@
 //! scheduler.
 
 use std::collections::BTreeMap;
+use std::panic::AssertUnwindSafe;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,7 +19,7 @@ use crate::agent::AgentSpec;
 use crate::event::{EventKind, HostEvent};
 use crate::hooks::Kernel;
 use crate::host::{AgentTask, HostBuilder, Settled, TaxHost, Wait};
-use crate::sched::{batch_seed, RunOutcome, SimTransport, SystemLog, SystemLogHandle, TaskScope};
+use crate::sched::{batch_seed, RunOutcome, SimTransport, TaskScope};
 use crate::TaxError;
 
 /// Hard cap on scheduler steps per [`TaxSystem::run_until_quiet`] call —
@@ -136,7 +137,7 @@ impl SystemBuilder {
             }
         }
         let net = Arc::new(Network::new(topology, self.seed));
-        let bus = MessageBus::new(Arc::clone(&net));
+        let bus = MessageBus::new();
 
         let mut hosts = BTreeMap::new();
         let mut keyrings = BTreeMap::new();
@@ -158,19 +159,10 @@ impl SystemBuilder {
             }
         }
 
-        let log = Arc::new(SystemLog::new());
         for host in built {
             let inbox = bus.register(host.host_id().clone());
             host.set_inbox(inbox);
             hosts.insert(host.name().to_owned(), host);
-        }
-        // Host indices follow directory (BTreeMap) order — the same
-        // order every scheduler phase iterates in.
-        for (idx, host) in hosts.values().enumerate() {
-            let _ = host.core.log.set(SystemLogHandle {
-                log: Arc::clone(&log),
-                host_idx: idx as u32,
-            });
         }
 
         let directory = Arc::new(RwLock::new(hosts));
@@ -184,7 +176,6 @@ impl SystemBuilder {
                 transport,
             },
             keyrings,
-            log,
             seed: self.seed,
             tick: 0,
             step_hooks: Vec::new(),
@@ -222,7 +213,6 @@ pub struct RecoverySummary {
 pub struct TaxSystem {
     kernel: Kernel,
     keyrings: BTreeMap<String, Keyring>,
-    log: Arc<SystemLog>,
     seed: u64,
     tick: u64,
     step_hooks: Vec<StepHook>,
@@ -643,14 +633,12 @@ impl TaxSystem {
 
     /// The write-ahead barrier on every host: one fsync per journal makes
     /// the turn's hop begins durable, then the held transfer frames go to
-    /// the transport. A frame the peer's queue refused settled on the
-    /// blocking send; its sender is queued to resume. Returns how many
-    /// tasks that queued.
+    /// the transport. A frame the transport refused on the nowait path (a
+    /// full peer queue, or no such path) settled on the blocking send;
+    /// its sender is queued to resume. Returns how many tasks that
+    /// queued.
     fn release_held(&mut self) -> usize {
         let transport = Arc::clone(&self.kernel.transport);
-        if !transport.supports_nowait() {
-            return 0; // Only a nonblocking transport leaves transfers in flight.
-        }
         let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
         let mut resumed = 0;
         for host in &hosts {
@@ -679,19 +667,16 @@ impl TaxSystem {
         true
     }
 
-    /// Settles the sends this system has in flight on a nonblocking
-    /// transport, waiting at most until `deadline`: the held transfer
-    /// frames are released first (the write-ahead barrier), then every
-    /// host's completions are pumped until none is in flight. The agents
-    /// the verdicts resume are queued, not run. Between pumps that settle
-    /// nothing it waits on `doorbell` when given (one the transport rings
-    /// on every completion), and otherwise parks for 200 µs. Returns how
-    /// many sends are still in flight.
+    /// Settles the sends this system has in flight, waiting at most until
+    /// `deadline`: the held transfer frames are released first (the
+    /// write-ahead barrier), then every host's completions are pumped
+    /// until none is in flight. The agents the verdicts resume are
+    /// queued, not run. Between pumps that settle nothing it waits on
+    /// `doorbell` when given (one the transport rings on every
+    /// completion), and otherwise parks for 200 µs. Returns how many sends
+    /// are still in flight.
     pub fn settle(&mut self, deadline: Instant, doorbell: Option<&Doorbell>) -> usize {
         let transport = Arc::clone(&self.kernel.transport);
-        if !transport.supports_nowait() {
-            return 0;
-        }
         self.release_held();
         let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
         let now = self.kernel.now();
@@ -732,48 +717,68 @@ impl TaxSystem {
             .all(|h| h.inbox_is_empty() && h.queued_tasks() == 0 && h.first_deadline().is_none())
     }
 
-    /// All events across hosts, ordered by virtual time — served from the
-    /// incrementally maintained system log, so repeated calls do not
-    /// re-clone and re-sort every host's history.
+    /// All events across hosts, ordered by virtual time (see
+    /// [`TaxSystem::merge_logs`]).
     pub fn events(&self) -> Vec<(String, HostEvent)> {
-        self.log.snapshot()
+        self.merge_logs(TaxHost::events)
     }
 
     /// Takes every event recorded so far, in [`TaxSystem::events`] order,
-    /// and forgets them: the merged log and every host's own log are left
-    /// empty. A long-running daemon prints what it drains instead of
-    /// keeping (and re-cloning) an ever-growing history.
+    /// and forgets them: every host's log is left empty. A long-running
+    /// daemon prints what it drains instead of keeping (and re-cloning) an
+    /// ever-growing history.
     pub fn drain_events(&mut self) -> Vec<(String, HostEvent)> {
-        for host in self.kernel.directory.read().values() {
-            host.core.events.lock().clear();
-        }
-        self.log.drain()
+        self.merge_logs(|host| std::mem::take(&mut *host.core.events.lock()))
     }
 
-    /// Every `display` line across all hosts, in virtual-time order.
+    /// Every `display` line across all hosts, in [`TaxSystem::events`]
+    /// order.
     pub fn agent_outputs(&self) -> Vec<String> {
-        self.log.displays()
+        (self.events().into_iter())
+            .filter_map(|(_, event)| match event.kind {
+                EventKind::Display(text) => Some(text),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// The system-wide event order: each host's log, taken by `log`,
+    /// concatenated in directory order, then stable-sorted by virtual
+    /// time. Equal times read back in host order, and a host's own
+    /// entries keep their recording order.
+    fn merge_logs(&self, log: impl Fn(&TaxHost) -> Vec<HostEvent>) -> Vec<(String, HostEvent)> {
+        let directory = self.kernel.directory.read();
+        let mut merged: Vec<(String, HostEvent)> = (directory.values())
+            .flat_map(|host| log(host).into_iter().map(|e| (host.name().to_owned(), e)))
+            .collect();
+        merged.sort_by_key(|(_, event)| event.at);
+        merged
     }
 }
 
-/// Executes one host's task batch inside its scope. A panicking task
-/// abandons the rest of its batch (and is recorded as a scheduler event)
-/// but never takes down the tick or the caller.
+/// Executes one host's task batch inside its scope. A task that panics
+/// ends as a fault ([`Kernel::end_panicked`]), and the tasks the batch
+/// never started go back to the front of the host's queue for the next
+/// tick: a panic never takes down the tick or the caller.
 fn run_batch(kernel: &Kernel, host: &TaxHost, tasks: Vec<AgentTask>, scope: &Rc<TaskScope>) {
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _guard = TaskScope::enter(Rc::clone(scope));
-        for task in tasks {
-            kernel.run_task(host, task);
+    let _guard = TaskScope::enter(Rc::clone(scope));
+    let mut tasks = tasks.into_iter();
+    while let Some(task) = tasks.next() {
+        let (agent, hop) = (task.address.clone(), task.hop.clone());
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| kernel.run_task(host, task)));
+        if let Err(panic) = run {
+            kernel.end_panicked(host, &agent, hop.as_deref(), panic.as_ref());
+            host.record(
+                scope.clock.now(),
+                None,
+                EventKind::Scheduler(format!(
+                    "host batch panicked; {} unstarted task(s) run next tick",
+                    tasks.len()
+                )),
+            );
+            host.requeue_front(tasks);
+            return;
         }
-    }));
-    if result.is_err() {
-        host.record(
-            scope.clock.now(),
-            None,
-            EventKind::Scheduler(
-                "host batch panicked; remaining tasks in the batch were abandoned".into(),
-            ),
-        );
     }
 }
 
@@ -786,8 +791,8 @@ const SETTLE_POLL: Duration = Duration::from_micros(200);
 const SETTLE_ON_DROP: Duration = Duration::from_secs(1);
 
 impl Drop for TaxSystem {
-    /// Settles what the system left in flight on a nonblocking transport
-    /// before it goes: the transport can outlive the system (it is
+    /// Settles what the system left in flight before it goes: the
+    /// transport can outlive the system (it is
     /// shared), and a frame acked after the firewall is gone would never
     /// have its hop committed or be counted. The agents suspended on
     /// those frames are not resumed.
@@ -801,5 +806,38 @@ impl Drop for TaxSystem {
 impl std::fmt::Debug for TaxSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "TaxSystem({:?})", self.host_names())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Interleaved recording, including a late entry at an earlier time:
+    /// the merge sorts by time alone, equal times keep host order, and a
+    /// drain hands back exactly that order and empties every host's log.
+    #[test]
+    fn events_merge_like_the_classic_merge() {
+        let builder = SystemBuilder::new()
+            .host("alpha")
+            .and_then(|b| b.host("beta"));
+        let mut system = builder.unwrap().build();
+        for (host, at) in [("beta", 10), ("alpha", 10), ("alpha", 20), ("beta", 5)] {
+            let kind = EventKind::Display(format!("{host}@{at}"));
+            let host = system.host(host).unwrap();
+            host.record(SimTime::from_nanos(at), None, kind);
+        }
+
+        let events = system.events();
+        let hosts: Vec<&str> = events.iter().map(|(host, _)| host.as_str()).collect();
+        assert_eq!(hosts, ["beta", "alpha", "beta", "alpha"]);
+        let order = ["beta@5", "alpha@10", "beta@10", "alpha@20"];
+        assert_eq!(system.agent_outputs(), order);
+
+        assert_eq!(system.drain_events(), events);
+        assert!(system.events().is_empty());
+        for host in system.host_names() {
+            assert!(system.host(&host).unwrap().events().is_empty());
+        }
     }
 }

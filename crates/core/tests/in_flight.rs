@@ -5,7 +5,8 @@
 //! suspended agent — in flight or parked in `await_bc` — as they reach a
 //! queued one.
 
-use std::sync::{Arc, Mutex};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use tacoma_core::{
@@ -59,10 +60,6 @@ impl Transport for Gate {
         "gate"
     }
 
-    fn supports_nowait(&self) -> bool {
-        true
-    }
-
     fn send_nowait(
         &self,
         _: &str,
@@ -99,11 +96,26 @@ const AWAITER: &str = r#"
 
 /// One host, `alpha`, whose only way out is `gate`.
 fn alpha(gate: &Arc<Gate>) -> TaxSystem {
+    alpha_over(Arc::clone(gate) as Arc<dyn Transport>)
+}
+
+fn alpha_over(transport: Arc<dyn Transport>) -> TaxSystem {
     SystemBuilder::new()
         .host("alpha")
         .unwrap()
-        .transport(Arc::clone(gate) as Arc<dyn Transport>)
+        .transport(transport)
         .build()
+}
+
+/// Attaches a fresh journal, in a temporary directory named after
+/// `test`, to `system`'s alpha. The caller removes the directory.
+fn journal_alpha(system: &TaxSystem, test: &str) -> (Arc<Journal>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("tacoma-inflight-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Arc::new(Journal::open(&dir, JournalConfig::default()).unwrap().0);
+    let host = system.host("alpha").unwrap();
+    host.attach_journal(Arc::clone(&journal));
+    (journal, dir)
 }
 
 fn events(system: &TaxSystem) -> Vec<EventKind> {
@@ -224,21 +236,10 @@ fn kill_while_in_flight_ends_the_run_like_a_queued_one() {
 #[test]
 fn kill_closes_the_inbound_hop_of_a_queued_or_suspended_agent() {
     for (suspended, code) in [(false, TRAVELLER), (true, TRAVELLER), (true, AWAITER)] {
-        let dir = std::env::temp_dir().join(format!(
-            "tacoma-inflight-kill-{suspended}-{}-{}",
-            code.len(),
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
-        let journal = Arc::new(journal);
-
         let gate = Arc::new(Gate::default());
         let mut system = alpha(&gate);
-        system
-            .host("alpha")
-            .unwrap()
-            .attach_journal(Arc::clone(&journal));
+        let test = format!("kill-{suspended}-{}", code.len());
+        let (journal, dir) = journal_alpha(&system, &test);
 
         // The agent arrives the way a daemon's door admits it: its hop is
         // journaled first, then the frame is routed.
@@ -350,17 +351,9 @@ fn stop_while_in_flight_parks_the_resumed_run_until_resume() {
 /// completes its hop.
 #[test]
 fn identical_launches_get_distinct_hops_under_one_fsync() {
-    let dir = std::env::temp_dir().join(format!("tacoma-inflight-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
-    let journal = Arc::new(journal);
-
     let gate = Arc::new(Gate::default());
     let mut system = alpha(&gate);
-    system
-        .host("alpha")
-        .unwrap()
-        .attach_journal(Arc::clone(&journal));
+    let (journal, dir) = journal_alpha(&system, "launches");
     for _ in 0..4 {
         system
             .launch("alpha", AgentSpec::script("same", TRAVELLER))
@@ -383,22 +376,72 @@ fn identical_launches_get_distinct_hops_under_one_fsync() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A transport with only the blocking `send`, which notes the journal's
+/// `(open hops, fsyncs)` at each frame it is handed.
+#[derive(Debug, Default)]
+struct BlockingOnly {
+    journal: OnceLock<Arc<Journal>>,
+    seen: Mutex<Vec<(u64, u64)>>,
+}
+
+impl Transport for BlockingOnly {
+    fn send(&self, _: &str, _: &str, _: u16, _: &[u8]) -> Result<(), TransportError> {
+        let js = self.journal.get().unwrap().stats();
+        self.seen.lock().unwrap().push((js.open_hops, js.fsyncs));
+        Ok(())
+    }
+
+    fn stats(&self) -> TransportStats {
+        TransportStats::default()
+    }
+
+    fn kind(&self) -> &'static str {
+        "blocking-only"
+    }
+}
+
+/// A journaled host on a transport with no pipelined path still batches
+/// its hop begins under the turn's one fsync: its `go`s suspend, every
+/// frame takes the blocking fallback after the barrier, and each agent
+/// resumes with its verdict.
+#[test]
+fn a_blocking_only_transport_shares_the_turns_fsync() {
+    let transport = Arc::new(BlockingOnly::default());
+    let mut system = alpha_over(Arc::clone(&transport) as Arc<dyn Transport>);
+    let (journal, dir) = journal_alpha(&system, "blocking");
+    transport.journal.set(Arc::clone(&journal)).unwrap();
+    for _ in 0..4 {
+        system
+            .launch("alpha", AgentSpec::script("t", TRAVELLER))
+            .unwrap();
+    }
+    let fsyncs = journal.stats().fsyncs;
+    system.run_until_quiet();
+
+    let seen = transport.seen.lock().unwrap().clone();
+    assert_eq!(seen.len(), 4);
+    assert_eq!(seen[0].0, 4, "every begin is in before the first frame");
+    assert!(
+        seen.iter().all(|&(_, at)| at == fsyncs + 1),
+        "one fsync before any frame: {seen:?}"
+    );
+    assert_eq!(departed(&system), 4, "each agent resumed with its verdict");
+    assert_eq!(system.agent_outputs(), ["before"; 4]);
+    let js = journal.stats();
+    assert_eq!((js.open_hops, js.committed_hops), (0, 4));
+
+    drop(system);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// A system dropped with a transfer in flight settles it first: the
 /// transport outlives the system, and the ack it already has must still
 /// commit the hop.
 #[test]
 fn dropping_the_system_settles_what_it_left_in_flight() {
-    let dir = std::env::temp_dir().join(format!("tacoma-inflight-drop-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
-    let journal = Arc::new(journal);
-
     let gate = Arc::new(Gate::default());
     let mut system = alpha(&gate);
-    system
-        .host("alpha")
-        .unwrap()
-        .attach_journal(Arc::clone(&journal));
+    let (journal, dir) = journal_alpha(&system, "drop");
     system
         .launch("alpha", AgentSpec::script("t", TRAVELLER))
         .unwrap();
@@ -417,17 +460,9 @@ fn dropping_the_system_settles_what_it_left_in_flight() {
 /// fsync, then the sends — before it waits for their verdicts.
 #[test]
 fn settle_releases_held_frames_then_waits_for_their_verdicts() {
-    let dir = std::env::temp_dir().join(format!("tacoma-inflight-settle-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
-    let journal = Arc::new(journal);
-
     let gate = Arc::new(Gate::default());
     let mut system = alpha(&gate);
-    system
-        .host("alpha")
-        .unwrap()
-        .attach_journal(Arc::clone(&journal));
+    let (journal, dir) = journal_alpha(&system, "settle");
     system
         .launch("alpha", AgentSpec::script("t", TRAVELLER))
         .unwrap();

@@ -197,9 +197,9 @@ impl ServiceAgent for Panicky {
     }
 }
 
-/// A panic in one host's batch abandons that batch only: the tick runs
-/// the other hosts' batches, the system still quiesces, and the host
-/// runs later launches normally.
+/// A panic in one host's batch stays in that batch: the tick runs the
+/// other hosts' batches, the system still quiesces, and the host runs
+/// later launches normally.
 #[test]
 fn panicking_batch_is_contained_to_its_host() {
     let mut system = SystemBuilder::new()
@@ -258,6 +258,35 @@ fn panicking_batch_is_contained_to_its_host() {
     let outputs = system.agent_outputs();
     assert_eq!(outputs.len(), 2, "{outputs:?}");
     assert!(outputs.contains(&"alpha runs".to_owned()), "{outputs:?}");
+}
+
+/// The task that panics ends as a fault and leaves nothing registered,
+/// and the task its batch never started runs on the next tick.
+#[test]
+fn a_panicking_task_faults_and_its_batch_mates_run_next_tick() {
+    let mut system = SystemBuilder::new().host("alpha").unwrap().build();
+    system.host("alpha").unwrap().add_service(Arc::new(Panicky));
+    let meets = AgentSpec::script("meets", r#"fn main() { meet("ag_panicky"); }"#);
+    let second = AgentSpec::script("second", r#"fn main() { display("second ran"); }"#);
+    let meets = system.launch("alpha", meets).unwrap();
+    let second = system.launch("alpha", second).unwrap();
+    assert!(system.run_until_quiet().quiesced());
+
+    assert_eq!(system.agent_outputs(), ["second ran"]);
+    let admin = tacoma_core::Principal::local_system("alpha");
+    let list = system.admin("alpha", &admin, "list", &[]).unwrap();
+    let agents: Vec<String> = (list.folder("AGENTS").into_iter().flat_map(|f| f.iter()))
+        .map(|e| e.as_str().unwrap().to_owned())
+        .collect();
+    for agent in [&meets, &second] {
+        let name = agent.to_string();
+        assert!(agents.iter().all(|a| !a.contains(&name)), "{agents:?}");
+    }
+    let faults: Vec<_> = (system.events().into_iter())
+        .filter(|(_, e)| matches!(e.kind, EventKind::Faulted(_)))
+        .map(|(_, e)| e.agent)
+        .collect();
+    assert_eq!(faults, [Some(meets)]);
 }
 
 #[test]

@@ -469,8 +469,9 @@ impl Firewall {
     /// back through [`Firewall::take_verdicts`]. With a journal, the
     /// hop's begin record is appended unsynced and the frame is held
     /// until [`Firewall::release_held`] makes the records durable — one
-    /// fsync for every transfer of a scheduler turn. A transport without
-    /// a nonblocking path (the simnet) keeps the synchronous verdict.
+    /// fsync for every transfer of a scheduler turn. Without a journal, a
+    /// transport that refuses the nonblocking path (the simnet) takes the
+    /// blocking send, and the verdict is synchronous.
     ///
     /// # Errors
     ///
@@ -481,7 +482,7 @@ impl Firewall {
         now: SimTime,
         transport: &dyn tacoma_transport::Transport,
     ) -> Result<Decision, FirewallError> {
-        if !transport.supports_nowait() || matches!(message.kind, MessageKind::Deliver) {
+        if matches!(message.kind, MessageKind::Deliver) {
             return self.dispatch_outbound(message, now, transport);
         }
         match self.route_outbound(message, now)? {
@@ -530,12 +531,12 @@ impl Firewall {
         // `Forwarded` optimistically and [`Firewall::pump_transport`]
         // settles the books when the cumulative ack (or the retry-budget
         // failure) comes back. A transfer reaching this method wants its
-        // verdict now (a native program's `go`, or a simnet host), so it
-        // takes the blocking send; a suspendable agent's transfer goes
-        // through [`Firewall::dispatch_transfer`] instead. A blocking send
-        // still rides the reactor's pipelined window — it just waits for
-        // its own completion.
-        if transport.supports_nowait() && matches!(message.kind, MessageKind::Deliver) {
+        // verdict now (a native program's `go`), so it takes the blocking
+        // send; a suspendable agent's transfer goes through
+        // [`Firewall::dispatch_transfer`] instead. A blocking send still
+        // rides the reactor's pipelined window — it just waits for its own
+        // completion.
+        if matches!(message.kind, MessageKind::Deliver) {
             let token = self.next_token();
             if transport
                 .send_nowait(&self.host, host, port, wire.clone(), token)
@@ -549,10 +550,10 @@ impl Firewall {
                     bytes,
                 });
             }
-            // Backpressure: the peer's queue is full (or the transport
-            // refused the fast path). Fall through to the blocking send,
-            // which waits for queue space inside its retry budget instead
-            // of dropping the frame.
+            // Backpressure: the peer's queue is full, or the transport has
+            // no fast path. Fall through to the blocking send, which waits
+            // for queue space inside its retry budget instead of dropping
+            // the frame.
         }
         self.send_blocking(
             message,
@@ -610,8 +611,8 @@ impl Firewall {
     /// [`Firewall::dispatch_transfer`] appended since the last call
     /// durable, and only then are the held frames handed to the
     /// transport — no transfer frame reaches the wire before its record
-    /// is on disk. A frame the peer's queue refuses takes the blocking
-    /// send, settled at once; if the fsync fails, every held transfer
+    /// is on disk. A frame the transport refuses (a full peer queue, or
+    /// no nonblocking path) takes the blocking send, settled at once; if the fsync fails, every held transfer
     /// fails unsent. Returns the number of frames released. Daemons call
     /// this when the scheduler goes quiet.
     pub fn release_held(&mut self, transport: &dyn tacoma_transport::Transport) -> usize {
@@ -1820,10 +1821,6 @@ mod tests {
 
         fn kind(&self) -> &'static str {
             "nowait-stub"
-        }
-
-        fn supports_nowait(&self) -> bool {
-            true
         }
 
         fn send_nowait(

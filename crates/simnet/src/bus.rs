@@ -6,7 +6,7 @@ use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::{HostId, NetError, Network, SimTime};
+use crate::{HostId, NetError, SimTime};
 
 /// A message in flight between hosts, stamped with virtual-time metadata.
 #[derive(Debug, Clone)]
@@ -27,30 +27,22 @@ pub struct Envelope {
     pub cost: Duration,
 }
 
-/// A real delivery fabric over the simulated network: each registered host
-/// gets a crossbeam channel; sends are charged to the [`Network`]'s virtual
-/// clock and traffic counters, then delivered immediately in wall time.
+/// A real delivery fabric: each registered host gets a crossbeam channel,
+/// and [`MessageBus::deliver`] hands an envelope the sender already
+/// charged to the [`Network`](crate::Network) to its destination's
+/// mailbox.
 ///
 /// This is the layer the per-host firewalls plug into — they exchange
 /// encoded briefcases without knowing they share a process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MessageBus {
-    network: Arc<Network>,
     endpoints: Arc<Mutex<HashMap<HostId, Sender<Envelope>>>>,
 }
 
 impl MessageBus {
-    /// A bus over the given network.
-    pub fn new(network: Arc<Network>) -> Self {
-        MessageBus {
-            network,
-            endpoints: Arc::new(Mutex::new(HashMap::new())),
-        }
-    }
-
-    /// The underlying network (for fault injection and stats).
-    pub fn network(&self) -> &Arc<Network> {
-        &self.network
+    /// A bus with no endpoints.
+    pub fn new() -> Self {
+        MessageBus::default()
     }
 
     /// Registers `host` as a deliverable endpoint, returning the receiving
@@ -61,49 +53,6 @@ impl MessageBus {
         rx
     }
 
-    /// Removes a host's endpoint; subsequent sends to it fail with
-    /// [`NetError::NoEndpoint`].
-    pub fn unregister(&self, host: &HostId) {
-        self.endpoints.lock().remove(host);
-    }
-
-    /// Sends `payload` from `from` to `to`, charging the transfer to the
-    /// virtual network first.
-    ///
-    /// # Errors
-    ///
-    /// Any routing or loss error from [`Network::transfer`], or
-    /// [`NetError::NoEndpoint`] / [`NetError::EndpointClosed`] if the
-    /// destination has no live mailbox.
-    pub fn send(
-        &self,
-        from: &HostId,
-        to: &HostId,
-        payload: impl Into<Bytes>,
-    ) -> Result<(), NetError> {
-        // Look up the endpoint before charging the network so a missing
-        // destination doesn't consume virtual time.
-        let tx = self
-            .endpoints
-            .lock()
-            .get(to)
-            .cloned()
-            .ok_or_else(|| NetError::NoEndpoint { host: to.clone() })?;
-
-        let payload = payload.into();
-        let outcome = self.network.transfer(from, to, payload.len() as u64)?;
-        let envelope = Envelope {
-            from: from.clone(),
-            to: to.clone(),
-            payload,
-            departed: outcome.departed,
-            arrived: outcome.arrived,
-            cost: outcome.cost,
-        };
-        tx.send(envelope)
-            .map_err(|_| NetError::EndpointClosed { host: to.clone() })
-    }
-
     /// Whether `host` currently has a registered mailbox.
     pub fn has_endpoint(&self, host: &HostId) -> bool {
         self.endpoints.lock().contains_key(host)
@@ -111,11 +60,6 @@ impl MessageBus {
 
     /// Delivers a pre-charged envelope to its destination's mailbox
     /// without touching the network's clock or counters.
-    ///
-    /// This is the flush half of the parallel scheduler's deferred-send
-    /// protocol: transfers are charged to per-task clocks during the tick
-    /// (via [`Network::transfer_with`]), and the resulting envelopes are
-    /// handed over in deterministic order at the tick barrier.
     ///
     /// # Errors
     ///
@@ -137,75 +81,63 @@ impl MessageBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LinkSpec, Topology};
 
     fn h(name: &str) -> HostId {
         HostId::new(name).unwrap()
     }
 
-    fn bus() -> MessageBus {
-        let mut t = Topology::new(LinkSpec::lan_100mbit());
-        t.add_hosts([h("a"), h("b")]);
-        MessageBus::new(Arc::new(Network::new(t, 3)))
+    fn envelope(to: &str, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            from: h("a"),
+            to: h(to),
+            payload: payload.into(),
+            departed: SimTime::from_nanos(10),
+            arrived: SimTime::from_nanos(25),
+            cost: Duration::from_nanos(15),
+        }
     }
 
     #[test]
-    fn send_delivers_with_virtual_stamps() {
-        let bus = bus();
+    fn deliver_hands_over_the_envelope_as_charged() {
+        let bus = MessageBus::new();
         let rx = bus.register(h("b"));
-        bus.register(h("a"));
-        bus.send(&h("a"), &h("b"), vec![1, 2, 3]).unwrap();
+        bus.deliver(envelope("b", vec![1, 2, 3])).unwrap();
         let env = rx.try_recv().unwrap();
         assert_eq!(env.payload, vec![1, 2, 3]);
         assert_eq!(env.from, h("a"));
-        assert!(env.arrived > env.departed);
+        assert_eq!(
+            (env.departed, env.arrived),
+            (SimTime::from_nanos(10), SimTime::from_nanos(25))
+        );
     }
 
     #[test]
-    fn missing_endpoint_fails_without_charging() {
-        let bus = bus();
-        let err = bus.send(&h("a"), &h("b"), vec![0; 100]).unwrap_err();
-        assert!(matches!(err, NetError::NoEndpoint { .. }));
-        assert_eq!(bus.network().stats().total_messages(), 0);
-        assert_eq!(bus.network().clock().now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn unregister_disconnects() {
-        let bus = bus();
-        let _rx = bus.register(h("b"));
-        bus.unregister(&h("b"));
+    fn missing_endpoint_is_refused() {
+        let bus = MessageBus::new();
+        assert!(!bus.has_endpoint(&h("b")));
         assert!(matches!(
-            bus.send(&h("a"), &h("b"), vec![]),
+            bus.deliver(envelope("b", vec![0; 100])),
             Err(NetError::NoEndpoint { .. })
         ));
     }
 
     #[test]
     fn dropped_receiver_reports_closed() {
-        let bus = bus();
+        let bus = MessageBus::new();
         let rx = bus.register(h("b"));
         drop(rx);
         assert!(matches!(
-            bus.send(&h("a"), &h("b"), vec![]),
+            bus.deliver(envelope("b", vec![])),
             Err(NetError::EndpointClosed { .. })
         ));
     }
 
     #[test]
-    fn traffic_is_counted_per_payload_byte() {
-        let bus = bus();
-        let _rx = bus.register(h("b"));
-        bus.send(&h("a"), &h("b"), vec![0; 1234]).unwrap();
-        assert_eq!(bus.network().stats().pair(&h("a"), &h("b")).bytes, 1234);
-    }
-
-    #[test]
     fn clone_shares_endpoints() {
-        let bus = bus();
+        let bus = MessageBus::new();
         let rx = bus.register(h("b"));
         let bus2 = bus.clone();
-        bus2.send(&h("a"), &h("b"), vec![9]).unwrap();
+        bus2.deliver(envelope("b", vec![9])).unwrap();
         assert_eq!(rx.try_recv().unwrap().payload, vec![9]);
     }
 }

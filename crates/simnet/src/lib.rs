@@ -14,8 +14,9 @@
 //! * [`Topology`] — named hosts, per-pair links, host crashes, partitions.
 //! * [`Network`] — cost accounting: every transfer advances the clock and
 //!   is tallied in [`TrafficStats`] (bytes and messages per host pair).
-//! * [`MessageBus`] — a real (crossbeam-channel) delivery fabric stamped
-//!   with virtual-time metadata, used by the firewall layer.
+//! * [`MessageBus`] — a real (crossbeam-channel) delivery fabric: one
+//!   mailbox per host, into which the kernel's simnet transport delivers
+//!   envelopes it has already charged to the [`Network`].
 //!
 //! # Example
 //!

@@ -135,11 +135,11 @@ impl Network {
 
     /// [`Network::transfer`] against a caller-supplied clock and loss RNG.
     ///
-    /// The parallel scheduler charges each task's transfers to a per-task
-    /// clock forked at tick start and a per-task seeded RNG, so transfer
-    /// costs and loss draws are independent of cross-host interleaving.
-    /// Routing and traffic accounting still go through the shared
-    /// topology and stats (counter increments commute).
+    /// The tick scheduler charges each host batch's transfers to a clock
+    /// forked at tick start and an RNG seeded per batch, so transfer costs
+    /// and loss draws do not depend on the batches run before it. Routing
+    /// and traffic accounting still go through the shared topology and
+    /// stats.
     ///
     /// # Errors
     ///

@@ -1032,10 +1032,6 @@ impl Transport for ReactorTransport {
         "reactor"
     }
 
-    fn supports_nowait(&self) -> bool {
-        true
-    }
-
     fn send_nowait(
         &self,
         _from: &str,

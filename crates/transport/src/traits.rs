@@ -49,18 +49,12 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// `"simnet"`).
     fn kind(&self) -> &'static str;
 
-    /// Whether this transport implements the pipelined nonblocking path
-    /// ([`Transport::send_nowait`] / [`Transport::drain_completions`]).
-    /// Backends that don't (simnet) keep the default `false` and callers
-    /// stay on the blocking [`Transport::send`].
-    fn supports_nowait(&self) -> bool {
-        false
-    }
-
     /// Enqueues `payload` for pipelined delivery to `to_host:to_port`
     /// without waiting for the peer's acknowledgement. The outcome
     /// arrives later through [`Transport::drain_completions`], tagged
-    /// with `token`.
+    /// with `token`. A backend without a pipelined path (the simnet)
+    /// keeps the default, which refuses every frame, so callers fall
+    /// back to the blocking [`Transport::send`].
     ///
     /// The payload is taken as [`Bytes`] so a briefcase's cached wire
     /// encoding travels to the socket without being copied.
