@@ -81,6 +81,7 @@ impl MessageBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{LinkSpec, Network, Topology};
 
     fn h(name: &str) -> HostId {
         HostId::new(name).unwrap()
@@ -130,6 +131,30 @@ mod tests {
             bus.deliver(envelope("b", vec![])),
             Err(NetError::EndpointClosed { .. })
         ));
+    }
+
+    #[test]
+    fn traffic_is_counted_per_payload_byte() {
+        // The sender charges the network, then the bus hands over the
+        // envelope; the pair's traffic is the payload's byte count.
+        let mut t = Topology::new(LinkSpec::lan_100mbit());
+        t.add_hosts([h("a"), h("b")]);
+        let net = Network::new(t, 3);
+        let bus = MessageBus::new();
+        let rx = bus.register(h("b"));
+        let payload = vec![0; 1234];
+        let out = net
+            .transfer(&h("a"), &h("b"), payload.len() as u64)
+            .unwrap();
+        bus.deliver(Envelope {
+            departed: out.departed,
+            arrived: out.arrived,
+            cost: out.cost,
+            ..envelope("b", payload)
+        })
+        .unwrap();
+        assert_eq!(rx.try_recv().unwrap().payload.len(), 1234);
+        assert_eq!(net.stats().pair(&h("a"), &h("b")).bytes, 1234);
     }
 
     #[test]
