@@ -142,15 +142,6 @@ impl TaxHost {
         self.core.natives.write().install_fn(key, program);
     }
 
-    /// Installs a native program given as a trait object.
-    pub fn install_native_program(
-        &self,
-        key: impl Into<String>,
-        program: Arc<dyn tacoma_vm::NativeProgram>,
-    ) {
-        self.core.natives.write().install(key, program);
-    }
-
     /// Registers an additional service agent, addressable by its name.
     pub fn add_service(&self, service: Arc<dyn ServiceAgent>) {
         let name = service.name().to_owned();
@@ -167,14 +158,6 @@ impl TaxHost {
     /// Looks up a service agent by name.
     pub fn service(&self, name: &str) -> Option<Arc<dyn ServiceAgent>> {
         self.core.services.read().get(name).cloned()
-    }
-
-    /// Registers an extra wrapper constructor on this host's factory.
-    pub fn register_wrapper<F>(&self, name: impl Into<String>, constructor: F)
-    where
-        F: Fn(&str) -> Result<Box<dyn crate::Wrapper>, TaxError> + Send + Sync + 'static,
-    {
-        self.core.factory.write().register(name, constructor);
     }
 
     /// A snapshot of this host's event log.

@@ -288,6 +288,9 @@ mod tests {
         assert_eq!(net.stats().pair(&a, &b).bytes, 1234);
         let stats = transport.stats();
         assert_eq!((stats.frames_sent, stats.bytes_sent), (1, 1234));
+        // The simnet has no pipelined path: the trait default refuses.
+        let refused = transport.send_nowait("a", "b", 4711, bytes::Bytes::new(), 1);
+        assert_eq!(refused, Err(TransportError::NoNowaitPath));
     }
 
     #[test]

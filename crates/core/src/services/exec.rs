@@ -119,7 +119,11 @@ impl ServiceAgent for AgExec {
     }
 }
 
-/// Borrow adapter so the taxscript VM can use `&mut dyn HostHooks`.
+/// Borrow adapter so the taxscript VM can use `&mut dyn HostHooks`. It
+/// forwards every method except the `poll_*` ones, which keep their
+/// answer-at-once defaults: a program `ag_exec` runs inside a service
+/// call cannot suspend, so it must never see the caller's hooks answer
+/// pending (the blanket `&mut H` impl would forward them).
 struct HooksRef<'a>(&'a mut dyn tacoma_vm::HostHooks);
 
 impl tacoma_vm::HostHooks for HooksRef<'_> {

@@ -32,16 +32,6 @@ impl AgFs {
     pub fn new() -> Self {
         AgFs::default()
     }
-
-    /// Pre-populates a file (host setup).
-    pub fn preload(&self, path: impl Into<String>, data: Vec<u8>) {
-        self.files.lock().insert(path.into(), data);
-    }
-
-    /// Number of files stored.
-    pub fn file_count(&self) -> usize {
-        self.files.lock().len()
-    }
 }
 
 impl ServiceAgent for AgFs {

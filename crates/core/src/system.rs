@@ -284,16 +284,16 @@ impl TaxSystem {
         self.inject_wire_bytes(host_name, &bytes::Bytes::copy_from_slice(payload))
     }
 
-    /// Retries transport delivery of messages parked in `host_name`'s
-    /// pending queue for remote hosts. Returns `(delivered, reparked)`.
+    /// Hands the messages parked in `host_name`'s pending queue for
+    /// remote hosts back to the transport, without waiting for the peers:
+    /// [`TaxSystem::pump_transport`] settles each one later, and one lost
+    /// again is re-parked under its original deadline. Returns how many
+    /// were handed over.
     ///
     /// # Errors
     ///
     /// [`TaxError::UnknownHost`] when the host is not in this process.
-    pub fn redeliver_remote_pending(
-        &mut self,
-        host_name: &str,
-    ) -> Result<(usize, usize), TaxError> {
+    pub fn redeliver_remote_pending(&mut self, host_name: &str) -> Result<usize, TaxError> {
         let host = self.host(host_name).ok_or_else(|| TaxError::UnknownHost {
             host: host_name.to_owned(),
         })?;
@@ -335,15 +335,6 @@ impl TaxSystem {
             host: host_name.to_owned(),
         })?;
         Ok(host.with_firewall_read(tacoma_firewall::Firewall::transport_inflight))
-    }
-
-    /// Installs a user keyring's verification key on every host.
-    pub fn trust_everywhere(&self, keyring: &Keyring) {
-        for host in self.kernel.directory.read().values() {
-            host.with_firewall(|fw| {
-                fw.trust_mut().trust(keyring.public());
-            });
-        }
     }
 
     /// Launches an agent on a host; returns its address.
@@ -640,9 +631,10 @@ impl TaxSystem {
     fn release_held(&mut self) -> usize {
         let transport = Arc::clone(&self.kernel.transport);
         let hosts: Vec<TaxHost> = self.kernel.directory.read().values().cloned().collect();
+        let now = self.kernel.now();
         let mut resumed = 0;
         for host in &hosts {
-            if host.with_firewall(|fw| fw.release_held(&*transport)) > 0 {
+            if host.with_firewall(|fw| fw.release_held(now, &*transport)) > 0 {
                 resumed += self.kernel.resume_settled(host);
             }
         }

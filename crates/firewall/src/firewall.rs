@@ -1,9 +1,12 @@
 //! The firewall proper: policy decisions for every mediated message.
+//! Its submodules route messages, ship and park them, and replay the
+//! journal at boot.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
+use bytes::Bytes;
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_journal::Journal;
 use tacoma_security::Digest;
@@ -134,7 +137,7 @@ pub struct Firewall {
     queue_timeout: Duration,
     next_instance: u64,
     journal: Option<Arc<Journal>>,
-    inflight: HashMap<u64, ShipTicket>,
+    inflight: HashMap<u64, (Bytes, ShipTicket)>,
     next_ship_token: u64,
     held: Vec<HeldFrame>,
     /// The LSN the next [`Firewall::release_held`] must make durable.

@@ -52,20 +52,13 @@ impl Firewall {
                 })
             }
         };
-        match transport.send(&self.host, &host, port, &hop.wire) {
-            Ok(()) => {
-                self.stats.frames_sent += 1;
-                self.stats.bytes_sent += hop.wire.len() as u64;
-                self.stats.journal_resumed += 1;
-                if let Some(journal) = &self.journal {
-                    let _ = journal.hop_committed(&hop.key);
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.stats.retry_timeouts += 1;
-                Err(FirewallError::Transport(e))
-            }
+        let sent = transport.send(&self.host, &host, port, &hop.wire);
+        self.book(hop.wire.len(), sent.is_ok());
+        sent.map_err(FirewallError::Transport)?;
+        self.stats.journal_resumed += 1;
+        if let Some(journal) = &self.journal {
+            let _ = journal.hop_committed(&hop.key);
         }
+        Ok(())
     }
 }

@@ -216,10 +216,7 @@ impl Firewall {
             // "…queued with a timeout value if the receiving agent is not
             // ready to receive, or has not yet arrived at the site."
             Some((_, _, AgentStatus::Stopped)) | None => {
-                let key = self.journal_park(&message, None);
-                self.pending
-                    .enqueue_keyed(message, now, self.queue_timeout, key);
-                self.stats.queued += 1;
+                self.park(message, now, None);
                 Ok(Decision::Queued)
             }
         }

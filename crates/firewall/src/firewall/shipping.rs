@@ -1,26 +1,30 @@
-//! Shipping and parking: handing routed messages to the transport,
-//! settling what comes back, and parking what could not be sent.
+//! Shipping and parking: every remote send is handed to the transport
+//! in one place ([`Firewall::hand_over`]) and settled in one place
+//! ([`Firewall::settle`]); what could not be sent is parked.
 
 use bytes::Bytes;
 use tacoma_simnet::SimTime;
+use tacoma_transport::{Completion, Transport};
 
 use super::{Decision, Firewall, TransferVerdict};
+use crate::pending::TakenMail;
 use crate::{FirewallError, Message, MessageKind};
 
-/// A message handed to a nonblocking transport (or held for it) whose
-/// completion has not come back yet: everything needed to finish the
-/// bookkeeping when [`Firewall::pump_transport`] drains the completion.
+/// What a frame handed to the transport (or held for it) carries, which
+/// decides how it settles.
 // Unboxed: a ticket lives in the in-flight map for one round trip, and
 // boxing the mail would cost an allocation per send.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub(super) enum ShipTicket {
-    /// A plain delivery: counted on ack, parked on failure.
-    Mail { message: Message, bytes: usize },
-    /// An agent transfer whose sender is suspended on the verdict: its
-    /// hop commits on ack and aborts on failure, and the verdict goes to
-    /// [`Firewall::take_verdicts`].
-    Transfer { hop: Option<String>, bytes: usize },
+    /// Fresh mail: parked when lost.
+    Mail(Message),
+    /// Parked mail the sweep retries: closed with `mail-delivered` on
+    /// ack, re-parked under its deadline and journal key when lost again.
+    Redelivery(TakenMail),
+    /// An agent transfer and its hop key: a journaled hop commits on ack
+    /// and aborts when lost.
+    Transfer(Option<String>),
 }
 
 /// An outbound transfer frame held back until the journal record that
@@ -31,6 +35,7 @@ pub(super) struct HeldFrame {
     host: String,
     port: u16,
     wire: Bytes,
+    hop: Option<String>,
 }
 
 impl Firewall {
@@ -71,7 +76,7 @@ impl Firewall {
         &mut self,
         message: Message,
         now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
+        transport: &dyn Transport,
     ) -> Result<Decision, FirewallError> {
         match self.route_outbound(message, now)? {
             Decision::ForwardRemote {
@@ -100,7 +105,7 @@ impl Firewall {
         &mut self,
         message: Message,
         now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
+        transport: &dyn Transport,
     ) -> Result<Decision, FirewallError> {
         if matches!(message.kind, MessageKind::Deliver) {
             return self.dispatch_outbound(message, now, transport);
@@ -118,7 +123,11 @@ impl Firewall {
     /// Hands one already-routed message to the transport, parking or
     /// reporting failures per message kind (the second half of
     /// [`Firewall::dispatch_outbound`], exposed for callers that routed
-    /// separately).
+    /// separately). Mail is `Forwarded` once the nonblocking path takes
+    /// it (a loss settles later and parks it), or `Queued` when the
+    /// blocking fallback lost it. A transfer reaching this method wants
+    /// its verdict now (a native program's `go`), so it is sent blocking;
+    /// a suspendable agent's goes through [`Firewall::dispatch_transfer`].
     ///
     /// # Errors
     ///
@@ -131,58 +140,37 @@ impl Firewall {
         host: &str,
         port: u16,
         now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
+        transport: &dyn Transport,
     ) -> Result<Decision, FirewallError> {
         let wire = encode_frame(&message);
+        let forwarded = Decision::Forwarded {
+            host: host.to_owned(),
+            bytes: wire.len(),
+        };
+        if let MessageKind::Deliver = message.kind {
+            let (token, mail) = (self.next_token(), ShipTicket::Mail(message));
+            let settled = self.hand_over(token, (host, port), wire, mail, now, transport);
+            return Ok(match settled {
+                Some(Err(_)) => Decision::Queued,
+                _ => forwarded,
+            });
+        }
         // Write-ahead: a migration must be durable *before* the first
         // transmission attempt, so a crash between send and ack resumes
         // the hop instead of losing the agent. The journaled wire is the
         // ready-to-send frame (payload bytes from the encode-once cache),
         // so this is one buffer append, not a re-encode.
-        let hop_key = match (&self.journal, &message.kind, &message.hop) {
-            (Some(journal), MessageKind::AgentTransfer { .. }, Some(key)) => {
-                journal.hop_begin(key, message.hop_parent.as_deref(), false, host, &wire)?;
-                Some(key.clone())
+        let hop = match (&self.journal, message.hop) {
+            (Some(journal), Some(key)) => {
+                journal.hop_begin(&key, message.hop_parent.as_deref(), false, host, &wire)?;
+                Some(key)
             }
             _ => None,
         };
-        // Fast path: plain deliveries on a nonblocking transport enter its
-        // bounded per-peer queue and complete later; the send is reported
-        // `Forwarded` optimistically and [`Firewall::pump_transport`]
-        // settles the books when the cumulative ack (or the retry-budget
-        // failure) comes back. A transfer reaching this method wants its
-        // verdict now (a native program's `go`), so it takes the blocking
-        // send; a suspendable agent's transfer goes through
-        // [`Firewall::dispatch_transfer`] instead. A blocking send still
-        // rides the reactor's pipelined window — it just waits for its own
-        // completion.
-        if matches!(message.kind, MessageKind::Deliver) {
-            let token = self.next_token();
-            if transport
-                .send_nowait(&self.host, host, port, wire.clone(), token)
-                .is_ok()
-            {
-                let bytes = wire.len();
-                self.inflight
-                    .insert(token, ShipTicket::Mail { message, bytes });
-                return Ok(Decision::Forwarded {
-                    host: host.to_owned(),
-                    bytes,
-                });
-            }
-            // Backpressure: the peer's queue is full, or the transport has
-            // no fast path. Fall through to the blocking send, which waits
-            // for queue space inside its retry budget instead of dropping
-            // the frame.
-        }
-        self.send_blocking(
-            message,
-            &wire,
-            hop_key.as_deref(),
-            (host, port),
-            now,
-            transport,
-        )
+        let sent = transport.send(&self.host, host, port, &wire);
+        let transfer = ShipTicket::Transfer(hop);
+        self.settle(&wire, transfer, sent.map_err(FirewallError::Transport), now)?;
+        Ok(forwarded)
     }
 
     /// The in-flight half of [`Firewall::dispatch_transfer`].
@@ -192,50 +180,49 @@ impl Firewall {
         host: &str,
         port: u16,
         now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
+        transport: &dyn Transport,
     ) -> Result<Decision, FirewallError> {
         let wire = encode_frame(&message);
         let bytes = wire.len();
         let token = self.next_token();
-        let hop = match (&self.journal, &message.hop) {
-            (Some(journal), Some(key)) => {
-                // Write-ahead, batched: append now, send only once
-                // `release_held`'s fsync covers the record.
-                let parent = message.hop_parent.as_deref();
-                let lsn = journal.append_hop_begin(key, parent, false, host, &wire)?;
-                self.held_lsn = self.held_lsn.max(lsn);
-                self.held.push(HeldFrame {
-                    token,
-                    host: host.to_owned(),
-                    port,
-                    wire,
-                });
-                Some(key.clone())
-            }
-            // Nothing to make durable first: straight into the peer's
-            // queue — or, when it is full, the blocking send, as for mail.
-            _ if transport
-                .send_nowait(&self.host, host, port, wire.clone(), token)
-                .is_ok() =>
-            {
-                None
-            }
-            _ => return self.send_blocking(message, &wire, None, (host, port), now, transport),
-        };
-        self.inflight
-            .insert(token, ShipTicket::Transfer { hop, bytes });
-        Ok(Decision::InFlight { token })
+        if let (Some(journal), Some(key)) = (&self.journal, &message.hop) {
+            // Write-ahead, batched: append now, hand over only once
+            // `release_held`'s fsync covers the record.
+            let parent = message.hop_parent.as_deref();
+            let lsn = journal.append_hop_begin(key, parent, false, host, &wire)?;
+            self.held_lsn = self.held_lsn.max(lsn);
+            let (host, hop) = (host.to_owned(), message.hop);
+            self.held.push(HeldFrame {
+                token,
+                host,
+                port,
+                wire,
+                hop,
+            });
+            return Ok(Decision::InFlight { token });
+        }
+        // Nothing to make durable first. A frame the transport refuses
+        // gets its verdict from the blocking send, synchronously.
+        let transfer = ShipTicket::Transfer(None);
+        match self.hand_over(token, (host, port), wire, transfer, now, transport) {
+            None => Ok(Decision::InFlight { token }),
+            Some(verdict) => verdict.map(|()| Decision::Forwarded {
+                host: host.to_owned(),
+                bytes,
+            }),
+        }
     }
 
     /// The write-ahead barrier: one fsync makes every hop begin that
     /// [`Firewall::dispatch_transfer`] appended since the last call
-    /// durable, and only then are the held frames handed to the
-    /// transport — no transfer frame reaches the wire before its record
-    /// is on disk. A frame the transport refuses (a full peer queue, or
-    /// no nonblocking path) takes the blocking send, settled at once; if the fsync fails, every held transfer
-    /// fails unsent. Returns the number of frames released. Daemons call
-    /// this when the scheduler goes quiet.
-    pub fn release_held(&mut self, transport: &dyn tacoma_transport::Transport) -> usize {
+    /// durable, and only then are the held frames handed over — no
+    /// transfer frame reaches the transport before its record is on
+    /// disk. If the fsync fails, every held transfer fails unsent. A
+    /// verdict settled here (a refused frame's blocking send, or the
+    /// fsync failure) goes to [`Firewall::take_verdicts`]. Returns the
+    /// number of frames released. Daemons call this when the scheduler
+    /// goes quiet.
+    pub fn release_held(&mut self, now: SimTime, transport: &dyn Transport) -> usize {
         if self.held.is_empty() {
             return 0;
         }
@@ -248,23 +235,16 @@ impl Firewall {
             None => Ok(()),
         };
         for frame in held {
-            let result = match &durable {
-                Err(e) => Err(e.clone()),
+            let transfer = ShipTicket::Transfer(frame.hop);
+            let verdict = match &durable {
                 Ok(()) => {
-                    let wire = frame.wire.clone();
-                    if transport
-                        .send_nowait(&self.host, &frame.host, frame.port, wire, frame.token)
-                        .is_ok()
-                    {
-                        continue;
-                    }
-                    transport
-                        .send(&self.host, &frame.host, frame.port, &frame.wire)
-                        .map_err(FirewallError::Transport)
+                    let to = (frame.host.as_str(), frame.port);
+                    self.hand_over(frame.token, to, frame.wire, transfer, now, transport)
                 }
+                Err(e) => Some(self.settle(&frame.wire, transfer, Err(e.clone()), now)),
             };
-            if let Some(ShipTicket::Transfer { hop, bytes }) = self.inflight.remove(&frame.token) {
-                self.close_transfer(frame.token, hop.as_deref(), bytes, result);
+            if let Some(verdict) = verdict {
+                self.verdicts.push((frame.token, verdict));
             }
         }
         released
@@ -276,37 +256,78 @@ impl Firewall {
         std::mem::take(&mut self.verdicts)
     }
 
-    /// Closes the books on one in-flight transfer and queues its verdict
-    /// for the suspended sender.
-    fn close_transfer(
+    /// The one hand-over: `wire` goes to the transport's nonblocking path
+    /// under `token`, and [`Firewall::pump_transport`] settles it later
+    /// (returns `None`). When the transport refuses it (a full peer
+    /// queue, or no nonblocking path, as on the simnet), the blocking
+    /// send waits for queue space within its retry budget instead, and
+    /// the ticket is settled at once (returns the outcome).
+    fn hand_over(
         &mut self,
         token: u64,
-        hop: Option<&str>,
-        bytes: usize,
-        result: Result<(), FirewallError>,
-    ) {
-        self.book(hop, bytes, result.is_ok());
-        self.verdicts.push((token, result));
+        (host, port): (&str, u16),
+        wire: Bytes,
+        ticket: ShipTicket,
+        now: SimTime,
+        transport: &dyn Transport,
+    ) -> Option<Result<(), FirewallError>> {
+        let queued = transport.send_nowait(&self.host, host, port, wire.clone(), token);
+        if queued.is_ok() {
+            self.inflight.insert(token, (wire, ticket));
+            return None;
+        }
+        let sent = transport.send(&self.host, host, port, &wire);
+        Some(self.settle(&wire, ticket, sent.map_err(FirewallError::Transport), now))
     }
 
-    /// Counts one settled send; for a journaled transfer, also closes its
-    /// hop — committed when the receiver acked it (it now owns the hop;
-    /// batched, since losing the record only re-ships a frame the
-    /// receiver's dedup set suppresses), aborted when it was lost (the
-    /// sender learns of the failure, so replay must not retry it).
-    fn book(&mut self, hop: Option<&str>, bytes: usize, delivered: bool) {
-        let journal = self.journal.as_ref().zip(hop);
+    /// The one settle: counts the send through [`Firewall::book`] and
+    /// closes what the frame carried (see [`ShipTicket`]). A hop commits
+    /// on ack because the receiver now owns it (batched: losing the
+    /// record only re-ships a frame its dedup set suppresses), and aborts
+    /// on loss because the sender learns of the failure, so replay must
+    /// not retry it. A redelivery lost again keeps its `mail-parked`
+    /// record. Returns `sent`.
+    fn settle(
+        &mut self,
+        wire: &Bytes,
+        ticket: ShipTicket,
+        sent: Result<(), FirewallError>,
+        now: SimTime,
+    ) -> Result<(), FirewallError> {
+        let delivered = sent.is_ok();
+        self.book(wire.len(), delivered);
+        let journal = self.journal.as_ref();
+        match ticket {
+            ShipTicket::Mail(message) if !delivered => self.park(message, now, Some(wire)),
+            ShipTicket::Redelivery(mail) if !delivered => {
+                self.pending
+                    .enqueue_until_keyed(mail.message, mail.deadline, mail.journal_key);
+            }
+            ShipTicket::Redelivery(TakenMail {
+                journal_key: Some(key),
+                ..
+            }) => {
+                let _ = journal.map(|journal| journal.mail_delivered(key));
+            }
+            ShipTicket::Transfer(Some(key)) if delivered => {
+                let _ = journal.map(|journal| journal.hop_committed(&key));
+            }
+            ShipTicket::Transfer(Some(key)) => {
+                let _ = journal.map(|journal| journal.hop_aborted(&key));
+            }
+            ShipTicket::Mail(_) | ShipTicket::Redelivery(_) | ShipTicket::Transfer(None) => {}
+        }
+        sent
+    }
+
+    /// Counts one settled send: the only writer of the sent and
+    /// retry-timeout counters.
+    pub(super) fn book(&mut self, bytes: usize, delivered: bool) {
         if delivered {
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += bytes as u64;
-            if let Some((journal, key)) = journal {
-                let _ = journal.hop_committed(key);
-            }
         } else {
             self.stats.retry_timeouts += 1;
-            if let Some((journal, key)) = journal {
-                let _ = journal.hop_aborted(key);
-            }
         }
     }
 
@@ -316,146 +337,81 @@ impl Firewall {
         token
     }
 
-    /// A blocking send and its bookkeeping: on ack the hop (if any)
-    /// commits; a lost transfer aborts its hop and surfaces, a lost
-    /// delivery parks.
-    fn send_blocking(
-        &mut self,
-        message: Message,
-        wire: &Bytes,
-        hop_key: Option<&str>,
-        (host, port): (&str, u16),
-        now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
-    ) -> Result<Decision, FirewallError> {
-        let sent = transport.send(&self.host, host, port, &wire[..]);
-        self.book(hop_key, wire.len(), sent.is_ok());
-        match (sent, message.kind) {
-            (Ok(()), _) => Ok(Decision::Forwarded {
-                host: host.to_owned(),
-                bytes: wire.len(),
-            }),
-            // A lost `go`/`spawn` must surface: the sending agent is
-            // waiting to learn whether it moved.
-            (Err(e), MessageKind::AgentTransfer { .. }) => Err(FirewallError::Transport(e)),
-            // A plain delivery is parked with a timeout, exactly like
-            // mail for a not-yet-arrived local agent.
-            (Err(_), MessageKind::Deliver) => {
-                self.park(message, now, Some(wire));
-                Ok(Decision::Queued)
-            }
-        }
-    }
-
     /// Drains the nonblocking transport's completion queue and settles
-    /// each in-flight ship: an acked frame is counted; a failed frame
-    /// (retry budget exhausted, peer gone) is parked in the pending queue
-    /// so the redelivery sweep retries it — the optimistic `Forwarded`
-    /// already returned, so nothing can be surfaced to the sender, and
-    /// nothing may be lost.
+    /// each in-flight ticket; a transfer's verdict goes to
+    /// [`Firewall::take_verdicts`]. Lost mail is parked for the
+    /// redelivery sweep: the optimistic `Forwarded` already returned, so
+    /// nothing can be surfaced to the sender, and nothing may be lost.
     ///
-    /// Returns the number of completions settled. Call this from the
-    /// daemon loop whenever the transport may have made progress.
-    pub fn pump_transport(
-        &mut self,
-        now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
-    ) -> usize {
-        let completions = transport.drain_completions();
+    /// Returns the number of completions that made progress: all but the
+    /// redeliveries lost again, which are back where they were. Call this
+    /// from the daemon loop whenever the transport may have made
+    /// progress.
+    pub fn pump_transport(&mut self, now: SimTime, transport: &dyn Transport) -> usize {
         let mut settled = 0;
-        for completion in completions {
-            let Some(ticket) = self.inflight.remove(&completion.token) else {
+        for Completion { token, result } in transport.drain_completions() {
+            let Some((wire, ticket)) = self.inflight.remove(&token) else {
                 continue; // Not ours (or already settled).
             };
-            settled += 1;
-            match ticket {
-                ShipTicket::Transfer { hop, bytes } => {
-                    let result = completion.result.map_err(FirewallError::Transport);
-                    self.close_transfer(completion.token, hop.as_deref(), bytes, result);
-                }
-                ShipTicket::Mail { message, bytes } => {
-                    let delivered = completion.result.is_ok();
-                    self.book(None, bytes, delivered);
-                    if !delivered {
-                        self.park(message, now, None);
-                    }
-                }
+            let transfer = matches!(ticket, ShipTicket::Transfer(_));
+            let retry = matches!(ticket, ShipTicket::Redelivery(_));
+            let result = self.settle(&wire, ticket, result.map_err(FirewallError::Transport), now);
+            if transfer {
+                self.verdicts.push((token, result));
+            } else if retry && result.is_err() {
+                continue;
             }
+            settled += 1;
         }
         settled
     }
 
     /// Frames handed to a nonblocking transport (or held for it) whose
-    /// completion has not been pumped yet. Daemons drain this to zero (or
-    /// a deadline) before reporting final stats.
+    /// completion has not been pumped yet, except the redelivery sweep's:
+    /// parked mail on another try is still covered by its park (and its
+    /// `mail-parked` record), so nothing waits for it. Daemons drain this
+    /// to zero (or a deadline) before reporting final stats.
     pub fn transport_inflight(&self) -> usize {
-        self.inflight.len()
+        let tickets = self.inflight.values();
+        let fresh = tickets.filter(|(_, t)| !matches!(t, ShipTicket::Redelivery(_)));
+        self.held.len() + fresh.count()
     }
 
-    /// Parks a remote-bound message whose send failed, for the
-    /// redelivery sweep: journaled, with the usual timeout.
-    fn park(&mut self, message: Message, now: SimTime, wire: Option<&Bytes>) {
-        let key = self.journal_park(&message, wire);
+    /// Parks a message in the pending queue with the usual timeout,
+    /// journaled write-ahead (reusing its encoded frame when there is
+    /// one). A failed journal append costs the park its durability, not
+    /// the message.
+    pub(super) fn park(&mut self, message: Message, now: SimTime, wire: Option<&Bytes>) {
+        let key = self.journal.as_ref().and_then(|journal| {
+            let wire = wire
+                .cloned()
+                .unwrap_or_else(|| Bytes::from(message.encode()));
+            journal.mail_parked(self.queue_timeout, &wire).ok()
+        });
         self.pending
             .enqueue_keyed(message, now, self.queue_timeout, key);
         self.stats.queued += 1;
     }
 
-    /// Journals a `MailParked` record for a message about to enter the
-    /// pending queue, reusing an already-encoded frame when the caller
-    /// has one. Returns the journal key, or `None` when there is no
-    /// journal or the append failed (the park then simply loses
-    /// durability, not the message).
-    pub(super) fn journal_park(&self, message: &Message, wire: Option<&Bytes>) -> Option<u64> {
-        let journal = self.journal.as_ref()?;
-        let bytes = match wire {
-            Some(w) => w.clone(),
-            None => Bytes::from(message.encode()),
-        };
-        journal.mail_parked(self.queue_timeout, &bytes).ok()
-    }
-
-    /// Retries every parked remote-bound message on `transport`,
-    /// preserving each message's original deadline. Returns
-    /// `(delivered, still_parked)`.
-    pub fn redeliver_remote_pending(
-        &mut self,
-        now: SimTime,
-        transport: &dyn tacoma_transport::Transport,
-    ) -> (usize, usize) {
+    /// Hands every parked remote-bound message that has not expired back
+    /// to the transport, as a [`ShipTicket::Redelivery`] that keeps its
+    /// deadline and journal key. The sweep does not wait for the peer:
+    /// [`Firewall::pump_transport`] settles what the nonblocking path
+    /// took. Returns how many messages were handed over.
+    pub fn redeliver_remote_pending(&mut self, now: SimTime, transport: &dyn Transport) -> usize {
         let parked = self.pending.take_remote(&self.host, now);
-        let mut delivered = 0;
-        let mut reparked = 0;
-        let mut wire = Vec::new();
-        for entry in parked {
-            let message = entry.message;
-            let (host, port) = match (message.to.host(), message.to.location()) {
-                (Some(h), Some(loc)) => (h.to_owned(), loc.effective_port()),
-                _ => continue, // Cannot happen: take_remote selected on host.
+        let retried = parked.len();
+        for mail in parked {
+            let to = &mail.message.to;
+            let (Some(host), Some(location)) = (to.host(), to.location()) else {
+                continue; // Cannot happen: take_remote selected on host.
             };
-            // One buffer across the sweep; the payload bytes are reused
-            // from each message's encode-once cache, populated the first
-            // time the message was shipped.
-            wire.clear();
-            wire.reserve(message.encoded_len());
-            message.encode_into(&mut wire);
-            if transport.send(&self.host, &host, port, &wire).is_ok() {
-                self.stats.frames_sent += 1;
-                self.stats.bytes_sent += wire.len() as u64;
-                if let (Some(journal), Some(key)) = (&self.journal, entry.journal_key) {
-                    let _ = journal.mail_delivered(key);
-                }
-                delivered += 1;
-            } else {
-                self.stats.retry_timeouts += 1;
-                // Re-park under the same journal key: the original
-                // MailParked record still covers the message.
-                self.pending
-                    .enqueue_until_keyed(message, entry.deadline, entry.journal_key);
-                reparked += 1;
-            }
+            let (host, port) = (host.to_owned(), location.effective_port());
+            let (token, wire) = (self.next_token(), encode_frame(&mail.message));
+            let retry = ShipTicket::Redelivery(mail);
+            self.hand_over(token, (&host, port), wire, retry, now, transport);
         }
-        (delivered, reparked)
+        retried
     }
 }
 

@@ -439,15 +439,16 @@ fn parked_remote_mail_redelivers_when_link_returns() {
         .unwrap();
     assert_eq!(fw.pending_len(), 1);
 
-    // Link still down: the sweep re-parks, preserving the message.
-    let (delivered, reparked) = fw.redeliver_remote_pending(SimTime::ZERO, &t);
-    assert_eq!((delivered, reparked), (0, 1));
+    // Link still down: the sweep re-parks, preserving the message. A
+    // transport without a nonblocking path settles the retry at once.
+    assert_eq!(fw.redeliver_remote_pending(SimTime::ZERO, &t), 1);
     assert_eq!(fw.pending_len(), 1);
+    assert_eq!(fw.stats().retry_timeouts, 2);
+    assert_eq!(fw.stats().queued, 1, "a re-park is not a new park");
 
     // Link back: the sweep delivers.
     t.restore();
-    let (delivered, reparked) = fw.redeliver_remote_pending(SimTime::ZERO, &t);
-    assert_eq!((delivered, reparked), (1, 0));
+    assert_eq!(fw.redeliver_remote_pending(SimTime::ZERO, &t), 1);
     assert_eq!(fw.pending_len(), 0);
     assert_eq!(t.sent.lock().len(), 1);
     assert_eq!(fw.stats().frames_sent, 1);
@@ -462,8 +463,7 @@ fn parked_remote_mail_expires_by_its_deadline() {
         .unwrap();
     // Past the deadline the sweep leaves it for expire() to count.
     let late = SimTime::ZERO + Duration::from_secs(1);
-    let (delivered, reparked) = fw.redeliver_remote_pending(late, &t);
-    assert_eq!((delivered, reparked), (0, 0));
+    assert_eq!(fw.redeliver_remote_pending(late, &t), 0);
     assert_eq!(fw.expire_pending(late), 1);
     assert_eq!(fw.stats().expired, 1);
 }
@@ -517,24 +517,11 @@ fn journal_records_park_ship_and_hop_lifecycle() {
 
     // …and marked delivered when the redelivery sweep ships it.
     t.restore();
-    let (delivered, _) = fw.redeliver_remote_pending(SimTime::ZERO, &t);
-    assert_eq!(delivered, 1);
+    assert_eq!(fw.redeliver_remote_pending(SimTime::ZERO, &t), 1);
     assert_eq!(journal.stats().parked, 0);
 
     // A keyed transfer is begun write-ahead and committed on ack.
-    let transfer = |hop: &str| {
-        let mut bc = Briefcase::new();
-        bc.set_single(folders::AGENT_NAME, "webbot");
-        Message::transfer(
-            "h1",
-            Principal::new("alice").unwrap(),
-            "tacoma://h2/vm_script".parse().unwrap(),
-            bc,
-            false,
-        )
-        .with_hop(hop, None)
-    };
-    fw.dispatch_outbound(transfer("k1"), SimTime::ZERO, &t)
+    fw.dispatch_outbound(keyed_transfer("k1"), SimTime::ZERO, &t)
         .unwrap();
     let js = journal.stats();
     assert_eq!((js.open_hops, js.committed_hops), (0, 1));
@@ -543,7 +530,7 @@ fn journal_records_park_ship_and_hop_lifecycle() {
     // replay will never re-run a hop the agent already saw fail.
     let down = FlakyTransport::down();
     assert!(fw
-        .dispatch_outbound(transfer("k2"), SimTime::ZERO, &down)
+        .dispatch_outbound(keyed_transfer("k2"), SimTime::ZERO, &down)
         .is_err());
     let js = journal.stats();
     assert_eq!((js.open_hops, js.committed_hops), (0, 2));
@@ -677,33 +664,15 @@ fn failed_nowait_completion_parks_for_redelivery() {
 
     // The redelivery sweep picks it up over a (blocking) transport.
     let up = FlakyTransport::up();
-    let (delivered, reparked) = fw.redeliver_remote_pending(SimTime::ZERO, &up);
-    assert_eq!((delivered, reparked), (1, 0));
+    assert_eq!(fw.redeliver_remote_pending(SimTime::ZERO, &up), 1);
     assert_eq!(fw.pending_len(), 0);
+    assert_eq!(fw.stats().frames_sent, 1);
 }
 
 #[test]
 fn transfers_take_the_blocking_path_even_on_nowait_transports() {
-    use tacoma_journal::JournalConfig;
-    let dir = std::env::temp_dir().join(format!("taxfw-nowait-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let (journal, _) = Journal::open(&dir, JournalConfig::default()).unwrap();
-    let journal = Arc::new(journal);
-
-    let mut fw = Firewall::new("h1", 27017, Policy::trusting(), TrustStore::new());
-    fw.add_vm("vm_script");
-    fw.set_journal(Arc::clone(&journal));
-
-    let mut bc = Briefcase::new();
-    bc.set_single(folders::AGENT_NAME, "webbot");
-    let transfer = Message::transfer(
-        "h1",
-        Principal::new("alice").unwrap(),
-        "tacoma://h2/vm_script".parse().unwrap(),
-        bc,
-        false,
-    )
-    .with_hop("aa11", None);
+    let (mut fw, journal, dir) = journaled_fw("nowait");
+    let transfer = keyed_transfer("aa11");
 
     // A `go` that wants its verdict now (a native program's) learns
     // its fate synchronously — the hop is begun, sent blocking, and
@@ -761,7 +730,7 @@ fn transfers_ride_nowait_and_settle_by_verdict() {
     assert_eq!(*t.blocking_sends.lock(), 0);
     assert_eq!(journal.stats().open_hops, 1, "begun before it ships");
 
-    assert_eq!(fw.release_held(&t), 1);
+    assert_eq!(fw.release_held(SimTime::ZERO, &t), 1);
     assert_eq!(fw.pump_transport(SimTime::ZERO, &t), 1);
     assert_eq!(fw.take_verdicts(), vec![(token, Ok(()))]);
     assert_eq!(fw.transport_inflight(), 0);
@@ -776,7 +745,7 @@ fn transfers_ride_nowait_and_settle_by_verdict() {
     else {
         panic!("in flight");
     };
-    fw.release_held(&t);
+    fw.release_held(SimTime::ZERO, &t);
     t.fail.store(true, std::sync::atomic::Ordering::SeqCst);
     fw.pump_transport(SimTime::ZERO, &t);
     let verdicts = fw.take_verdicts();
@@ -812,7 +781,7 @@ fn no_transfer_frame_reaches_the_transport_before_its_hop_begin_is_durable() {
     assert_eq!(appended.fsyncs, before.fsyncs);
     assert!(t.seen.lock().is_empty(), "no frame before the barrier");
 
-    assert_eq!(fw.release_held(&t), 3);
+    assert_eq!(fw.release_held(SimTime::ZERO, &t), 3);
     // Every frame went out after exactly one fsync that covered all
     // three begins.
     let seen = t.seen.lock().clone();
@@ -821,7 +790,7 @@ fn no_transfer_frame_reaches_the_transport_before_its_hop_begin_is_durable() {
         assert_eq!(records, before.records + 3);
         assert_eq!(fsyncs, before.fsyncs + 1);
     }
-    assert_eq!(fw.release_held(&t), 0, "nothing held twice");
+    assert_eq!(fw.release_held(SimTime::ZERO, &t), 0, "nothing held twice");
 
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -837,7 +806,7 @@ fn a_full_queue_sends_a_held_transfer_blocking() {
     else {
         panic!("in flight");
     };
-    fw.release_held(&t);
+    fw.release_held(SimTime::ZERO, &t);
     assert_eq!(*t.blocking_sends.lock(), 1);
     // Settled by the blocking send, without a pump.
     assert_eq!(fw.take_verdicts(), vec![(token, Ok(()))]);

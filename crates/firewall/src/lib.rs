@@ -20,6 +20,9 @@
 //! [`Decision`] describing what must happen; the kernel (`tacoma-core`)
 //! owns the threads, VMs, and transport that carry decisions out. That
 //! split keeps every policy rule synchronously testable.
+//! Every remote send (mail, an agent transfer, or parked mail the
+//! redelivery sweep retries) is handed to the transport in one place and
+//! settled in one place.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

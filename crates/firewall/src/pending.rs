@@ -133,16 +133,11 @@ impl PendingQueue {
         (matched, expired)
     }
 
-    /// Queues a message until an absolute `deadline` (used when re-parking
-    /// a message that must keep its original timeout across retries
-    /// *within one boot* — across boots, deadlines are recomputed via
-    /// [`PendingQueue::enqueue_keyed`]).
-    pub fn enqueue_until(&mut self, message: Message, deadline: SimTime) {
-        self.enqueue_until_keyed(message, deadline, None);
-    }
-
-    /// As [`PendingQueue::enqueue_until`], preserving the journal key so a
-    /// redelivery retry does not orphan the original `MailParked` record.
+    /// Queues a message until an absolute `deadline`, under the journal
+    /// key it was parked with: a redelivery lost again keeps its original
+    /// timeout *within one boot* (across boots, deadlines are recomputed
+    /// via [`PendingQueue::enqueue_keyed`]) and does not orphan its
+    /// original `MailParked` record.
     pub fn enqueue_until_keyed(
         &mut self,
         message: Message,

@@ -101,11 +101,6 @@ impl Network {
         self.stats.lock().clone()
     }
 
-    /// Zeroes the traffic counters (clock is left running).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = TrafficStats::new();
-    }
-
     /// The transfer cost `bytes` would incur from `from` to `to` right now,
     /// without performing the transfer.
     ///

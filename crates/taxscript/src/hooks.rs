@@ -88,6 +88,49 @@ pub trait HostHooks {
     }
 }
 
+/// A mutable borrow of hooks is hooks, so `&mut dyn HostHooks` goes
+/// wherever a VM takes its hooks by value. Every method forwards, the
+/// `poll_*` ones too: a host that suspends still suspends through the
+/// borrow.
+impl<H: HostHooks + ?Sized> HostHooks for &mut H {
+    fn display(&mut self, text: &str) {
+        (**self).display(text);
+    }
+    fn go(&mut self, uri: &str, briefcase: &Briefcase) -> GoDecision {
+        (**self).go(uri, briefcase)
+    }
+    fn spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Option<String> {
+        (**self).spawn(uri, briefcase)
+    }
+    fn activate(&mut self, uri: &str, briefcase: &Briefcase) -> bool {
+        (**self).activate(uri, briefcase)
+    }
+    fn meet(&mut self, uri: &str, briefcase: &Briefcase) -> Option<Briefcase> {
+        (**self).meet(uri, briefcase)
+    }
+    fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase> {
+        (**self).await_bc(timeout_ms)
+    }
+    fn now_ms(&mut self) -> i64 {
+        (**self).now_ms()
+    }
+    fn host_name(&mut self) -> String {
+        (**self).host_name()
+    }
+    fn work_ns(&mut self, nanos: u64) {
+        (**self).work_ns(nanos);
+    }
+    fn poll_go(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<GoDecision> {
+        (**self).poll_go(uri, briefcase)
+    }
+    fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
+        (**self).poll_spawn(uri, briefcase)
+    }
+    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
+        (**self).poll_await(timeout_ms)
+    }
+}
+
 /// A null host: collects `display` output, fails every `go`/`spawn`/
 /// communication, reports time zero. Useful for unit tests and for
 /// running pure computations.

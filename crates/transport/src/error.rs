@@ -51,6 +51,11 @@ pub enum TransportError {
         /// The queue's capacity.
         capacity: usize,
     },
+    /// The transport has no nonblocking send path (the default
+    /// [`Transport::send_nowait`](crate::Transport::send_nowait)): the
+    /// caller takes the blocking send. It carries no data, so refusing a
+    /// frame allocates nothing.
+    NoNowaitPath,
     /// Every retry attempt failed; the caller should park the message.
     RetriesExhausted {
         /// The destination host.
@@ -78,6 +83,9 @@ impl fmt::Display for TransportError {
             TransportError::BadFrame { detail } => write!(f, "malformed frame: {detail}"),
             TransportError::QueueFull { host, capacity } => {
                 write!(f, "outbound queue for {host:?} full ({capacity} entries)")
+            }
+            TransportError::NoNowaitPath => {
+                write!(f, "transport has no nonblocking send path")
             }
             TransportError::RetriesExhausted {
                 host,

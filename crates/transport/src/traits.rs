@@ -62,8 +62,9 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// # Errors
     ///
     /// [`TransportError::QueueFull`] when the peer's bounded outbound
-    /// queue is at capacity (nothing was enqueued — backpressure), or
-    /// any immediate refusal. Wire failures are *not* reported here;
+    /// queue is at capacity (nothing was enqueued — backpressure),
+    /// [`TransportError::NoNowaitPath`] from the default, or any
+    /// immediate refusal. Wire failures are *not* reported here;
     /// they surface as failed completions.
     fn send_nowait(
         &self,
@@ -74,9 +75,7 @@ pub trait Transport: Send + Sync + fmt::Debug {
         token: u64,
     ) -> Result<(), TransportError> {
         let _ = (from, to_host, to_port, payload, token);
-        Err(TransportError::Io {
-            detail: format!("{} transport has no nonblocking send path", self.kind()),
-        })
+        Err(TransportError::NoNowaitPath)
     }
 
     /// Collects every finished [`Transport::send_nowait`] outcome that

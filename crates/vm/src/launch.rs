@@ -3,10 +3,9 @@
 //! still in flight, or its `await_bc` has no mail yet.
 
 use std::sync::Arc;
-use std::task::Poll;
 
 use tacoma_briefcase::Briefcase;
-use tacoma_taxscript::{ExecScratch, GoDecision, Outcome, Program, RuntimeError, Vm};
+use tacoma_taxscript::{ExecScratch, Outcome, Program, RuntimeError, Vm};
 
 use crate::{Execution, HostHooks, LaunchCaches, VmError};
 
@@ -64,9 +63,9 @@ impl Suspension {
     pub fn resume(
         mut self,
         briefcase: &mut Briefcase,
-        hooks: &mut dyn HostHooks,
+        mut hooks: &mut dyn HostHooks,
     ) -> Result<Run, VmError> {
-        let outcome = self.scratch.resume(&mut HooksProxy { hooks }, briefcase);
+        let outcome = self.scratch.resume(&mut hooks, briefcase);
         settle(&self.caches, self.scratch, outcome, self.trace, self.vm)
     }
 }
@@ -91,7 +90,7 @@ impl Launcher<'_> {
         trace: Vec<String>,
     ) -> Result<Run, VmError> {
         let mut scratch = self.caches.pool().checkout();
-        let outcome = Vm::new(program, HooksProxy { hooks })
+        let outcome = Vm::new(program, hooks)
             .with_fuel(fuel)
             .run_with_scratch(briefcase, &mut scratch);
         settle(self.caches, scratch, outcome, trace, self.vm)
@@ -117,55 +116,4 @@ fn settle(
     let outcome = outcome?;
     trace.push(format!("{vm}: agent ended with {outcome:?}"));
     Ok(Run::Done(Execution { outcome, trace }))
-}
-
-/// Adapts `&mut dyn HostHooks` to the by-value hooks parameter of
-/// [`Vm::new`].
-pub(crate) struct HooksProxy<'a> {
-    pub hooks: &'a mut dyn HostHooks,
-}
-
-impl HostHooks for HooksProxy<'_> {
-    fn display(&mut self, text: &str) {
-        self.hooks.display(text);
-    }
-    fn go(&mut self, uri: &str, briefcase: &Briefcase) -> GoDecision {
-        self.hooks.go(uri, briefcase)
-    }
-    fn spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Option<String> {
-        self.hooks.spawn(uri, briefcase)
-    }
-    fn activate(&mut self, uri: &str, briefcase: &Briefcase) -> bool {
-        self.hooks.activate(uri, briefcase)
-    }
-    fn meet(&mut self, uri: &str, briefcase: &Briefcase) -> Option<Briefcase> {
-        self.hooks.meet(uri, briefcase)
-    }
-    fn await_bc(&mut self, timeout_ms: i64) -> Option<Briefcase> {
-        self.hooks.await_bc(timeout_ms)
-    }
-    fn now_ms(&mut self) -> i64 {
-        self.hooks.now_ms()
-    }
-    fn host_name(&mut self) -> String {
-        self.hooks.host_name()
-    }
-    fn work_ns(&mut self, nanos: u64) {
-        self.hooks.work_ns(nanos);
-    }
-    fn poll_go(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<GoDecision> {
-        self.hooks.poll_go(uri, briefcase)
-    }
-    fn poll_spawn(&mut self, uri: &str, briefcase: &Briefcase) -> Poll<Option<String>> {
-        self.hooks.poll_spawn(uri, briefcase)
-    }
-    fn poll_await(&mut self, timeout_ms: i64) -> Poll<Option<Briefcase>> {
-        self.hooks.poll_await(timeout_ms)
-    }
-}
-
-impl std::fmt::Debug for HooksProxy<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HooksProxy")
-    }
 }

@@ -12,7 +12,7 @@
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_core::{AgentSpec, Architecture, ArtifactBundle, BinaryArtifact, HostHooks, TaxHost};
 
-use crate::{LinkIssue, RejectReason, Rejected, Webbot, WebbotConfig, WebbotReport};
+use crate::{LinkIssue, Rejected, Webbot, WebbotConfig, WebbotReport};
 
 /// Registry key of the Webbot binary.
 pub const WEBBOT_KEY: &str = "webbot";
@@ -315,11 +315,6 @@ impl RunStamps {
             && self.arrive <= self.scan_done
             && self.scan_done <= self.ext_done
             && self.ext_done <= self.home
-    }
-
-    /// The reject reason constant, re-exported for harness assertions.
-    pub fn prefix_reason() -> RejectReason {
-        RejectReason::Prefix
     }
 }
 

@@ -298,13 +298,14 @@ fn run(opts: &Options) -> Result<(), String> {
         doorbell.wait(POLL_EVERY);
         if last_sweep.elapsed() >= SWEEP_EVERY {
             last_sweep = Instant::now();
-            let (delivered, _reparked) = system
+            // Parked mail rides the reactor again and settles in a later
+            // pump: a delivery is activity there, a repeated loss is not.
+            system
                 .redeliver_remote_pending(&opts.host)
                 .map_err(|e| e.to_string())?;
-            if delivered > 0 {
-                last_activity = Instant::now();
-            }
         }
+        // The sweep's frames are not counted in flight: parked mail on
+        // another try never keeps the daemon up.
         if let Some(limit) = opts.idle_exit {
             if last_activity.elapsed() >= limit
                 && system

@@ -8,7 +8,7 @@ use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tacoma::core::{AgentSpec, SystemBuilder};
 
@@ -256,5 +256,64 @@ fn late_starting_peer_is_reached_via_backoff() {
     assert!(
         !alpha_log.contains("unreachable"),
         "the transfer must not be given up on:\n{alpha_log}"
+    );
+}
+
+/// Mail for a peer that never comes up: the activation is parked after
+/// one retry budget (8 s, the reactor's default), and from then on the
+/// redelivery sweep hands it back to the reactor every 250 ms. Neither a
+/// redelivery lost again nor one still riding the reactor counts as
+/// activity, so the daemon still idle-exits one `--idle-exit-ms` after
+/// the park. The idle limit is longer than one retry budget, so a lost
+/// redelivery happens before the exit.
+#[test]
+fn mail_for_a_dead_peer_does_not_keep_the_daemon_up() {
+    const IDLE_MS: u64 = 10_000;
+    const RETRY_BUDGET: Duration = Duration::from_secs(8);
+    let script = script_file(
+        "dead_peer",
+        r#"
+        fn main() {
+            activate("tacoma://beta/worker");
+            exit(0);
+        }
+    "#,
+    );
+    let (alpha_port, dead_port) = free_ports();
+    let started = Instant::now();
+    let mut alpha = spawn_daemon(&[
+        "--host".into(),
+        "alpha".into(),
+        "--listen".into(),
+        format!("127.0.0.1:{alpha_port}"),
+        "--peer".into(),
+        format!("beta=127.0.0.1:{dead_port}"),
+        "--launch".into(),
+        script.to_string_lossy().into_owned(),
+        "--idle-exit-ms".into(),
+        IDLE_MS.to_string(),
+    ]);
+
+    let limit = Duration::from_millis(IDLE_MS) + RETRY_BUDGET + Duration::from_secs(4);
+    while alpha.child.try_wait().unwrap().is_none() {
+        if started.elapsed() > limit + Duration::from_secs(20) {
+            let _ = alpha.child.kill();
+            panic!("taxd never idle-exited with mail parked for a dead peer");
+        }
+        thread::sleep(Duration::from_millis(50));
+    }
+    let elapsed = started.elapsed();
+    let log = alpha.finish();
+    let _ = fs::remove_file(&script);
+
+    assert!(
+        elapsed < limit,
+        "idle exit took {elapsed:?}, past {limit:?}:\n{log}"
+    );
+    assert_eq!(stats_field(&log, "queued"), 1, "{log}");
+    assert_eq!(stats_field(&log, "tx-frames"), 0, "{log}");
+    assert!(
+        stats_field(&log, "retry-timeouts") >= 2,
+        "a redelivery was lost before the exit:\n{log}"
     );
 }
