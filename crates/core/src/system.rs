@@ -285,10 +285,8 @@ impl TaxSystem {
     }
 
     /// Hands the messages parked in `host_name`'s pending queue for
-    /// remote hosts back to the transport, without waiting for the peers:
-    /// [`TaxSystem::pump_transport`] settles each one later, and one lost
-    /// again is re-parked under its original deadline. Returns how many
-    /// were handed over.
+    /// remote hosts back to the transport without waiting for the peers
+    /// ([`TaxSystem::pump_transport`] settles them). Returns how many.
     ///
     /// # Errors
     ///
@@ -324,8 +322,9 @@ impl TaxSystem {
     }
 
     /// Frames `host_name` handed to a nonblocking transport whose
-    /// completion has not been pumped yet. Daemons drain this to zero (or
-    /// a deadline) before exiting so in-flight sends are settled.
+    /// completion has not been pumped yet, not counting the redelivery
+    /// sweep's. Daemons drain this to zero (or a deadline) before exiting
+    /// so in-flight sends are settled.
     ///
     /// # Errors
     ///

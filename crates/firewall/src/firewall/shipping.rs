@@ -259,9 +259,10 @@ impl Firewall {
     /// The one hand-over: `wire` goes to the transport's nonblocking path
     /// under `token`, and [`Firewall::pump_transport`] settles it later
     /// (returns `None`). When the transport refuses it (a full peer
-    /// queue, or no nonblocking path, as on the simnet), the blocking
-    /// send waits for queue space within its retry budget instead, and
-    /// the ticket is settled at once (returns the outcome).
+    /// queue, or no nonblocking path, as on the simnet), it takes the
+    /// blocking send, which on a full queue waits for room within its
+    /// retry budget rather than drop it, and the ticket is settled at
+    /// once (returns the outcome).
     fn hand_over(
         &mut self,
         token: u64,
@@ -339,14 +340,10 @@ impl Firewall {
 
     /// Drains the nonblocking transport's completion queue and settles
     /// each in-flight ticket; a transfer's verdict goes to
-    /// [`Firewall::take_verdicts`]. Lost mail is parked for the
-    /// redelivery sweep: the optimistic `Forwarded` already returned, so
-    /// nothing can be surfaced to the sender, and nothing may be lost.
-    ///
-    /// Returns the number of completions that made progress: all but the
-    /// redeliveries lost again, which are back where they were. Call this
-    /// from the daemon loop whenever the transport may have made
-    /// progress.
+    /// [`Firewall::take_verdicts`]. Returns the number of completions that
+    /// made progress: all but the redeliveries lost again, which are back
+    /// where they were. Call this from the daemon loop whenever the
+    /// transport may have made progress.
     pub fn pump_transport(&mut self, now: SimTime, transport: &dyn Transport) -> usize {
         let mut settled = 0;
         for Completion { token, result } in transport.drain_completions() {
