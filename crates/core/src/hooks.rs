@@ -249,17 +249,6 @@ impl Kernel {
                 self.deliver_mail(host, &agent, message.briefcase);
                 Ok(())
             }
-            Decision::ForwardRemote {
-                host: remote,
-                port,
-                message,
-            } => {
-                // A decision routed without dispatch (e.g. replayed from the
-                // pending queue): ship it now, parking on failure.
-                let now = self.now();
-                host.with_firewall(|fw| fw.ship(message, &remote, port, now, &*self.transport))?;
-                Ok(())
-            }
             Decision::Forwarded { .. } | Decision::InFlight { .. } | Decision::Queued => Ok(()),
             Decision::InstallAgent {
                 vm,
@@ -272,6 +261,11 @@ impl Kernel {
                 self.apply_admin(host, control);
                 Ok(())
             }
+            // Every caller passes a dispatched or inbound decision, which
+            // is never a bare forward.
+            other => Err(TaxError::BadAgentSpec {
+                detail: format!("unexpected deliver decision {other:?}"),
+            }),
         }
     }
 
@@ -333,6 +327,7 @@ impl Kernel {
             return error_reply("service call recursion limit reached");
         }
         let natives = host.core.natives.read().clone();
+        let caches = host.with_firewall_read(|fw| Arc::clone(fw.launch_caches()));
         let exec_address = AgentAddress::new(
             requester.as_str(),
             service.name(),
@@ -355,6 +350,7 @@ impl Kernel {
             rights,
             now: self.now(),
             natives: &natives,
+            caches: &caches,
             hooks: &mut hooks,
             fuel: host.core.fuel,
         };
@@ -436,8 +432,15 @@ impl Kernel {
                 suspension.resume(&mut task.briefcase, &mut hooks)
             }
             (None, Some(vm)) => {
-                let (trust, natives) = exec_context_for(host);
-                let ctx = make_ctx(host, &trust, &natives);
+                // Snapshots: no lock is held while the agent runs.
+                let trust = host.with_firewall_read(|fw| fw.trust().clone());
+                let natives = host.core.natives.read().clone();
+                let ctx = ExecContext {
+                    allow_unsigned: host.core.allow_unsigned,
+                    ..ExecContext::new(&trust, &natives)
+                        .with_arch(host.arch().clone())
+                        .with_fuel(host.core.fuel)
+                };
                 vm.launch(&mut task.briefcase, &mut hooks, &ctx)
             }
             (None, None) => return, // Looked up above: a fresh run has a VM.
@@ -1058,29 +1061,4 @@ impl std::fmt::Debug for KernelHooks {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "KernelHooks({} on {})", self.agent, self.host.name())
     }
-}
-
-/// Builds a VM execution context for a task on `host`. The trust store is
-/// snapshotted so the firewall lock is not held across agent execution.
-pub(crate) fn exec_context_for(
-    host: &TaxHost,
-) -> (tacoma_security::TrustStore, tacoma_vm::NativeRegistry) {
-    let trust = host.with_firewall_read(|fw| fw.trust().clone());
-    let natives = host.core.natives.read().clone();
-    (trust, natives)
-}
-
-/// Assembles an [`ExecContext`] from snapshotted parts.
-pub(crate) fn make_ctx<'a>(
-    host: &TaxHost,
-    trust: &'a tacoma_security::TrustStore,
-    natives: &'a tacoma_vm::NativeRegistry,
-) -> ExecContext<'a> {
-    let mut ctx = ExecContext::new(trust, natives)
-        .with_arch(host.arch().clone())
-        .with_fuel(host.core.fuel);
-    if host.core.allow_unsigned {
-        ctx = ctx.allow_unsigned();
-    }
-    ctx
 }

@@ -11,12 +11,16 @@
 //! positional arguments, and the reply sets `STATUS` to `"ok"` or an
 //! error text.
 
+use std::sync::Arc;
+
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::{Principal, Rights};
 use tacoma_simnet::SimTime;
-use tacoma_vm::{Architecture, HostHooks, NativeRegistry};
+use tacoma_vm::{Architecture, HostHooks, LaunchCaches, NativeRegistry};
 
-/// What a service agent knows about the request it is serving.
+/// What a service agent knows about the request it is serving, and the
+/// host context it serves it in: the native programs, the launch caches
+/// and the hooks a program it runs may use.
 pub struct ServiceEnv<'a> {
     /// The host the service runs on.
     pub host: &'a str,
@@ -30,6 +34,10 @@ pub struct ServiceEnv<'a> {
     pub now: SimTime,
     /// The host's native programs (for `ag_exec`).
     pub natives: &'a NativeRegistry,
+    /// The host's launch caches, shared with its firewall and VMs:
+    /// `ag_cc` compiles and `ag_exec` runs through them, so a service
+    /// request is a cache hit wherever a launch would be.
+    pub caches: &'a Arc<LaunchCaches>,
     /// Host hooks the service may hand to programs it executes (`ag_exec`
     /// running the Webbot needs `meet` to reach the web server).
     pub hooks: &'a mut dyn HostHooks,

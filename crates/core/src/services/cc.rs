@@ -1,7 +1,7 @@
 //! `ag_cc`: the compiler service of the Figure 3 pipeline.
 
 use tacoma_briefcase::{folders, Briefcase};
-use tacoma_taxscript::compile_source;
+use tacoma_vm::VmError;
 
 use crate::service::{command_of, error_reply, ServiceAgent, ServiceEnv};
 
@@ -29,14 +29,17 @@ impl ServiceAgent for AgCc {
         "ag_cc"
     }
 
-    fn handle(&self, request: &mut Briefcase, _env: &mut ServiceEnv<'_>) -> Briefcase {
+    fn handle(&self, request: &mut Briefcase, env: &mut ServiceEnv<'_>) -> Briefcase {
         match command_of(request) {
             "compile" => {
                 let Ok(source) = request.single_str(SOURCE_FOLDER) else {
                     return error_reply("compile: missing SOURCE folder");
                 };
-                match compile_source(source) {
-                    Ok(program) => {
+                // The host's one source path: a source compiled before on
+                // this host (by this service or a VM) is a cache hit.
+                match env.caches.compile(source) {
+                    Ok(script) => {
+                        let program = &script.program;
                         let mut reply = Briefcase::new();
                         reply.set_single(folders::STATUS, "ok");
                         reply.set_single(BINARY_FOLDER, program.encode());
@@ -44,6 +47,8 @@ impl ServiceAgent for AgCc {
                         reply.set_single("INSTR-COUNT", program.instruction_count() as i64);
                         reply
                     }
+                    // The compiler's own message, as the reply always had.
+                    Err(VmError::Compile(e)) => error_reply(e),
                     Err(e) => error_reply(e),
                 }
             }

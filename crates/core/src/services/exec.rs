@@ -5,10 +5,11 @@
 //! different architectures to ag_exec), and executes it with the arguments
 //! called by mwWebbot."
 
+use std::sync::Arc;
+
 use tacoma_briefcase::{folders, Briefcase};
-use tacoma_security::Rights;
-use tacoma_taxscript::{Program, Vm};
-use tacoma_vm::ArtifactBundle;
+use tacoma_security::{Rights, TrustStore};
+use tacoma_vm::{ExecContext, Run, VmBin};
 
 use crate::service::{arg, command_of, error_reply, ok_reply, ServiceAgent, ServiceEnv};
 
@@ -48,43 +49,32 @@ impl ServiceAgent for AgExec {
                 if let Err(e) = env.rights.require(Rights::EXECUTE, &env.requester) {
                     return error_reply(e);
                 }
-                let Ok(bundle_bytes) = request.element(EXEC_BIN_FOLDER, 0) else {
+                let Ok(bundle) = request.element(EXEC_BIN_FOLDER, 0) else {
                     return error_reply("exec: missing EXEC-BIN folder");
                 };
-                let bundle = match ArtifactBundle::decode(bundle_bytes.data()) {
-                    Ok(b) => b,
-                    Err(e) => return error_reply(e),
-                };
-                let Some(artifact) = bundle.select(&env.host_arch) else {
-                    return error_reply(format!(
-                        "exec: no binary for architecture {} (have {:?})",
-                        env.host_arch,
-                        bundle.architectures()
-                    ));
-                };
-
+                let bundle = bundle.bytes().clone();
+                // ag_exec checks no signature: the firewall authenticated
+                // the requester, and EXECUTE was required above.
+                let trust = TrustStore::new();
+                let ctx = ExecContext::new(&trust, env.natives)
+                    .with_arch(env.host_arch.clone())
+                    .with_fuel(env.fuel);
                 // The program's briefcase is the request itself: ARGS in,
-                // results out.
-                let run = if let Some(key) = artifact.native_key() {
-                    match env.natives.get(key) {
-                        Ok(program) => program.run(request, env.hooks),
-                        Err(e) => return error_reply(e),
-                    }
-                } else {
-                    match Program::decode(&artifact.payload) {
-                        Ok(program) => Vm::new(&program, HooksRef(env.hooks))
-                            .with_fuel(env.fuel)
-                            .run(request)
-                            .map_err(Into::into),
-                        Err(e) => return error_reply(e),
-                    }
-                };
+                // results out. It runs as vm_bin runs an artifact, through
+                // the host's program cache and pool.
+                let run = VmBin::sharing(Arc::clone(env.caches)).run_artifact(
+                    &bundle,
+                    request,
+                    &mut HooksRef(env.hooks),
+                    &ctx,
+                    Vec::new(),
+                );
 
-                match run {
-                    Ok(outcome) => {
+                match run.map(Run::into_execution) {
+                    Ok(execution) => {
                         let mut reply = request.clone();
                         reply.set_single(folders::STATUS, "ok");
-                        let code = match outcome {
+                        let code = match execution.outcome {
                             tacoma_taxscript::Outcome::Exit(c) => c,
                             _ => 0,
                         };
@@ -104,14 +94,7 @@ impl ServiceAgent for AgExec {
                     return error_reply("which: missing program name");
                 };
                 let mut reply = ok_reply();
-                reply.set_single(
-                    "INSTALLED",
-                    if env.natives.contains(key) {
-                        1i64
-                    } else {
-                        0i64
-                    },
-                );
+                reply.set_single("INSTALLED", i64::from(env.natives.contains(key)));
                 reply
             }
             other => error_reply(format!("ag_exec: unknown command {other:?}")),
@@ -119,11 +102,10 @@ impl ServiceAgent for AgExec {
     }
 }
 
-/// Borrow adapter so the taxscript VM can use `&mut dyn HostHooks`. It
-/// forwards every method except the `poll_*` ones, which keep their
-/// answer-at-once defaults: a program `ag_exec` runs inside a service
-/// call cannot suspend, so it must never see the caller's hooks answer
-/// pending (the blanket `&mut H` impl would forward them).
+/// The caller's hooks, minus suspension. It forwards every method except
+/// the `poll_*` ones, which keep their answer-at-once defaults: a program
+/// `ag_exec` runs inside a service call cannot suspend, so it must never
+/// see the caller's hooks answer pending.
 struct HooksRef<'a>(&'a mut dyn tacoma_vm::HostHooks);
 
 impl tacoma_vm::HostHooks for HooksRef<'_> {

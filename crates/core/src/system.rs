@@ -201,11 +201,12 @@ pub struct RecoverySummary {
     pub reparked: usize,
     /// Inbound open hops whose agent was re-installed.
     pub resumed_inbound: usize,
-    /// Outbound open hops whose frame was re-shipped.
+    /// Outbound open hops whose frame was handed to the transport again
+    /// (an ack commits the hop later; a loss leaves it open).
     pub resumed_outbound: usize,
     /// Entries that could not be restored this boot (undecodable park,
-    /// unreachable re-ship target, failed checkpoint); they remain in the
-    /// journal for the next attempt.
+    /// a re-ship a blocking transport failed, failed checkpoint); they
+    /// remain in the journal for the next attempt.
     pub failed: usize,
 }
 
@@ -359,9 +360,10 @@ impl TaxSystem {
     /// Attaches a durable journal to `host_name` and replays its
     /// recovered state: parked mail re-enters the pending queue with
     /// deadlines recomputed against the current clock, inbound open hops
-    /// re-install their agent, and outbound open hops re-ship their
-    /// frame. Finishes with a checkpoint so the next boot replays only
-    /// what this one could not finish.
+    /// re-install their agent, and outbound open hops hand their frame
+    /// to the transport again without waiting for it. Finishes with a
+    /// checkpoint so the next boot replays only what this one could not
+    /// finish.
     ///
     /// Call once at daemon boot, after services are installed and before
     /// the scheduler starts.
@@ -416,10 +418,11 @@ impl TaxSystem {
                 self.kernel.process_wire_bytes(&host, &hop.wire);
                 summary.resumed_inbound += 1;
             } else {
-                match host.with_firewall(|fw| fw.replay_ship_hop(hop, &*transport)) {
+                match host.with_firewall(|fw| fw.replay_ship_hop(hop, now, &*transport)) {
+                    // Handed over: the frame settles in a later pump.
                     Ok(()) => summary.resumed_outbound += 1,
-                    // The hop stays open in the journal; the next boot (or
-                    // a redelivery pass) retries. Nothing is lost.
+                    // The hop stays open in the journal; the next boot
+                    // retries. Nothing is lost.
                     Err(_) => summary.failed += 1,
                 }
             }

@@ -1,8 +1,11 @@
 //! End-to-end kernel tests: agents moving, communicating, and being
 //! mediated across a multi-host system.
 
+use std::sync::Arc;
+
 use tacoma_core::{
-    AgentSpec, EventKind, Keyring, LinkSpec, Outcome, Principal, SystemBuilder, TaxSystem,
+    folders, AgentSpec, Architecture, ArtifactBundle, BinaryArtifact, Briefcase, EventKind,
+    Keyring, LinkSpec, Outcome, Principal, SystemBuilder, TaxSystem,
 };
 use tacoma_firewall::{Firewall, FirewallStats};
 use tacoma_vm::LaunchCaches;
@@ -145,6 +148,60 @@ fn meet_local_service_round_trips() {
         output[0].starts_with("compiled ") && output[0].ends_with("status ok"),
         "{output:?}"
     );
+}
+
+/// Sends alpha's `service` the command `cmd` with `data` in `folder`, as
+/// alpha's system principal: its reply, and alpha's launch caches.
+fn call_on_alpha(
+    system: &mut TaxSystem,
+    (service, cmd): (&str, &str),
+    (folder, data): (&str, &[u8]),
+) -> (Briefcase, Arc<LaunchCaches>) {
+    let mut request = Briefcase::new();
+    request.set_single(folders::COMMAND, cmd);
+    request.set_single(folder, data.to_vec());
+    let operator = Principal::local_system("alpha");
+    let reply = system.call_service("alpha", service, &operator, request);
+    let alpha = system.host("alpha").unwrap();
+    (
+        reply.unwrap(),
+        alpha.with_firewall_read(|fw| Arc::clone(fw.launch_caches())),
+    )
+}
+
+/// `ag_cc` compiles through the host's launch caches: the same source
+/// requested twice is compiled once.
+#[test]
+fn ag_cc_compiles_a_source_once_per_host() {
+    let mut system = three_hosts();
+    let source = ("SOURCE", &b"fn main() { exit(3); }"[..]);
+    let (cold, _) = call_on_alpha(&mut system, ("ag_cc", "compile"), source);
+    let (warm, caches) = call_on_alpha(&mut system, ("ag_cc", "compile"), source);
+    let s = caches.analysis().stats();
+    assert_eq!((s.misses, s.hits), (1, 1), "the second is a hit");
+    assert_eq!(warm.single_str(folders::STATUS).unwrap(), "ok");
+    assert_eq!(warm.element("BINARY", 0), cold.element("BINARY", 0));
+}
+
+/// `ag_exec` runs a bytecode artifact as `vm_bin` does, through the
+/// host's program cache and pool: a second run decodes nothing and
+/// allocates no scratch.
+#[test]
+fn ag_exec_runs_bytecode_through_the_host_caches() {
+    let mut system = three_hosts();
+    let source = r#"fn main() { bc_set("RAN-ON", host_name()); exit(7); }"#;
+    let program = tacoma_taxscript::compile_source(source).unwrap();
+    let artifact = BinaryArtifact::bytecode("tool", Architecture::simulated(), &program);
+    let bundle = ArtifactBundle::new().with(artifact).encode();
+    let hits = |c: &LaunchCaches| (c.programs().stats().hits, c.pool().stats().hits);
+    let (first, caches) = call_on_alpha(&mut system, ("ag_exec", "exec"), ("EXEC-BIN", &bundle));
+    let cold = hits(&caches);
+    let (second, _) = call_on_alpha(&mut system, ("ag_exec", "exec"), ("EXEC-BIN", &bundle));
+    assert_eq!(hits(&caches), (cold.0 + 1, cold.1 + 1));
+    for reply in [first, second] {
+        assert_eq!(reply.single_i64("EXIT-CODE").unwrap(), 7, "{reply:?}");
+        assert_eq!(reply.single_str("RAN-ON").unwrap(), "alpha");
+    }
 }
 
 /// meet() against a *remote* service charges the network and returns the

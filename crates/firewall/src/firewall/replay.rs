@@ -5,6 +5,7 @@ use std::time::Duration;
 use tacoma_journal::OpenHop;
 use tacoma_simnet::SimTime;
 
+use super::shipping::ShipTicket;
 use super::Firewall;
 use crate::{FirewallError, Message};
 
@@ -28,19 +29,22 @@ impl Firewall {
     }
 
     /// Re-ships an open outbound hop recovered from the journal at boot:
-    /// the journaled frame goes out verbatim (the receiver's dedup set
-    /// suppresses it if the original send actually arrived). On success
-    /// the hop is committed; on failure it stays open so a later restart
+    /// the journaled frame is handed over verbatim like any send, so a
+    /// dead peer does not hold up the boot (the receiver's dedup set
+    /// suppresses it if the original send actually arrived). On ack the
+    /// hop is committed; on loss it stays open so a later restart
     /// retries — unlike a live send, there is no agent waiting to hear
     /// about the failure, so aborting would lose the agent.
     ///
     /// # Errors
     ///
-    /// [`FirewallError::Transport`] when the send fails (hop left open),
+    /// [`FirewallError::Transport`] when a transport without a
+    /// nonblocking path fails the send (hop left open),
     /// [`FirewallError::BadWire`] if the journaled frame does not decode.
     pub fn replay_ship_hop(
         &mut self,
         hop: &OpenHop,
+        now: SimTime,
         transport: &dyn tacoma_transport::Transport,
     ) -> Result<(), FirewallError> {
         let message = Message::decode_bytes(&hop.wire)?;
@@ -52,13 +56,9 @@ impl Firewall {
                 })
             }
         };
-        let sent = transport.send(&self.host, &host, port, &hop.wire);
-        self.book(hop.wire.len(), sent.is_ok());
-        sent.map_err(FirewallError::Transport)?;
-        self.stats.journal_resumed += 1;
-        if let Some(journal) = &self.journal {
-            let _ = journal.hop_committed(&hop.key);
-        }
-        Ok(())
+        let (token, ticket) = (self.next_token(), ShipTicket::Replay(hop.key.clone()));
+        let wire = hop.wire.clone();
+        let settled = self.hand_over(token, (&host, port), wire, ticket, now, transport);
+        settled.unwrap_or(Ok(()))
     }
 }

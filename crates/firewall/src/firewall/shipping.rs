@@ -25,6 +25,9 @@ pub(super) enum ShipTicket {
     /// An agent transfer and its hop key: a journaled hop commits on ack
     /// and aborts when lost.
     Transfer(Option<String>),
+    /// An open outbound hop re-shipped at boot: committed (and counted
+    /// in `jr-resumed`) on ack, left open for the next boot when lost.
+    Replay(String),
 }
 
 /// An outbound transfer frame held back until the journal record that
@@ -107,9 +110,6 @@ impl Firewall {
         now: SimTime,
         transport: &dyn Transport,
     ) -> Result<Decision, FirewallError> {
-        if matches!(message.kind, MessageKind::Deliver) {
-            return self.dispatch_outbound(message, now, transport);
-        }
         match self.route_outbound(message, now)? {
             Decision::ForwardRemote {
                 host,
@@ -263,7 +263,7 @@ impl Firewall {
     /// blocking send, which on a full queue waits for room within its
     /// retry budget rather than drop it, and the ticket is settled at
     /// once (returns the outcome).
-    fn hand_over(
+    pub(super) fn hand_over(
         &mut self,
         token: u64,
         (host, port): (&str, u16),
@@ -316,14 +316,18 @@ impl Firewall {
             ShipTicket::Transfer(Some(key)) => {
                 let _ = journal.map(|journal| journal.hop_aborted(&key));
             }
-            ShipTicket::Mail(_) | ShipTicket::Redelivery(_) | ShipTicket::Transfer(None) => {}
+            ShipTicket::Replay(key) if delivered => {
+                self.stats.journal_resumed += 1;
+                let _ = journal.map(|journal| journal.hop_committed(&key));
+            }
+            _ => {}
         }
         sent
     }
 
     /// Counts one settled send: the only writer of the sent and
     /// retry-timeout counters.
-    pub(super) fn book(&mut self, bytes: usize, delivered: bool) {
+    fn book(&mut self, bytes: usize, delivered: bool) {
         if delivered {
             self.stats.frames_sent += 1;
             self.stats.bytes_sent += bytes as u64;
@@ -332,7 +336,7 @@ impl Firewall {
         }
     }
 
-    fn next_token(&mut self) -> u64 {
+    pub(super) fn next_token(&mut self) -> u64 {
         let token = self.next_ship_token;
         self.next_ship_token += 1;
         token

@@ -51,8 +51,8 @@ impl CrashPoint {
 pub struct JournalConfig {
     /// How many records may sit unsynced before a sync is forced (the
     /// backstop bounding completion-record loss). Write-ahead records
-    /// (see [`RecordKind::write_ahead`]) are always durable before their
-    /// append returns, via group commit — a leader's fsync covers every
+    /// (`mail-parked`, `hop-begin`, `checkpoint`) are always durable
+    /// before their append returns, via group commit — a leader's fsync covers every
     /// record appended before it, so this knob also sets how large those
     /// shared flushes are allowed to grow.
     pub fsync_batch: usize,

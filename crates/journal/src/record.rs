@@ -69,18 +69,6 @@ impl RecordKind {
             RecordKind::Checkpoint => 5,
         }
     }
-
-    /// Whether appends of this kind must reach disk before the append
-    /// returns. Write-ahead records gate an externally visible action (an
-    /// ack on the wire, a send) and are always synced; completion records
-    /// are fsync-batched, because losing one only causes a deduplicated
-    /// retry, never a duplicate execution.
-    pub fn write_ahead(self) -> bool {
-        matches!(
-            self,
-            RecordKind::MailParked | RecordKind::HopBegin | RecordKind::Checkpoint
-        )
-    }
 }
 
 /// A hop that has begun but not yet committed, as carried in checkpoints

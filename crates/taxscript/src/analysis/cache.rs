@@ -31,6 +31,7 @@ use std::sync::{Arc, Mutex};
 use tacoma_security::{hash_bytes, Digest};
 
 use crate::compile_source;
+use crate::error::{RuntimeError, ScriptError};
 use crate::program::Program;
 
 use super::{analyze, AnalysisReport, VerifyError};
@@ -56,13 +57,14 @@ pub struct VerifiedScript {
 }
 
 /// Why a program failed the pipeline — cached so repeated rejection of
-/// the same bytes is O(hash).
+/// the same bytes is O(hash), and typed so a caller gets the same error
+/// a cold decode or compile would have raised.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AnalysisFailure {
     /// The wire bytes did not decode as a program.
-    Decode(String),
+    Decode(RuntimeError),
     /// The source text did not compile.
-    Compile(String),
+    Compile(ScriptError),
     /// The program decoded but failed verification.
     Verify(VerifyError),
 }
@@ -181,13 +183,6 @@ impl<V: Clone> ContentLru<V> {
             entries: inner.map.len(),
         }
     }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("content cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
-    }
 }
 
 impl<V: Clone> fmt::Debug for ContentLru<V> {
@@ -231,8 +226,7 @@ impl AnalysisCache {
     /// it was served from the cache.
     pub fn analyze_bytes(&self, wire: &[u8]) -> (CacheResult, bool) {
         self.memoize(Self::key_for_bytes(wire), || {
-            let program =
-                Program::decode(wire).map_err(|e| AnalysisFailure::Decode(e.to_string()))?;
+            let program = Program::decode(wire).map_err(AnalysisFailure::Decode)?;
             pipeline(program)
         })
     }
@@ -241,8 +235,7 @@ impl AnalysisCache {
     /// whether it was served from the cache.
     pub fn analyze_source(&self, source: &str) -> (CacheResult, bool) {
         self.memoize(Self::key_for_source(source), || {
-            let program =
-                compile_source(source).map_err(|e| AnalysisFailure::Compile(e.to_string()))?;
+            let program = compile_source(source).map_err(AnalysisFailure::Compile)?;
             pipeline(program)
         })
     }
@@ -259,21 +252,6 @@ impl AnalysisCache {
     /// Cumulative counters plus current occupancy.
     pub fn stats(&self) -> CacheStats {
         self.lru.stats()
-    }
-
-    /// Number of resident entries.
-    pub fn len(&self) -> usize {
-        self.stats().entries
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every entry (counters are preserved).
-    pub fn clear(&self) {
-        self.lru.clear();
     }
 }
 
@@ -374,16 +352,5 @@ mod tests {
         assert_eq!(cache.stats().evictions, 1);
         assert!(cache.analyze_bytes(&wires[0]).1, "0 survived");
         assert!(!cache.analyze_bytes(&wires[1]).1, "1 was evicted");
-    }
-
-    #[test]
-    fn clear_keeps_counters() {
-        let cache = AnalysisCache::new(4);
-        let wire = compile_source(AGENT).unwrap().encode();
-        assert!(cache.analyze_bytes(&wire).0.is_ok());
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 1);
-        assert!(!cache.analyze_bytes(&wire).1, "cleared entry re-misses");
     }
 }

@@ -14,8 +14,6 @@ pub struct ConnectConfig {
     pub local_host: String,
     /// Signs the HELLO when present; unsigned otherwise.
     pub keyring: Option<Keyring>,
-    /// Receive-side frame limits.
-    pub limits: FrameLimits,
     /// TCP connect timeout.
     pub connect_timeout: Duration,
     /// Per-frame read/write timeout once connected.
@@ -27,7 +25,6 @@ impl Default for ConnectConfig {
         ConnectConfig {
             local_host: "client".to_owned(),
             keyring: None,
-            limits: FrameLimits::default(),
             connect_timeout: Duration::from_secs(3),
             io_timeout: Duration::from_secs(10),
         }
@@ -38,7 +35,6 @@ impl Default for ConnectConfig {
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
-    limits: FrameLimits,
     peer_host: String,
 }
 
@@ -74,7 +70,6 @@ impl Connection {
 
         let mut conn = Connection {
             stream,
-            limits: config.limits,
             peer_host: String::new(),
         };
         let hello = build_hello(&config.local_host, config.keyring.as_ref(), nonce);
@@ -157,6 +152,6 @@ impl Connection {
     }
 
     fn read(&mut self) -> Result<Frame, TransportError> {
-        Frame::read_from(&mut self.stream, &self.limits)
+        Frame::read_from(&mut self.stream, &FrameLimits::default())
     }
 }

@@ -49,6 +49,11 @@ use crate::{
     TransportCounters, TransportStats,
 };
 
+/// How long an accepted connection may stay silent before it is dropped
+/// (the client reconnects transparently). Every inbound frame is held to
+/// [`FrameLimits::default`].
+const READ_TIMEOUT: Duration = Duration::from_secs(60);
+
 /// Server-side configuration.
 #[derive(Clone)]
 pub struct ListenerConfig {
@@ -58,11 +63,6 @@ pub struct ListenerConfig {
     pub trust: TrustStore,
     /// Refuse unsigned HELLOs when set (hostile-network deployment).
     pub require_signed: bool,
-    /// Frame size limits applied to every inbound frame.
-    pub limits: FrameLimits,
-    /// Per-connection read timeout; an idle connection is dropped after
-    /// this long (the client reconnects transparently).
-    pub read_timeout: Duration,
     /// Shard threads sharing the accepted sockets. Connections are
     /// dealt round-robin. Defaults to `available_parallelism` clamped
     /// to 4 — shards exist for socket fan-out, not CPU.
@@ -96,7 +96,6 @@ impl std::fmt::Debug for ListenerConfig {
         f.debug_struct("ListenerConfig")
             .field("local_host", &self.local_host)
             .field("require_signed", &self.require_signed)
-            .field("limits", &self.limits)
             .field("shards", &self.shards)
             .field("ack_delay", &self.ack_delay)
             .finish_non_exhaustive()
@@ -104,16 +103,13 @@ impl std::fmt::Debug for ListenerConfig {
 }
 
 impl ListenerConfig {
-    /// A permissive config for `local_host`: unsigned peers accepted,
-    /// default limits.
+    /// A permissive config for `local_host`: unsigned peers accepted.
     pub fn trusting(local_host: impl Into<String>) -> Self {
         let shards = thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
         ListenerConfig {
             local_host: local_host.into(),
             trust: TrustStore::new(),
             require_signed: false,
-            limits: FrameLimits::default(),
-            read_timeout: Duration::from_secs(60),
             shards: shards.clamp(1, 4),
             ack_delay: None,
             stats_provider: None,
@@ -322,10 +318,10 @@ struct ConnState {
 }
 
 impl ConnState {
-    fn new(stream: TcpStream, limits: FrameLimits) -> Self {
+    fn new(stream: TcpStream) -> Self {
         ConnState {
             stream,
-            reader: FrameReader::new(limits),
+            reader: FrameReader::new(FrameLimits::default()),
             writeq: WriteQueue::new(),
             phase: Phase::AwaitingHello,
             last_activity: Instant::now(),
@@ -388,7 +384,7 @@ impl ListenerShard {
                     Ok(stream) => {
                         if stream.set_nonblocking(true).is_ok() {
                             let _ = stream.set_nodelay(true);
-                            self.conns.push(ConnState::new(stream, self.config.limits));
+                            self.conns.push(ConnState::new(stream));
                         }
                     }
                     Err(TryRecvError::Empty) => break,
@@ -401,7 +397,7 @@ impl ListenerShard {
             let mut i = 0;
             while i < self.conns.len() {
                 let conn = &mut self.conns[i];
-                let due = conn.ready || conn.next_timer(self.config.read_timeout) <= now;
+                let due = conn.ready || conn.next_timer(READ_TIMEOUT) <= now;
                 conn.ready = false;
                 if !due || self.progress(i, now) {
                     i += 1;
@@ -424,7 +420,7 @@ impl ListenerShard {
         self.fds.clear();
         self.fds.push(self.wake.poll_fd());
         for conn in &self.conns {
-            let due = conn.next_timer(self.config.read_timeout);
+            let due = conn.next_timer(READ_TIMEOUT);
             timeout = timeout.min(due.saturating_duration_since(now));
             self.fds.push(PollFd::new(&conn.stream, conn.poll_events()));
         }
@@ -487,7 +483,7 @@ impl ListenerShard {
             return false;
         }
         // Idle reaping.
-        if now.duration_since(conn.last_activity) > self.config.read_timeout {
+        if now.duration_since(conn.last_activity) > READ_TIMEOUT {
             return false;
         }
         true

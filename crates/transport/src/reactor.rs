@@ -298,11 +298,15 @@ impl WriteQueue {
 // Reactor configuration.
 // ---------------------------------------------------------------------
 
+/// Cap on concurrent connector (blocking handshake) threads per shard.
+const MAX_CONNECTORS: usize = 64;
+
 /// Tunables for a [`ReactorTransport`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
-    /// Connection-level settings (local host name, keyring, limits,
-    /// connect/handshake timeouts) — shared with [`Connection`].
+    /// Connection-level settings (local host name, keyring,
+    /// connect/handshake timeouts) — shared with [`Connection`]. Every
+    /// inbound frame is held to [`FrameLimits::default`].
     pub connect: ConnectConfig,
     /// Shard thread count. Defaults to `available_parallelism`
     /// (clamped to 8): shards are about socket fan-out, not CPU.
@@ -322,9 +326,6 @@ pub struct ReactorConfig {
     pub retry_budget: Duration,
     /// Reconnect pacing after connection failures.
     pub backoff: BackoffPolicy,
-    /// Cap on concurrent connector (blocking handshake) threads per
-    /// shard.
-    pub max_connectors: usize,
 }
 
 impl Default for ReactorConfig {
@@ -338,7 +339,6 @@ impl Default for ReactorConfig {
             ack_timeout: Duration::from_secs(2),
             retry_budget: Duration::from_secs(8),
             backoff: BackoffPolicy::default(),
-            max_connectors: 64,
         }
     }
 }
@@ -486,7 +486,7 @@ impl Shard {
             }
             // 3. Progress the peers something happened to.
             let now = Instant::now();
-            let can_connect = self.connectors_out < self.config.max_connectors;
+            let can_connect = self.connectors_out < MAX_CONNECTORS;
             for i in 0..self.peers.len() {
                 let peer = &self.peers[i];
                 if peer.ready
@@ -507,7 +507,7 @@ impl Shard {
     /// peers whose sockets it reported.
     fn wait(&mut self) {
         let now = Instant::now();
-        let can_connect = self.connectors_out < self.config.max_connectors;
+        let can_connect = self.connectors_out < MAX_CONNECTORS;
         let mut timeout = HOUSEKEEPING_TICK;
         self.fds.clear();
         self.fds.push(self.wake.poll_fd());
@@ -590,7 +590,7 @@ impl Shard {
                 peer.ready = true;
                 peer.conn = Some(Established {
                     stream,
-                    reader: FrameReader::new(self.config.connect.limits),
+                    reader: FrameReader::new(FrameLimits::default()),
                     writeq: WriteQueue::new(),
                 });
             }
@@ -658,7 +658,7 @@ impl Shard {
             if peer.backoff_until.is_some_and(|until| now < until) {
                 return;
             }
-            if self.connectors_out >= self.config.max_connectors {
+            if self.connectors_out >= MAX_CONNECTORS {
                 return;
             }
             peer.connecting = true;

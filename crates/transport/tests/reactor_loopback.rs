@@ -1,14 +1,17 @@
 //! The sharded reactor against a real listener on loopback: pipelined
 //! completions, blocking fallback, bounded backpressure, restart
-//! recovery, and the WAN-delay coalescing the bench gate relies on.
+//! recovery, and the WAN-delay coalescing the bench gate relies on; and
+//! the door's stop-and-wait dialect beside it.
 
+use std::collections::HashSet;
 use std::net::TcpListener as StdTcpListener;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use tacoma_transport::{
-    BackoffPolicy, Completion, ConnectConfig, ListenerConfig, ReactorConfig, ReactorTransport,
-    Transport, TransportError, TransportListener,
+    BackoffPolicy, Completion, ConnectConfig, Connection, ListenerConfig, ReactorConfig,
+    ReactorTransport, Transport, TransportError, TransportListener,
 };
 
 fn fast_reactor(local_host: &str) -> ReactorTransport {
@@ -25,7 +28,6 @@ fn fast_reactor(local_host: &str) -> ReactorTransport {
         ack_timeout: Duration::from_millis(300),
         retry_budget: Duration::from_secs(5),
         backoff: BackoffPolicy::fast(),
-        max_connectors: 16,
     })
 }
 
@@ -257,4 +259,29 @@ fn delayed_acks_coalesce_and_pipelining_beats_stop_and_wait() {
         "delayed acks should coalesce, got {}",
         stats.acks_received
     );
+}
+
+/// The door's stop-and-wait dialect (`Connection::send_payload`, which
+/// `taxsh send` speaks): every payload is acked, and one the `pre_ack`
+/// hook suppresses (here, a second copy) is not forwarded.
+#[test]
+fn stop_and_wait_sends_are_acked_and_a_suppressed_copy_is_not_forwarded() {
+    let seen = Arc::new(Mutex::new(HashSet::new()));
+    let door = Arc::clone(&seen);
+    let mut config = ListenerConfig::trusting("beta");
+    config.pre_ack = Some(Arc::new(move |p: &Bytes| {
+        door.lock().unwrap().insert(p.clone())
+    }));
+    let listener = TransportListener::bind("127.0.0.1:0", config).unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().port());
+    let mut conn = Connection::establish(&addr, 1, &ConnectConfig::default()).unwrap();
+    conn.send_payload(b"agent-1").unwrap();
+    conn.send_payload(b"agent-1").unwrap();
+
+    let incoming = listener.incoming();
+    let first = incoming.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(&first.payload[..], b"agent-1");
+    let second = incoming.recv_timeout(Duration::from_millis(200));
+    assert!(second.is_err(), "the suppressed copy was forwarded");
+    assert_eq!(seen.lock().unwrap().len(), 1);
 }

@@ -1,6 +1,7 @@
 use std::fmt;
 
 use tacoma_security::SecurityError;
+use tacoma_taxscript::analysis::AnalysisFailure;
 use tacoma_taxscript::{RuntimeError, ScriptError, VerifyError};
 
 /// Errors from virtual-machine execution.
@@ -97,6 +98,16 @@ impl From<RuntimeError> for VmError {
 impl From<VerifyError> for VmError {
     fn from(e: VerifyError) -> Self {
         VmError::Unverifiable(e)
+    }
+}
+
+impl From<AnalysisFailure> for VmError {
+    fn from(e: AnalysisFailure) -> Self {
+        match e {
+            AnalysisFailure::Decode(e) => VmError::Runtime(e),
+            AnalysisFailure::Compile(e) => VmError::Compile(e),
+            AnalysisFailure::Verify(e) => VmError::Unverifiable(e),
+        }
     }
 }
 

@@ -21,14 +21,14 @@ pub enum Run {
 
 impl Run {
     /// The execution of a launch whose hooks answer `go`/`spawn`/
-    /// `await_bc` at once (what [`VirtualMachine::execute`] requires).
+    /// `await_bc` at once ([`VirtualMachine::execute`], `ag_exec`).
     ///
     /// # Panics
     ///
     /// When the launch suspended: its hooks answered pending.
     ///
     /// [`VirtualMachine::execute`]: crate::VirtualMachine::execute
-    pub(crate) fn into_execution(self) -> Execution {
+    pub fn into_execution(self) -> Execution {
         match self {
             Run::Done(execution) => execution,
             Run::Suspended(_) => {
@@ -70,30 +70,24 @@ impl Suspension {
     }
 }
 
-/// One VM's way of launching programs: through its host's caches and
-/// under its trace name.
-pub(crate) struct Launcher<'a> {
-    pub caches: &'a Arc<LaunchCaches>,
-    pub vm: &'static str,
-}
-
-impl Launcher<'_> {
-    /// Runs a decoded program with a scratch from the host's pool. The
-    /// scratch goes back to the pool when the run ends, even on a fault,
-    /// and stays out as the continuation when it suspends.
+impl LaunchCaches {
+    /// Runs a decoded program for VM `vm` with a scratch from this host's
+    /// pool. The scratch goes back to the pool when the run ends, even on
+    /// a fault, and stays out as the continuation when it suspends.
     pub(crate) fn run(
-        &self,
+        self: &Arc<Self>,
+        vm: &'static str,
         program: &Program,
         briefcase: &mut Briefcase,
         hooks: &mut dyn HostHooks,
         fuel: u64,
         trace: Vec<String>,
     ) -> Result<Run, VmError> {
-        let mut scratch = self.caches.pool().checkout();
+        let mut scratch = self.pool().checkout();
         let outcome = Vm::new(program, hooks)
             .with_fuel(fuel)
             .run_with_scratch(briefcase, &mut scratch);
-        settle(self.caches, scratch, outcome, trace, self.vm)
+        settle(self, scratch, outcome, trace, vm)
     }
 }
 

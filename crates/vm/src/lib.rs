@@ -22,6 +22,12 @@
 //!   each numbered step in its execution trace so the pipeline experiment
 //!   can print the figure.
 //!
+//! A [`VirtualMachine`] states the `CODE-TYPE`s it runs only in its
+//! `launch`. How code becomes a program is decided once per host, in its
+//! [`LaunchCaches`]: [`LaunchCaches::compile`] for source (`vm_script`,
+//! `vm_c`, `ag_cc`), its `verify` for untrusted bytecode, and
+//! [`VmBin::run_artifact`] for artifacts (`vm_bin`, `ag_exec`).
+//!
 //! Every VM consumes and produces only briefcases and reaches the outside
 //! world only through [`HostHooks`] — the minimal-interface property that
 //! makes wrappers possible (§4).

@@ -4,13 +4,13 @@
 //!
 //! A mobile agent pays its launch cost at *every* hop: decode (or
 //! compile) the program, lower it to the execution tier, allocate the
-//! VM's stacks. The analysis cache (PR 6) already memoizes decode +
-//! verification for `vm_script`'s bytecode path; this module closes the
-//! two remaining gaps:
+//! VM's stacks. The analysis cache memoizes compile or decode plus
+//! verification of untrusted code ([`LaunchCaches::compile`] and
+//! `verify`); this module closes the two remaining gaps:
 //!
 //! * [`ProgramCache`] — a bounded LRU of decoded [`Program`]s keyed by a
-//!   domain-tagged content hash of the wire bytes, for the `vm_bin`
-//!   paths that run *trusted* code and therefore skip analysis. Because
+//!   domain-tagged content hash of the wire bytes, for the binaries
+//!   `vm_bin` and `ag_exec` run as *trusted* code, skipping analysis. Because
 //!   a [`Program`] caches its lowered execution form behind an `Arc`,
 //!   a cache hit also skips superinstruction lowering — the whole
 //!   compile tier is paid once per distinct program, not once per hop.
@@ -31,7 +31,9 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use tacoma_security::Digest;
-use tacoma_taxscript::analysis::{self, tagged_hash, AnalysisCache, CacheStats, ContentLru};
+use tacoma_taxscript::analysis::{
+    self, tagged_hash, AnalysisCache, CacheStats, ContentLru, VerifiedScript,
+};
 use tacoma_taxscript::{ExecScratch, Program};
 
 use crate::VmError;
@@ -198,12 +200,34 @@ impl LaunchCaches {
         }
     }
 
-    /// The verified-script cache (firewall admission, `vm_script`).
+    /// The verified-script cache (firewall admission, [`Self::compile`],
+    /// `verify`).
     pub fn analysis(&self) -> &AnalysisCache {
         &self.analysis
     }
 
-    /// The compiled-program cache (`vm_bin`).
+    /// Compiles and verifies `source`, memoized by content hash: the one
+    /// source path (`vm_script`, `vm_c`, `ag_cc`).
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Compile`] or [`VmError::Unverifiable`], cached or cold.
+    pub fn compile(&self, source: &str) -> Result<Arc<VerifiedScript>, VmError> {
+        Ok(self.analysis.analyze_source(source).0?)
+    }
+
+    /// Decodes and verifies untrusted bytecode, memoized by content hash
+    /// in the entries firewall admission shares (`vm_script`).
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::Runtime`] if it does not decode, [`VmError::Unverifiable`].
+    pub(crate) fn verify(&self, wire: &[u8]) -> Result<Arc<VerifiedScript>, VmError> {
+        Ok(self.analysis.analyze_bytes(wire).0?)
+    }
+
+    /// The compiled-program cache (`vm_bin` and `ag_exec`, which run
+    /// trusted binaries unverified).
     pub fn programs(&self) -> &ProgramCache {
         &self.programs
     }

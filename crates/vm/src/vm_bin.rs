@@ -6,7 +6,7 @@ use std::sync::Arc;
 use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::{Digest, Principal, SecurityError, Signature};
 
-use crate::launch::{Launcher, Run};
+use crate::launch::Run;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
 use crate::{
     ArtifactBundle, ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmError,
@@ -16,7 +16,7 @@ use crate::{
 /// "once sufficient trust has been established".
 #[derive(Debug, Default)]
 pub struct VmBin {
-    caches: Arc<LaunchCaches>,
+    pub(crate) caches: Arc<LaunchCaches>,
 }
 
 /// The conventional name of the binary VM.
@@ -73,19 +73,6 @@ impl VirtualMachine for VmBin {
         VM_BIN_NAME
     }
 
-    fn accepts(&self, code_type: &str) -> bool {
-        code_type == code_types::BINARY_ARTIFACT || code_type == code_types::TAXSCRIPT_BYTECODE
-    }
-
-    fn execute(
-        &self,
-        briefcase: &mut Briefcase,
-        hooks: &mut dyn HostHooks,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Execution, VmError> {
-        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
-    }
-
     fn launch(
         &self,
         briefcase: &mut Briefcase,
@@ -97,13 +84,6 @@ impl VirtualMachine for VmBin {
 }
 
 impl VmBin {
-    fn launcher(&self) -> Launcher<'_> {
-        Launcher {
-            caches: &self.caches,
-            vm: VM_BIN_NAME,
-        }
-    }
-
     /// Launches the signed binary in `briefcase`, its trace lines
     /// appended to `trace` (what a VM that hands it on has recorded).
     pub(crate) fn run(
@@ -126,53 +106,78 @@ impl VmBin {
 
         let code_type = code_type_of(briefcase);
         let code = code_bytes(briefcase)?;
-
         match code_type.as_str() {
+            // A raw compiled program (the vm_c pipeline's output).
             code_types::TAXSCRIPT_BYTECODE => {
-                // A raw compiled program (the vm_c pipeline's output).
-                // The decode + lowering are memoized by content hash, so
-                // a repeat visitor launches from the warm program.
-                let (program, _) = self.caches.programs().decode(&code)?;
-                trace.push(format!(
-                    "vm_bin: executing {} bytecode instructions",
-                    program.instruction_count(),
-                ));
-                self.launcher()
-                    .run(&program, briefcase, hooks, ctx.fuel, trace)
+                self.run_bytecode(&code, briefcase, hooks, ctx.fuel, trace)
             }
-            code_types::BINARY_ARTIFACT => {
-                let bundle = ArtifactBundle::decode(&code)?;
-                let artifact = bundle.select(&ctx.host_arch).ok_or_else(|| {
-                    VmError::NoMatchingArchitecture {
-                        host: ctx.host_arch.to_string(),
-                        available: bundle.architectures(),
-                    }
-                })?;
-                trace.push(format!(
-                    "vm_bin: selected binary {:?} for architecture {}",
-                    artifact.name, artifact.arch
-                ));
-                if let Some(key) = artifact.native_key() {
-                    let program = ctx.natives.get(key)?;
-                    trace.push(format!("vm_bin: exec native program {key:?}"));
-                    let outcome = program.run(briefcase, hooks)?;
-                    trace.push(format!("vm_bin: agent ended with {outcome:?}"));
-                    Ok(Run::Done(Execution { outcome, trace }))
-                } else {
-                    let (program, _) = self.caches.programs().decode(&artifact.payload)?;
-                    trace.push(format!(
-                        "vm_bin: executing {} bytecode instructions",
-                        program.instruction_count(),
-                    ));
-                    self.launcher()
-                        .run(&program, briefcase, hooks, ctx.fuel, trace)
-                }
-            }
+            code_types::BINARY_ARTIFACT => self.run_artifact(&code, briefcase, hooks, ctx, trace),
             other => Err(VmError::UnsupportedCodeType {
                 vm: VM_BIN_NAME,
                 code_type: other.to_owned(),
             }),
         }
+    }
+
+    /// Runs the binary for `ctx.host_arch` out of an encoded
+    /// [`ArtifactBundle`] against `briefcase`: the one artifact runner,
+    /// behind `vm_bin`'s `binary-artifact` code and `ag_exec`, which
+    /// "extracts the binary matching the architecture of the local
+    /// machine" (§5). A native payload runs from `ctx.natives`, a
+    /// bytecode payload through the host's program cache and pool.
+    /// Checks no signature: the caller has established trust.
+    ///
+    /// # Errors
+    ///
+    /// [`VmError::BadArtifact`], [`VmError::NoMatchingArchitecture`],
+    /// [`VmError::UnknownNativeProgram`], or the program's own failure.
+    pub fn run_artifact(
+        &self,
+        bundle: &[u8],
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+        mut trace: Vec<String>,
+    ) -> Result<Run, VmError> {
+        let bundle = ArtifactBundle::decode(bundle)?;
+        let artifact =
+            bundle
+                .select(&ctx.host_arch)
+                .ok_or_else(|| VmError::NoMatchingArchitecture {
+                    host: ctx.host_arch.to_string(),
+                    available: bundle.architectures(),
+                })?;
+        trace.push(format!(
+            "vm_bin: selected binary {:?} for architecture {}",
+            artifact.name, artifact.arch
+        ));
+        let Some(key) = artifact.native_key() else {
+            return self.run_bytecode(&artifact.payload, briefcase, hooks, ctx.fuel, trace);
+        };
+        let program = ctx.natives.get(key)?;
+        trace.push(format!("vm_bin: exec native program {key:?}"));
+        let outcome = program.run(briefcase, hooks)?;
+        trace.push(format!("vm_bin: agent ended with {outcome:?}"));
+        Ok(Run::Done(Execution { outcome, trace }))
+    }
+
+    /// Runs trusted bytecode. The decode and lowering are memoized by
+    /// content hash, so a repeat visitor launches from the warm program.
+    fn run_bytecode(
+        &self,
+        wire: &[u8],
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        fuel: u64,
+        mut trace: Vec<String>,
+    ) -> Result<Run, VmError> {
+        let (program, _) = self.caches.programs().decode(wire)?;
+        trace.push(format!(
+            "vm_bin: executing {} bytecode instructions",
+            program.instruction_count(),
+        ));
+        let vm = VM_BIN_NAME;
+        self.caches.run(vm, &program, briefcase, hooks, fuel, trace)
     }
 }
 
@@ -193,10 +198,34 @@ mod tests {
         bc
     }
 
+    fn unsigned_bytecode(source: &str) -> Briefcase {
+        let mut bc = Briefcase::new();
+        bc.append(folders::CODE, compile_source(source).unwrap().encode());
+        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
+        bc
+    }
+
     fn trusting(keys: &Keyring) -> TrustStore {
         let mut t = TrustStore::new();
         t.trust(keys.public());
         t
+    }
+
+    /// Runs `bc` on a fresh `vm_bin` trusting `trust`, with `natives`
+    /// installed; unsigned binaries run only when `unsigned` is set.
+    fn execute(
+        bc: &mut Briefcase,
+        trust: &TrustStore,
+        natives: &NativeRegistry,
+        unsigned: bool,
+    ) -> Result<Execution, VmError> {
+        let mut ctx = ExecContext::new(trust, natives);
+        ctx.allow_unsigned = unsigned;
+        VmBin::new().execute(bc, &mut NullHooks::default(), &ctx)
+    }
+
+    fn webbot_bundle(arch: Architecture, key: &str) -> ArtifactBundle {
+        ArtifactBundle::new().with(BinaryArtifact::native("webbot", arch, key, 1000))
     }
 
     #[test]
@@ -204,42 +233,24 @@ mod tests {
         let keys = Keyring::generate(&Principal::new("alice").unwrap(), 1);
         let program = compile_source("fn main() { exit(5); }").unwrap();
         let mut bc = signed_briefcase(program.encode(), code_types::TAXSCRIPT_BYTECODE, &keys);
-        let trust = trusting(&keys);
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
-        let exec = VmBin::new().execute(&mut bc, &mut hooks, &ctx).unwrap();
+        let exec = execute(&mut bc, &trusting(&keys), &NativeRegistry::new(), false).unwrap();
         assert_eq!(exec.outcome, Outcome::Exit(5));
         assert!(exec.trace[0].contains("signature verified"));
     }
 
     #[test]
     fn unsigned_binary_rejected_by_default() {
-        let program = compile_source("fn main() { }").unwrap();
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, program.encode());
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
-        let trust = TrustStore::new();
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
+        let mut bc = unsigned_bytecode("fn main() { }");
         assert!(matches!(
-            VmBin::new().execute(&mut bc, &mut hooks, &ctx),
+            execute(&mut bc, &TrustStore::new(), &NativeRegistry::new(), false),
             Err(VmError::Untrusted(_))
         ));
     }
 
     #[test]
     fn unsigned_binary_allowed_when_policy_permits() {
-        let program = compile_source("fn main() { exit(3); }").unwrap();
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, program.encode());
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
-        let trust = TrustStore::new();
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives).allow_unsigned();
-        let mut hooks = NullHooks::default();
-        let exec = VmBin::new().execute(&mut bc, &mut hooks, &ctx).unwrap();
+        let mut bc = unsigned_bytecode("fn main() { exit(3); }");
+        let exec = execute(&mut bc, &TrustStore::new(), &NativeRegistry::new(), true).unwrap();
         assert_eq!(exec.outcome, Outcome::Exit(3));
     }
 
@@ -252,12 +263,8 @@ mod tests {
         let tampered = compile_source("fn main() { exit(666); }").unwrap();
         bc.remove_folder(folders::CODE);
         bc.append(folders::CODE, tampered.encode());
-        let trust = trusting(&keys);
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
         assert!(matches!(
-            VmBin::new().execute(&mut bc, &mut hooks, &ctx),
+            execute(&mut bc, &trusting(&keys), &NativeRegistry::new(), false),
             Err(VmError::Untrusted(SecurityError::BadSignature { .. }))
         ));
     }
@@ -265,30 +272,16 @@ mod tests {
     #[test]
     fn artifact_bundle_selects_architecture_and_runs_native() {
         let keys = Keyring::generate(&Principal::new("w3c").unwrap(), 2);
-        let bundle = ArtifactBundle::new()
-            .with(BinaryArtifact::native(
-                "webbot",
-                Architecture::i386_linux(),
-                "webbot",
-                1000,
-            ))
-            .with(BinaryArtifact::native(
-                "webbot",
-                Architecture::simulated(),
-                "webbot",
-                1000,
-            ));
+        let bundle = webbot_bundle(Architecture::i386_linux(), "webbot").with(
+            BinaryArtifact::native("webbot", Architecture::simulated(), "webbot", 1000),
+        );
         let mut bc = signed_briefcase(bundle.encode(), code_types::BINARY_ARTIFACT, &keys);
-
-        let trust = trusting(&keys);
         let mut natives = NativeRegistry::new();
         natives.install_fn("webbot", |bc, _| {
             bc.set_single("SCANNED", 917i64);
             Ok(Outcome::Finished)
         });
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
-        let exec = VmBin::new().execute(&mut bc, &mut hooks, &ctx).unwrap();
+        let exec = execute(&mut bc, &trusting(&keys), &natives, false).unwrap();
         assert_eq!(exec.outcome, Outcome::Finished);
         assert_eq!(bc.single_i64("SCANNED").unwrap(), 917);
         assert!(exec.trace.iter().any(|l| l.contains("taxvm-sim")));
@@ -297,18 +290,9 @@ mod tests {
     #[test]
     fn missing_architecture_is_reported_with_alternatives() {
         let keys = Keyring::generate(&Principal::new("w3c").unwrap(), 2);
-        let bundle = ArtifactBundle::new().with(BinaryArtifact::native(
-            "webbot",
-            Architecture::sparc_solaris(),
-            "webbot",
-            10,
-        ));
+        let bundle = webbot_bundle(Architecture::sparc_solaris(), "webbot");
         let mut bc = signed_briefcase(bundle.encode(), code_types::BINARY_ARTIFACT, &keys);
-        let trust = trusting(&keys);
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
-        match VmBin::new().execute(&mut bc, &mut hooks, &ctx) {
+        match execute(&mut bc, &trusting(&keys), &NativeRegistry::new(), false) {
             Err(VmError::NoMatchingArchitecture { available, .. }) => {
                 assert_eq!(available, vec!["sparc-solaris".to_owned()]);
             }
@@ -319,19 +303,10 @@ mod tests {
     #[test]
     fn missing_native_program_is_reported() {
         let keys = Keyring::generate(&Principal::new("w3c").unwrap(), 2);
-        let bundle = ArtifactBundle::new().with(BinaryArtifact::native(
-            "webbot",
-            Architecture::simulated(),
-            "not-installed",
-            10,
-        ));
+        let bundle = webbot_bundle(Architecture::simulated(), "not-installed");
         let mut bc = signed_briefcase(bundle.encode(), code_types::BINARY_ARTIFACT, &keys);
-        let trust = trusting(&keys);
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
         assert!(matches!(
-            VmBin::new().execute(&mut bc, &mut hooks, &ctx),
+            execute(&mut bc, &trusting(&keys), &NativeRegistry::new(), false),
             Err(VmError::UnknownNativeProgram { .. })
         ));
     }
@@ -339,17 +314,10 @@ mod tests {
     #[test]
     fn source_is_not_a_binary() {
         let keys = Keyring::generate(&Principal::new("alice").unwrap(), 1);
-        let mut bc = signed_briefcase(
-            b"fn main() { }".to_vec(),
-            code_types::TAXSCRIPT_SOURCE,
-            &keys,
-        );
-        let trust = trusting(&keys);
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
+        let source = b"fn main() { }".to_vec();
+        let mut bc = signed_briefcase(source, code_types::TAXSCRIPT_SOURCE, &keys);
         assert!(matches!(
-            VmBin::new().execute(&mut bc, &mut hooks, &ctx),
+            execute(&mut bc, &trusting(&keys), &NativeRegistry::new(), false),
             Err(VmError::UnsupportedCodeType { .. })
         ));
     }

@@ -16,11 +16,10 @@
 use std::sync::Arc;
 
 use tacoma_briefcase::{folders, Briefcase};
-use tacoma_taxscript::compile_source;
 
 use crate::launch::Run;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
-use crate::{ExecContext, Execution, HostHooks, LaunchCaches, VirtualMachine, VmBin, VmError};
+use crate::{ExecContext, HostHooks, LaunchCaches, VirtualMachine, VmBin, VmError};
 
 /// The compiling VM.
 #[derive(Debug, Default)]
@@ -51,19 +50,6 @@ impl VirtualMachine for VmC {
         VM_C_NAME
     }
 
-    fn accepts(&self, code_type: &str) -> bool {
-        code_type == code_types::TAXSCRIPT_SOURCE
-    }
-
-    fn execute(
-        &self,
-        briefcase: &mut Briefcase,
-        hooks: &mut dyn HostHooks,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Execution, VmError> {
-        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
-    }
-
     fn launch(
         &self,
         briefcase: &mut Briefcase,
@@ -82,8 +68,8 @@ impl VirtualMachine for VmC {
 
         // Steps 2–3: ag_cc extracts the code and hands it to ag_exec
         // together with the compiler.
-        let source_bytes = code_bytes(briefcase)?;
-        let source = String::from_utf8(source_bytes.clone()).map_err(|_| VmError::BadArtifact {
+        let code = code_bytes(briefcase)?;
+        let source = std::str::from_utf8(&code).map_err(|_| VmError::BadArtifact {
             detail: "source code is not UTF-8",
         })?;
         trace.push(format!(
@@ -92,8 +78,10 @@ impl VirtualMachine for VmC {
         ));
         trace.push("3: ag_cc activated ag_exec with code and compiler".to_owned());
 
-        // Step 4: ag_exec runs the compiler (`gcc *.c -o res`).
-        let program = compile_source(&source)?;
+        // Step 4: ag_exec runs the compiler (`gcc *.c -o res`), once per
+        // host for a given source; the step reads the same warm or cold.
+        let script = self.bin.caches.compile(source)?;
+        let program = &script.program;
         trace.push(format!(
             "4: ag_exec ran compiler: {} fns, {} instructions",
             program.functions().len(),
@@ -115,11 +103,9 @@ impl VirtualMachine for VmC {
         // (if any) the firewall checked on arrival, so it runs unsigned.
         trace.push("7: vm_c activated agent on vm_bin".to_owned());
         let bin_ctx = ExecContext {
-            trust: ctx.trust,
-            natives: ctx.natives,
-            host_arch: ctx.host_arch.clone(),
-            fuel: ctx.fuel,
             allow_unsigned: true,
+            host_arch: ctx.host_arch.clone(),
+            ..*ctx
         };
         self.bin.run(briefcase, hooks, &bin_ctx, trace)
     }
@@ -131,14 +117,18 @@ mod tests {
     use tacoma_security::TrustStore;
     use tacoma_taxscript::{NullHooks, Outcome};
 
-    use crate::NativeRegistry;
+    use crate::{Execution, NativeRegistry};
 
     fn run(bc: &mut Briefcase) -> Result<(Execution, Vec<String>), VmError> {
+        run_on(&VmC::new(), bc)
+    }
+
+    fn run_on(vm: &VmC, bc: &mut Briefcase) -> Result<(Execution, Vec<String>), VmError> {
         let trust = TrustStore::new();
         let natives = NativeRegistry::new();
         let ctx = ExecContext::new(&trust, &natives);
         let mut hooks = NullHooks::default();
-        let exec = VmC::new().execute(bc, &mut hooks, &ctx)?;
+        let exec = vm.execute(bc, &mut hooks, &ctx)?;
         Ok((exec.clone(), hooks.displayed))
     }
 
@@ -163,6 +153,22 @@ mod tests {
                 exec.trace
             );
         }
+    }
+
+    #[test]
+    fn second_launch_on_a_host_compiles_from_its_cache() {
+        let caches = Arc::new(LaunchCaches::new());
+        let vm = VmC::sharing(Arc::clone(&caches));
+        let launch = || {
+            let mut bc = Briefcase::new();
+            bc.append(folders::CODE, "fn main() { exit(4); }");
+            run_on(&vm, &mut bc).unwrap().0
+        };
+        let (cold, warm) = (launch(), launch());
+        let s = caches.analysis().stats();
+        assert_eq!((s.misses, s.hits), (1, 1), "the second compile is a hit");
+        assert_eq!(cold.outcome, Outcome::Exit(4));
+        assert_eq!(warm, cold, "Figure 3 reads the same warm or cold");
     }
 
     #[test]

@@ -5,12 +5,11 @@
 use std::sync::Arc;
 
 use tacoma_briefcase::Briefcase;
-use tacoma_taxscript::analysis::AnalysisFailure;
-use tacoma_taxscript::{compile_source, HostHooks, Program};
+use tacoma_taxscript::HostHooks;
 
-use crate::launch::{Launcher, Run};
+use crate::launch::Run;
 use crate::vmtrait::{code_bytes, code_type_of, code_types};
-use crate::{ExecContext, Execution, LaunchCaches, VirtualMachine, VmError};
+use crate::{ExecContext, LaunchCaches, VirtualMachine, VmError};
 
 /// The scripting VM. Safety mechanism: the TaxScript sandbox (fuel,
 /// bounded stacks, contained faults) — the "sand-boxing" option of §3.3.
@@ -63,19 +62,6 @@ impl VirtualMachine for VmScript {
         &self.name
     }
 
-    fn accepts(&self, code_type: &str) -> bool {
-        code_type == code_types::TAXSCRIPT_SOURCE || code_type == code_types::TAXSCRIPT_BYTECODE
-    }
-
-    fn execute(
-        &self,
-        briefcase: &mut Briefcase,
-        hooks: &mut dyn HostHooks,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Execution, VmError> {
-        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
-    }
-
     fn launch(
         &self,
         briefcase: &mut Briefcase,
@@ -84,71 +70,33 @@ impl VirtualMachine for VmScript {
     ) -> Result<Run, VmError> {
         let code_type = code_type_of(briefcase);
         let code = code_bytes(briefcase)?;
-        let mut trace = Vec::new();
-
-        let cached;
-        let program: &Program = match code_type.as_str() {
+        // Whether the cache was warm is telemetry (the `cache-*` stats
+        // keys), never trace: the trace must not depend on what else ran
+        // in this process first.
+        let (script, trace) = match code_type.as_str() {
             code_types::TAXSCRIPT_SOURCE => {
-                let source = String::from_utf8(code).map_err(|_| VmError::BadArtifact {
+                let source = std::str::from_utf8(&code).map_err(|_| VmError::BadArtifact {
                     detail: "source code is not UTF-8",
                 })?;
-                // Source rides the same content-hash cache as bytecode:
-                // an itinerant agent carrying source pays compilation
-                // (and superinstruction lowering) once, not per hop.
-                let (result, _) = self.caches.analysis().analyze_source(&source);
-                cached = match result {
-                    Ok(verified) => verified,
-                    Err(AnalysisFailure::Compile(_)) => {
-                        // Recompile for the structured error; failures
-                        // are rare and the compiler fails fast.
-                        compile_source(&source)?;
-                        return Err(VmError::BadArtifact {
-                            detail: "source failed to compile",
-                        });
-                    }
-                    Err(AnalysisFailure::Verify(e)) => return Err(VmError::Unverifiable(e)),
-                    Err(AnalysisFailure::Decode(_)) => {
-                        return Err(VmError::BadArtifact {
-                            detail: "source keyed a decode failure",
-                        })
-                    }
-                };
-                // Whether the cache was warm is telemetry (the `cache-*`
-                // stats keys), never trace: the trace must not depend on
-                // what else ran in this process first.
-                trace.push(format!(
-                    "vm_script: running {} bytes of source",
-                    source.len()
-                ));
-                &cached.program
+                // An itinerant agent carrying source pays compilation
+                // (and superinstruction lowering) once per host, not per
+                // hop.
+                let script = self.caches.compile(source)?;
+                let line = format!("vm_script: running {} bytes of source", source.len());
+                (script, line)
             }
             code_types::TAXSCRIPT_BYTECODE => {
                 // Arriving bytecode is untrusted: prove it cannot fault
-                // the VM before running it (verify-before-execute). The
-                // decode + analysis pipeline is memoized by content hash
-                // in the host's cache, shared with firewall admission, so
-                // a known-good script skips both on every hop after the
-                // first.
-                let (result, _) = self.caches.analysis().analyze_bytes(&code);
-                cached = match result {
-                    Ok(verified) => verified,
-                    Err(AnalysisFailure::Verify(e)) => return Err(VmError::Unverifiable(e)),
-                    Err(_) => {
-                        // Re-decode for the precise error; failures are
-                        // rare and decode fails fast.
-                        Program::decode(&code)?;
-                        return Err(VmError::BadArtifact {
-                            detail: "bytecode failed to decode",
-                        });
-                    }
-                };
-                trace.push(format!(
+                // the VM before running it (verify-before-execute), once
+                // per host — firewall admission shares the entry.
+                let script = self.caches.verify(&code)?;
+                let line = format!(
                     "vm_script: running {} bytes of bytecode (verified {} functions, max stack {})",
                     code.len(),
-                    cached.program.functions().len(),
-                    cached.report.verified.max_stack()
-                ));
-                &cached.program
+                    script.program.functions().len(),
+                    script.report.verified.max_stack()
+                );
+                (script, line)
             }
             other => {
                 return Err(VmError::UnsupportedCodeType {
@@ -158,11 +106,10 @@ impl VirtualMachine for VmScript {
             }
         };
 
-        Launcher {
-            caches: &self.caches,
-            vm: "vm_script",
-        }
-        .run(program, briefcase, hooks, ctx.fuel, trace)
+        let (program, fuel) = (&script.program, ctx.fuel);
+        let vm = VM_SCRIPT_NAME;
+        self.caches
+            .run(vm, program, briefcase, hooks, fuel, vec![trace])
     }
 }
 
@@ -171,26 +118,32 @@ mod tests {
     use super::*;
     use tacoma_briefcase::folders;
     use tacoma_security::TrustStore;
-    use tacoma_taxscript::{NullHooks, Outcome};
+    use tacoma_taxscript::{compile_source, NullHooks, Outcome};
 
-    use crate::NativeRegistry;
+    use crate::{Execution, NativeRegistry};
 
-    fn run(bc: &mut Briefcase) -> Result<Execution, VmError> {
+    fn briefcase(code: impl Into<Vec<u8>>, code_type: &str) -> Briefcase {
+        let mut bc = Briefcase::new();
+        bc.append(folders::CODE, code.into());
+        bc.set_single(folders::CODE_TYPE, code_type);
+        bc
+    }
+
+    fn run_on(vm: &VmScript, bc: &mut Briefcase) -> Result<Execution, VmError> {
         let trust = TrustStore::new();
         let natives = NativeRegistry::new();
         let ctx = ExecContext::new(&trust, &natives);
-        let mut hooks = NullHooks::default();
-        VmScript::new().execute(bc, &mut hooks, &ctx)
+        vm.execute(bc, &mut NullHooks::default(), &ctx)
+    }
+
+    fn run(bc: &mut Briefcase) -> Result<Execution, VmError> {
+        run_on(&VmScript::new(), bc)
     }
 
     #[test]
     fn executes_source() {
-        let mut bc = Briefcase::new();
-        bc.append(
-            folders::CODE,
-            r#"fn main() { bc_set("OUT", 42); exit(0); }"#,
-        );
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_SOURCE);
+        let source = r#"fn main() { bc_set("OUT", 42); exit(0); }"#;
+        let mut bc = briefcase(source, code_types::TAXSCRIPT_SOURCE);
         let exec = run(&mut bc).unwrap();
         assert_eq!(exec.outcome, Outcome::Exit(0));
         assert_eq!(bc.single_i64("OUT").unwrap(), 42);
@@ -199,9 +152,7 @@ mod tests {
     #[test]
     fn executes_bytecode() {
         let program = compile_source("fn main() { exit(9); }").unwrap();
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, program.encode());
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
+        let mut bc = briefcase(program.encode(), code_types::TAXSCRIPT_BYTECODE);
         assert_eq!(run(&mut bc).unwrap().outcome, Outcome::Exit(9));
     }
 
@@ -210,14 +161,9 @@ mod tests {
         let program = compile_source("fn main() { exit(3); }").unwrap();
         let caches = Arc::new(LaunchCaches::new());
         let vm = VmScript::sharing(VM_SCRIPT_NAME, Arc::clone(&caches));
-        let trust = TrustStore::new();
-        let natives = NativeRegistry::new();
-        let ctx = ExecContext::new(&trust, &natives);
         let load = || {
-            let mut bc = Briefcase::new();
-            bc.append(folders::CODE, program.encode());
-            bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
-            vm.execute(&mut bc, &mut NullHooks::default(), &ctx)
+            let mut bc = briefcase(program.encode(), code_types::TAXSCRIPT_BYTECODE);
+            run_on(&vm, &mut bc)
         };
         let counts = |s: tacoma_taxscript::analysis::CacheStats| (s.hits, s.misses);
         let cold = load().unwrap();
@@ -236,6 +182,21 @@ mod tests {
     }
 
     #[test]
+    fn a_cached_failure_is_the_cold_error() {
+        let vm = VmScript::new();
+        for (code, code_type) in [
+            ("fn main() { let = ; }", code_types::TAXSCRIPT_SOURCE),
+            ("not bytecode", code_types::TAXSCRIPT_BYTECODE),
+        ] {
+            let cold = run_on(&vm, &mut briefcase(code, code_type)).unwrap_err();
+            let cached = run_on(&vm, &mut briefcase(code, code_type)).unwrap_err();
+            assert!(matches!(cold, VmError::Compile(_) | VmError::Runtime(_)));
+            assert_eq!(cached, cold, "{code_type}");
+        }
+        assert_eq!(vm.caches.analysis().stats().hits, 2);
+    }
+
+    #[test]
     fn refuses_unverifiable_bytecode() {
         // A jump to code_len decodes fine (Program::validate tolerates
         // it) but the verifier proves it would run off the end.
@@ -244,9 +205,7 @@ mod tests {
         let main = program.main_index();
         let end = program.functions()[main].code.len() as u32;
         program.functions_mut()[main].code[0] = Op::Jump(end);
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, program.encode());
-        bc.set_single(folders::CODE_TYPE, code_types::TAXSCRIPT_BYTECODE);
+        let mut bc = briefcase(program.encode(), code_types::TAXSCRIPT_BYTECODE);
         assert!(matches!(run(&mut bc), Err(VmError::Unverifiable(_))));
     }
 
@@ -265,9 +224,7 @@ mod tests {
 
     #[test]
     fn rejects_binary_artifacts() {
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, vec![1u8, 2, 3]);
-        bc.set_single(folders::CODE_TYPE, code_types::BINARY_ARTIFACT);
+        let mut bc = briefcase(vec![1u8, 2, 3], code_types::BINARY_ARTIFACT);
         assert!(matches!(
             run(&mut bc),
             Err(VmError::UnsupportedCodeType {

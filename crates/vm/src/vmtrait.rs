@@ -1,6 +1,6 @@
 //! The [`VirtualMachine`] trait and execution context.
 
-use tacoma_briefcase::Briefcase;
+use tacoma_briefcase::{Briefcase, Bytes};
 use tacoma_security::TrustStore;
 use tacoma_taxscript::{HostHooks, Outcome, DEFAULT_FUEL};
 
@@ -79,45 +79,23 @@ pub struct Execution {
 /// "The only other requirements placed on the virtual machines is that
 /// they issue briefcases for communication […] Furthermore, VMs must
 /// respond to commands issued by the firewall" (§3.3) — command handling
-/// lives in the kernel's VM guard threads; this trait is the execution
-/// engine those threads drive.
+/// lives in the kernel; this trait is the execution engine it drives.
+/// A VM refuses a `CODE-TYPE` it does not run in its `launch`, the one
+/// place that states what it runs.
 pub trait VirtualMachine: Send + Sync {
     /// The VM's name, as addressed by agent URIs (`vm_bin`, `vm_c`, …).
     fn name(&self) -> &str;
 
-    /// Whether this VM can execute the given `CODE-TYPE`.
-    fn accepts(&self, code_type: &str) -> bool;
-
-    /// Executes the agent whose code and state are in `briefcase`.
+    /// Runs the agent whose code and state are in `briefcase`. An agent
+    /// whose `go`, `spawn` or `await_bc` the hooks answer pending
+    /// ([`HostHooks::poll_go`], [`HostHooks::poll_await`]) stops there,
+    /// and the [`Suspension`] carries it on once the answer is in.
     ///
     /// # Errors
     ///
     /// [`VmError`] if the code cannot be extracted, verified, compiled, or
-    /// run. Faults never escape as panics — that is the VM's §3.3 safety
-    /// obligation.
-    ///
-    /// # Panics
-    ///
-    /// The built-in VMs run this as [`VirtualMachine::launch`] and panic
-    /// if the run suspends: hooks whose `poll_go`/`poll_spawn`/`poll_await`
-    /// can answer pending must launch instead.
-    fn execute(
-        &self,
-        briefcase: &mut Briefcase,
-        hooks: &mut dyn HostHooks,
-        ctx: &ExecContext<'_>,
-    ) -> Result<Execution, VmError>;
-
-    /// Like [`VirtualMachine::execute`], but an agent whose `go`, `spawn`
-    /// or `await_bc` the hooks answer pending ([`HostHooks::poll_go`],
-    /// [`HostHooks::poll_await`]) stops there, and the [`Suspension`]
-    /// carries it on once the answer is in. The default runs
-    /// [`VirtualMachine::execute`], so a VM that keeps it must ask its
-    /// hooks' synchronous `go`/`spawn`/`await_bc`.
-    ///
-    /// # Errors
-    ///
-    /// As [`VirtualMachine::execute`].
+    /// run, or is of a type this VM does not run. Faults never escape as
+    /// panics — that is the VM's §3.3 safety obligation.
     ///
     /// [`Suspension`]: crate::Suspension
     fn launch(
@@ -125,8 +103,25 @@ pub trait VirtualMachine: Send + Sync {
         briefcase: &mut Briefcase,
         hooks: &mut dyn HostHooks,
         ctx: &ExecContext<'_>,
-    ) -> Result<Run, VmError> {
-        self.execute(briefcase, hooks, ctx).map(Run::Done)
+    ) -> Result<Run, VmError>;
+
+    /// [`VirtualMachine::launch`] to the end, for hooks that answer
+    /// `go`/`spawn`/`await_bc` at once.
+    ///
+    /// # Errors
+    ///
+    /// As [`VirtualMachine::launch`].
+    ///
+    /// # Panics
+    ///
+    /// If the run suspends: hooks that can answer pending must launch.
+    fn execute(
+        &self,
+        briefcase: &mut Briefcase,
+        hooks: &mut dyn HostHooks,
+        ctx: &ExecContext<'_>,
+    ) -> Result<Execution, VmError> {
+        self.launch(briefcase, hooks, ctx).map(Run::into_execution)
     }
 }
 
@@ -139,11 +134,11 @@ pub(crate) fn code_type_of(briefcase: &Briefcase) -> String {
         .to_owned()
 }
 
-/// Extracts the raw `CODE` bytes.
-pub(crate) fn code_bytes(briefcase: &Briefcase) -> Result<Vec<u8>, VmError> {
+/// The raw `CODE` bytes (a shared handle, not a copy).
+pub(crate) fn code_bytes(briefcase: &Briefcase) -> Result<Bytes, VmError> {
     Ok(briefcase
         .element(tacoma_briefcase::folders::CODE, 0)
         .map_err(|_| VmError::NoCode)?
-        .data()
-        .to_vec())
+        .bytes()
+        .clone())
 }

@@ -5,8 +5,8 @@ use tacoma_briefcase::{folders, Briefcase};
 use tacoma_security::{Keyring, Principal, TrustStore};
 use tacoma_taxscript::{compile_source, NullHooks, Outcome};
 use tacoma_vm::{
-    code_types, Architecture, ArtifactBundle, BinaryArtifact, ExecContext, NativeRegistry,
-    VirtualMachine, VmBin, VmC, VmScript,
+    code_types, Architecture, ArtifactBundle, BinaryArtifact, ExecContext, NativeRegistry, Run,
+    VirtualMachine, VmBin, VmC, VmError, VmScript,
 };
 
 const SRC: &str = r#"fn main() { bc_set("RAN-ON", host_name()); exit(0); }"#;
@@ -19,6 +19,29 @@ fn all_vms() -> Vec<Box<dyn VirtualMachine>> {
     ]
 }
 
+/// A briefcase carrying `SRC` in the form `code_type` names: source
+/// text, its bytecode, or a bundle of that bytecode for this host.
+fn briefcase_of(code_type: &str) -> Briefcase {
+    let program = compile_source(SRC).unwrap();
+    let code = match code_type {
+        code_types::TAXSCRIPT_SOURCE => SRC.as_bytes().to_vec(),
+        code_types::TAXSCRIPT_BYTECODE => program.encode(),
+        _ => ArtifactBundle::new()
+            .with(BinaryArtifact::bytecode(
+                "src",
+                Architecture::simulated(),
+                &program,
+            ))
+            .encode(),
+    };
+    let mut bc = Briefcase::new();
+    bc.append(folders::CODE, code);
+    bc.set_single(folders::CODE_TYPE, code_type);
+    bc
+}
+
+/// A VM runs a code type when its `launch` runs it, and refuses it there
+/// with `UnsupportedCodeType` otherwise: there is no second list.
 #[test]
 fn acceptance_matrix_is_exactly_as_documented() {
     let expectations = [
@@ -32,12 +55,20 @@ fn acceptance_matrix_is_exactly_as_documented() {
         ("vm_c", code_types::TAXSCRIPT_BYTECODE, false),
         ("vm_c", code_types::BINARY_ARTIFACT, false),
     ];
+    let trust = TrustStore::new();
+    let natives = NativeRegistry::new();
+    let ctx = ExecContext::new(&trust, &natives).allow_unsigned();
     for (vm_name, code_type, accepted) in expectations {
         let vm = all_vms()
             .into_iter()
             .find(|v| v.name() == vm_name)
             .expect("vm exists");
-        assert_eq!(vm.accepts(code_type), accepted, "{vm_name} x {code_type}");
+        let mut bc = briefcase_of(code_type);
+        match vm.launch(&mut bc, &mut NullHooks::default(), &ctx) {
+            Ok(Run::Done(exec)) if accepted => assert_eq!(exec.outcome, Outcome::Exit(0)),
+            Err(VmError::UnsupportedCodeType { vm, .. }) if !accepted => assert_eq!(vm, vm_name),
+            other => panic!("{vm_name} x {code_type} (accepted: {accepted}): {other:?}"),
+        }
     }
 }
 
@@ -45,34 +76,17 @@ fn acceptance_matrix_is_exactly_as_documented() {
 fn same_agent_runs_on_every_vm_shape() {
     let trust = TrustStore::new();
     let natives = NativeRegistry::new();
-
+    let ctx = ExecContext::new(&trust, &natives).allow_unsigned();
     // Source on vm_script and vm_c; bytecode on vm_bin (unsigned, allowed).
-    let program = compile_source(SRC).unwrap();
-    let cases: Vec<(Box<dyn VirtualMachine>, Vec<u8>, &str)> = vec![
-        (
-            Box::new(VmScript::new()),
-            SRC.as_bytes().to_vec(),
-            code_types::TAXSCRIPT_SOURCE,
-        ),
-        (
-            Box::new(VmC::new()),
-            SRC.as_bytes().to_vec(),
-            code_types::TAXSCRIPT_SOURCE,
-        ),
-        (
-            Box::new(VmBin::new()),
-            program.encode(),
-            code_types::TAXSCRIPT_BYTECODE,
-        ),
+    let cases: [(Box<dyn VirtualMachine>, &str); 3] = [
+        (Box::new(VmScript::new()), code_types::TAXSCRIPT_SOURCE),
+        (Box::new(VmC::new()), code_types::TAXSCRIPT_SOURCE),
+        (Box::new(VmBin::new()), code_types::TAXSCRIPT_BYTECODE),
     ];
-    for (vm, code, code_type) in cases {
-        let mut bc = Briefcase::new();
-        bc.append(folders::CODE, code);
-        bc.set_single(folders::CODE_TYPE, code_type);
-        let ctx = ExecContext::new(&trust, &natives).allow_unsigned();
-        let mut hooks = NullHooks::default();
+    for (vm, code_type) in cases {
+        let mut bc = briefcase_of(code_type);
         let exec = vm
-            .execute(&mut bc, &mut hooks, &ctx)
+            .execute(&mut bc, &mut NullHooks::default(), &ctx)
             .unwrap_or_else(|e| panic!("{} failed on {}: {e}", vm.name(), code_type));
         assert_eq!(exec.outcome, Outcome::Exit(0), "{}", vm.name());
         assert_eq!(

@@ -209,6 +209,7 @@ mod tests {
             rights: Rights::ALL,
             now: tacoma_core::SimTime::ZERO,
             natives: &natives,
+            caches: &Default::default(),
             hooks: &mut hooks,
             fuel: 1_000_000,
         };

@@ -18,6 +18,7 @@ use std::io::{BufRead, BufReader, Read};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// The E6 TRAIL-accumulating hello agent, as in the loopback test.
 const HELLO: &str = r#"
@@ -250,6 +251,71 @@ fn sender_crash_after_hop_begin_reships_and_completes_once() {
 
     let _ = fs::remove_dir_all(&alpha_journal);
     let _ = fs::remove_dir_all(&beta_journal);
+}
+
+/// The same sender crash, restarted while its peer is down: the open hop
+/// is handed to the transport like any send, so the daemon listens at
+/// once instead of after a retry budget per open hop, the loss settles
+/// in the background as one retry timeout, and the hop stays open for
+/// the next boot.
+#[test]
+fn boot_replay_to_a_dead_peer_does_not_delay_listening() {
+    let script = script_file("replay_dead_peer", HELLO);
+    let alpha_journal = journal_dir("replay_dead_peer_alpha");
+    // Nothing ever listens on beta's address.
+    let (alpha_port, beta_port) = free_ports();
+    let alpha_addr = format!("127.0.0.1:{alpha_port}");
+    let beta_addr = format!("127.0.0.1:{beta_port}");
+    let beta_peer = Some(("beta", beta_addr.as_str()));
+
+    let alpha1 = spawn_daemon(&daemon_args(
+        "alpha",
+        &alpha_addr,
+        beta_peer,
+        &alpha_journal,
+        4000,
+        vec![
+            "--launch".into(),
+            script.to_string_lossy().into_owned(),
+            "--itinerary".into(),
+            "beta,alpha".into(),
+            "--crash-after-record".into(),
+            "hop-begin:1".into(),
+        ],
+    ));
+    let _ = alpha1.crash_finish();
+
+    let booted = Instant::now();
+    let alpha2 = spawn_daemon(&daemon_args(
+        "alpha",
+        &alpha_addr,
+        beta_peer,
+        &alpha_journal,
+        500,
+        vec![],
+    ));
+    let to_listening = booted.elapsed();
+    let alpha2_log = alpha2.finish();
+    let _ = fs::remove_file(&script);
+
+    assert!(
+        to_listening < Duration::from_secs(2),
+        "listening after {to_listening:?}:\n{alpha2_log}"
+    );
+    assert_eq!(replay_field(&alpha2_log, "resumed-out"), 1, "{alpha2_log}");
+    assert_eq!(
+        stats_field(&alpha2_log, "retry-timeouts"),
+        1,
+        "{alpha2_log}"
+    );
+    assert_eq!(stats_field(&alpha2_log, "jr-resumed"), 0, "{alpha2_log}");
+    let journal_line = alpha2_log
+        .lines()
+        .find(|l| l.starts_with("taxd: journal records="))
+        .unwrap_or_else(|| panic!("no exit journal line in:\n{alpha2_log}"));
+    assert_eq!(field_of(journal_line, "open-hops"), 1, "{alpha2_log}");
+
+    let _ = fs::remove_dir_all(&alpha_journal);
 }
 
 /// Crash the *receiver* right after its door-side inbound `hop-begin`
